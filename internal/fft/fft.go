@@ -1,9 +1,20 @@
 // Package fft implements complex discrete Fourier transforms in pure Go.
 //
-// The package provides cached 1-D plans (iterative radix-2 for power-of-2
-// lengths, Bluestein's chirp-z algorithm for everything else), 2-D
-// transforms built on row/column passes with optional goroutine
-// parallelism, and the fftshift helpers used by diffraction physics.
+// The package provides cached 1-D plans, 2-D transforms built on
+// row/column passes with optional goroutine parallelism, and the
+// fftshift helpers used by diffraction physics.
+//
+// A plan runs one of three kernels, chosen from the length alone:
+//
+//   - radix-2: iterative in-place Cooley-Tukey, for powers of two;
+//   - mixed-radix: out-of-place Stockham autosort with radix-4, 2, 3
+//     and 5 butterflies (stockham.go), for every other length whose
+//     prime factors are all <= 5 (6, 12, 24, 48, 96, 100, 120, ...);
+//   - Bluestein: chirp-z convolution through a padded radix-2 plan, for
+//     lengths with a prime factor above 5 (7, 22, 34, 97, ...).
+//
+// The first two cost about the same per point; Bluestein costs several
+// times more, so window sizes are best kept 2-3-5-smooth.
 //
 // Conventions: Forward computes X[k] = sum_n x[n] exp(-2*pi*i*n*k/N) with
 // no normalization; Inverse applies the +i kernel and divides by N, so
@@ -28,23 +39,36 @@ const (
 	Inverse
 )
 
+// kernel names the algorithm a plan runs; buildPlan picks it from n.
+type kernel uint8
+
+const (
+	radix2Kernel    kernel = iota // n a power of two
+	mixedKernel                   // n = 2^a 3^b 5^c, not a power of two
+	bluesteinKernel               // n has a prime factor above 5
+)
+
 // Plan holds precomputed twiddle factors for transforms of a fixed
 // length. Plans are safe for concurrent use once created: all state is
 // read-only during execution except per-call scratch passed by the
-// caller or allocated locally.
+// caller or drawn from the plan's pool.
 type Plan struct {
-	n       int
-	pow2    bool
-	twiddle []complex128 // radix-2 twiddles for pow2, length n/2
-	rev     []int        // bit-reversal permutation for pow2
+	n    int
+	kind kernel
+	invN float64 // 1/n
 
-	// Bluestein state (non-power-of-2 lengths).
-	m      int          // padded power-of-2 length >= 2n-1
-	chirp  []complex128 // exp(-i*pi*k^2/n), length n
-	bconj  []complex128 // FFT of the conjugate chirp, length m
-	sub    *Plan        // power-of-2 plan of length m
-	invN   float64      // 1/n
-	scratch sync.Pool
+	// exp(-2*pi*i*k/n): k < n/2 for radix-2, k < n for mixed-radix.
+	twiddle []complex128
+	rev     []int // radix-2: bit-reversal permutation
+	radices []int // mixed-radix: one Stockham pass per entry, product n
+
+	// Bluestein state.
+	m     int          // padded power-of-2 length >= 2n-1
+	chirp []complex128 // exp(-i*pi*k^2/n), length n
+	bconj []complex128 // FFT of the conjugate chirp, length m
+	sub   *Plan        // radix-2 plan of length m
+
+	work sync.Pool // *[]complex128 of workLen(), for calls without a Scratch
 }
 
 var (
@@ -79,17 +103,24 @@ func NewPlan(n int) *Plan {
 
 func buildPlan(n int) *Plan {
 	p := &Plan{n: n, invN: 1 / float64(n)}
+	p.work.New = func() any {
+		s := make([]complex128, p.workLen())
+		return &s
+	}
 	if n&(n-1) == 0 {
-		p.pow2 = true
-		p.twiddle = make([]complex128, n/2)
-		for k := range p.twiddle {
-			s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-			p.twiddle[k] = complex(c, s)
-		}
+		p.kind = radix2Kernel
+		p.twiddle = twiddleTable(n, n/2)
 		p.rev = bitRevTable(n)
 		return p
 	}
+	if radices := smoothRadices(n); radices != nil {
+		p.kind = mixedKernel
+		p.twiddle = twiddleTable(n, n)
+		p.radices = radices
+		return p
+	}
 	// Bluestein: convolve with a chirp via a padded power-of-2 FFT.
+	p.kind = bluesteinKernel
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
@@ -113,11 +144,30 @@ func buildPlan(n int) *Plan {
 	}
 	p.sub.forwardPow2(b)
 	p.bconj = b
-	p.scratch.New = func() any {
-		s := make([]complex128, m)
-		return &s
-	}
 	return p
+}
+
+// twiddleTable returns exp(-2*pi*i*k/n) for k < count.
+func twiddleTable(n, count int) []complex128 {
+	tw := make([]complex128, count)
+	for k := range tw {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		tw[k] = complex(c, s)
+	}
+	return tw
+}
+
+// workLen returns the length of the 1-D work buffer one transform
+// needs beside its input: none for radix-2 (in place), n for the
+// mixed-radix ping-pong, the padded length for Bluestein.
+func (p *Plan) workLen() int {
+	switch p.kind {
+	case mixedKernel:
+		return p.n
+	case bluesteinKernel:
+		return p.m
+	}
+	return 0
 }
 
 func bitRevTable(n int) []int {
@@ -134,7 +184,7 @@ func (p *Plan) Len() int { return p.n }
 
 // Transform applies the transform in place to x, which must have length
 // Len(). dir selects forward or inverse. Non-power-of-2 lengths draw
-// Bluestein workspace from an internal sync.Pool; use TransformScratch
+// their work buffer from an internal sync.Pool; use TransformScratch
 // with a per-worker Scratch for a guaranteed allocation-free hot path.
 func (p *Plan) Transform(x []complex128, dir Direction) {
 	p.TransformScratch(x, dir, nil)
@@ -148,26 +198,42 @@ func (p *Plan) TransformScratch(x []complex128, dir Direction, s *Scratch) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: length mismatch: plan %d, data %d", p.n, len(x)))
 	}
-	if p.pow2 {
-		if dir == Forward {
-			p.forwardPow2(x)
-			return
-		}
+	switch {
+	case p.kind == radix2Kernel:
+		p.transform(x, dir, nil)
+	case s != nil:
+		p.transform(x, dir, s.workBuf(p.workLen()))
+	default:
+		bufp := p.work.Get().(*[]complex128)
+		p.transform(x, dir, *bufp)
+		p.work.Put(bufp)
+	}
+}
+
+// transform runs the plan's kernel on x with work of length workLen().
+// A mixed-radix plan also takes len(x)/n interleaved sequences in x
+// (the 2-D column pass) with work as long as x. The radix-2 and
+// mixed-radix kernels only run forward; their inverse is
+// conj(forward(conj(x)))/n, element by element over all of x.
+func (p *Plan) transform(x []complex128, dir Direction, work []complex128) {
+	if p.kind == bluesteinKernel {
+		p.bluestein(x, dir, work)
+		return
+	}
+	if dir == Inverse {
 		conjAll(x)
+	}
+	if p.kind == radix2Kernel {
 		p.forwardPow2(x)
+	} else {
+		p.forwardMixed(x, work)
+	}
+	if dir == Inverse {
 		scale := complex(p.invN, 0)
 		for i := range x {
 			x[i] = complex(real(x[i]), -imag(x[i])) * scale
 		}
-		return
 	}
-	if s != nil {
-		p.bluestein(x, dir, s.convBuf(p.m))
-		return
-	}
-	bufp := p.scratch.Get().(*[]complex128)
-	p.bluestein(x, dir, *bufp)
-	p.scratch.Put(bufp)
 }
 
 // forwardPow2 runs the iterative radix-2 Cooley-Tukey kernel.

@@ -31,10 +31,20 @@ func NewPlan2D(w, h int, parallel bool) *Plan2D {
 		parallel: parallel,
 	}
 	p.colBuf.New = func() any {
-		s := make([]complex128, h)
+		s := make([]complex128, p.colLen())
 		return &s
 	}
 	return p
+}
+
+// colLen is the length of the column pass's buffer: one gathered
+// column, or the whole array when the column plan is mixed-radix and
+// transforms every column in one strided call.
+func (p *Plan2D) colLen() int {
+	if p.colPlan.kind == mixedKernel {
+		return p.w * p.h
+	}
+	return p.h
 }
 
 // W returns the plan width.
@@ -84,18 +94,24 @@ func (p *Plan2D) transformSerial(a *grid.Complex2D, dir Direction, s *Scratch) {
 	var col []complex128
 	var pooled *[]complex128
 	if s != nil {
-		col = s.colBuf(h)
+		col = s.colBuf(p.colLen())
 	} else {
 		pooled = p.colBuf.Get().(*[]complex128)
 		col = *pooled
 	}
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			col[y] = data[y*w+x]
-		}
-		p.colPlan.TransformScratch(col, dir, s)
-		for y := 0; y < h; y++ {
-			data[y*w+x] = col[y]
+	if p.colPlan.kind == mixedKernel {
+		// The columns of a row-major array are w interleaved
+		// sequences, which the Stockham passes take in one call.
+		p.colPlan.transform(data, dir, col)
+	} else {
+		for x := 0; x < w; x++ {
+			for y := 0; y < h; y++ {
+				col[y] = data[y*w+x]
+			}
+			p.colPlan.TransformScratch(col, dir, s)
+			for y := 0; y < h; y++ {
+				data[y*w+x] = col[y]
+			}
 		}
 	}
 	if pooled != nil {
@@ -119,7 +135,7 @@ func (p *Plan2D) colsParallel(a *grid.Complex2D, dir Direction) {
 	w, h := p.w, p.h
 	apply := func(x0, x1 int) {
 		bufp := p.colBuf.Get().(*[]complex128)
-		col := *bufp
+		col := (*bufp)[:h]
 		for x := x0; x < x1; x++ {
 			for y := 0; y < h; y++ {
 				col[y] = data[y*w+x]

@@ -45,21 +45,25 @@ func naive2D(a *grid.Complex2D, dir Direction) *grid.Complex2D {
 
 func TestPlan2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][2]int{{4, 4}, {8, 4}, {3, 5}, {6, 8}, {16, 16}} {
+	// 24x24 and 12x20 run the strided mixed-radix column pass, 24x22
+	// and 22x24 pair it with Bluestein, 16x24 and 24x16 with radix-2.
+	for _, dims := range [][2]int{{4, 4}, {8, 4}, {3, 5}, {6, 8}, {16, 16}, {24, 24}, {12, 20}, {24, 22}, {22, 24}, {16, 24}, {24, 16}} {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
-		want := naive2D(a, Forward)
-		got := a.Clone()
-		NewPlan2D(w, h, false).Transform(got, Forward)
-		if got.MaxDiff(want) > 1e-8 {
-			t.Errorf("%dx%d: 2-D forward error %g", w, h, got.MaxDiff(want))
+		for _, dir := range []Direction{Forward, Inverse} {
+			want := naive2D(a, dir)
+			got := a.Clone()
+			NewPlan2D(w, h, false).Transform(got, dir)
+			if got.MaxDiff(want) > 1e-8 {
+				t.Errorf("%dx%d dir=%d: 2-D error %g", w, h, dir, got.MaxDiff(want))
+			}
 		}
 	}
 }
 
 func TestPlan2DRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][2]int{{8, 8}, {15, 9}, {32, 32}, {64, 64}} {
+	for _, dims := range [][2]int{{8, 8}, {15, 9}, {24, 24}, {12, 20}, {24, 22}, {32, 32}, {64, 64}} {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
 		b := a.Clone()
@@ -73,14 +77,20 @@ func TestPlan2DRoundTrip(t *testing.T) {
 }
 
 func TestPlan2DParallelMatchesSerial(t *testing.T) {
+	// The parallel column pass gathers one column at a time for every
+	// kernel, so 96x80 also checks the serial strided mixed-radix pass
+	// against plain 1-D transforms of the columns.
 	rng := rand.New(rand.NewSource(3))
-	a := randArray(rng, 128, 128)
-	serial := a.Clone()
-	NewPlan2D(128, 128, false).Transform(serial, Forward)
-	par := a.Clone()
-	NewPlan2D(128, 128, true).Transform(par, Forward)
-	if serial.MaxDiff(par) > 1e-10 {
-		t.Fatalf("parallel/serial mismatch: %g", serial.MaxDiff(par))
+	for _, dims := range [][2]int{{128, 128}, {96, 80}} {
+		w, h := dims[0], dims[1]
+		a := randArray(rng, w, h)
+		serial := a.Clone()
+		NewPlan2D(w, h, false).Transform(serial, Forward)
+		par := a.Clone()
+		NewPlan2D(w, h, true).Transform(par, Forward)
+		if serial.MaxDiff(par) > 1e-10 {
+			t.Fatalf("%dx%d: parallel/serial mismatch: %g", w, h, serial.MaxDiff(par))
+		}
 	}
 }
 

@@ -50,37 +50,45 @@ func maxErr(a, b []complex128) float64 {
 	return m
 }
 
-func TestForwardMatchesNaiveDFT(t *testing.T) {
+// TestMatchesNaiveDFT checks every length from 1 to 128, which covers
+// all three kernels and every radix combination the mixed-radix kernel
+// meets below 128, in both directions.
+func TestMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Powers of two exercise radix-2; the rest exercise Bluestein,
-	// including primes and highly composite lengths.
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 17, 30, 32, 63, 64, 100, 101, 128} {
+	for n := 1; n <= 128; n++ {
 		x := randVec(rng, n)
-		want := naiveDFT(x, Forward)
-		got := append([]complex128(nil), x...)
-		NewPlan(n).Transform(got, Forward)
-		if e := maxErr(got, want); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: forward error %g", n, e)
+		for _, dir := range []Direction{Forward, Inverse} {
+			want := naiveDFT(x, dir)
+			got := append([]complex128(nil), x...)
+			NewPlan(n).Transform(got, dir)
+			if e := maxErr(got, want); e > 1e-9*float64(n) {
+				t.Errorf("n=%d dir=%d: error %g", n, dir, e)
+			}
 		}
 	}
 }
 
-func TestInverseMatchesNaiveDFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{2, 3, 8, 15, 16, 31, 64, 96} {
-		x := randVec(rng, n)
-		want := naiveDFT(x, Inverse)
-		got := append([]complex128(nil), x...)
-		NewPlan(n).Transform(got, Inverse)
-		if e := maxErr(got, want); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: inverse error %g", n, e)
+// TestKernelChoice pins which kernel NewPlan picks from the length.
+func TestKernelChoice(t *testing.T) {
+	for _, tc := range []struct {
+		kind kernel
+		ns   []int
+	}{
+		{radix2Kernel, []int{1, 2, 16, 32, 64}},
+		{mixedKernel, []int{3, 5, 6, 12, 15, 20, 24, 45, 48, 60, 96, 100, 120}},
+		{bluesteinKernel, []int{7, 11, 22, 34, 97, 101}},
+	} {
+		for _, n := range tc.ns {
+			if got := NewPlan(n).kind; got != tc.kind {
+				t.Errorf("n=%d: kernel %d, want %d", n, got, tc.kind)
+			}
 		}
 	}
 }
 
 func TestRoundTripIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 5, 16, 48, 64, 121, 256} {
+	for _, n := range []int{1, 2, 5, 6, 12, 15, 16, 20, 24, 45, 48, 60, 64, 96, 100, 120, 121, 256, 360} {
 		x := randVec(rng, n)
 		y := append([]complex128(nil), x...)
 		p := NewPlan(n)
@@ -94,7 +102,7 @@ func TestRoundTripIdentity(t *testing.T) {
 
 func TestParsevalTheorem(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{8, 21, 64, 100} {
+	for _, n := range []int{8, 12, 15, 21, 24, 45, 48, 60, 64, 96, 100, 120, 360} {
 		x := randVec(rng, n)
 		var td float64
 		for _, v := range x {
@@ -228,27 +236,30 @@ func TestTransformLengthMismatchPanics(t *testing.T) {
 func TestPlanConcurrentUse(t *testing.T) {
 	// A single plan used from many goroutines must race-cleanly produce
 	// correct results (run with -race in CI).
-	p := NewPlan(48) // Bluestein path, exercises the scratch pool
-	rng := rand.New(rand.NewSource(7))
-	x := randVec(rng, 48)
-	want := naiveDFT(x, Forward)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 50; i++ {
-				y := append([]complex128(nil), x...)
-				p.Transform(y, Forward)
-				if maxErr(y, want) > 1e-8 {
-					done <- errMismatch
-					return
+	// 48 is mixed-radix and 22 Bluestein: both draw work from the pool.
+	for _, n := range []int{48, 22} {
+		p := NewPlan(n)
+		rng := rand.New(rand.NewSource(7))
+		x := randVec(rng, n)
+		want := naiveDFT(x, Forward)
+		done := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				for i := 0; i < 50; i++ {
+					y := append([]complex128(nil), x...)
+					p.Transform(y, Forward)
+					if maxErr(y, want) > 1e-8 {
+						done <- errMismatch
+						return
+					}
 				}
+				done <- nil
+			}()
+		}
+		for g := 0; g < 8; g++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -12,8 +12,8 @@ package fft
 // each own their own arena; sharing one between goroutines corrupts
 // in-flight transforms.
 type Scratch struct {
-	col  []complex128 // column gather buffer for 2-D passes
-	conv []complex128 // Bluestein convolution workspace
+	col  []complex128 // 2-D column pass: one gathered column, or the whole-array ping-pong
+	work []complex128 // 1-D work buffer: mixed-radix ping-pong or Bluestein convolution
 }
 
 // colBuf returns the column buffer grown to at least n elements.
@@ -24,12 +24,12 @@ func (s *Scratch) colBuf(n int) []complex128 {
 	return s.col[:n]
 }
 
-// convBuf returns the Bluestein workspace grown to at least n elements.
-func (s *Scratch) convBuf(n int) []complex128 {
-	if cap(s.conv) < n {
-		s.conv = make([]complex128, n)
+// workBuf returns the 1-D work buffer grown to at least n elements.
+func (s *Scratch) workBuf(n int) []complex128 {
+	if cap(s.work) < n {
+		s.work = make([]complex128, n)
 	}
-	return s.conv[:n]
+	return s.work[:n]
 }
 
 // Warm pre-grows the arena for transforms of a w x h plan so that even
@@ -37,11 +37,6 @@ func (s *Scratch) convBuf(n int) []complex128 {
 // with any plan the arena will later serve; the arena keeps the
 // largest size seen.
 func (s *Scratch) Warm(p *Plan2D) {
-	s.colBuf(p.h)
-	if !p.rowPlan.pow2 {
-		s.convBuf(p.rowPlan.m)
-	}
-	if !p.colPlan.pow2 {
-		s.convBuf(p.colPlan.m)
-	}
+	s.colBuf(p.colLen())
+	s.workBuf(max(p.rowPlan.workLen(), p.colPlan.workLen()))
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // TestTransformScratchMatchesTransform checks bit-identical output of
-// the arena path against the pooled path for both kernels and both
-// directions — the refactor changes buffer lifetimes, not math.
+// the arena path against the pooled path for all three kernels and both
+// directions — where the work buffer lives does not change the math.
 func TestTransformScratchMatchesTransform(t *testing.T) {
 	var s Scratch
-	for _, n := range []int{8, 24, 48, 64} {
+	for _, n := range []int{8, 22, 24, 48, 64} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
@@ -32,10 +32,10 @@ func TestTransformScratchMatchesTransform(t *testing.T) {
 }
 
 // TestTransformScratch2DMatches checks the 2-D arena path against the
-// pooled path, including mixed pow2/Bluestein dimensions.
+// pooled path, with every pairing of row and column kernel.
 func TestTransformScratch2DMatches(t *testing.T) {
 	var s Scratch
-	for _, dims := range [][2]int{{16, 16}, {24, 24}, {16, 24}, {24, 16}} {
+	for _, dims := range [][2]int{{16, 16}, {24, 24}, {22, 22}, {16, 24}, {24, 16}, {22, 24}, {24, 22}, {16, 22}, {22, 16}} {
 		w, h := dims[0], dims[1]
 		p := NewPlan2D(w, h, false)
 		a := grid.NewComplex2DSize(w, h)
@@ -56,10 +56,10 @@ func TestTransformScratch2DMatches(t *testing.T) {
 
 // TestTransformScratchAllocationFree guards the arena invariant: once
 // warmed, transforms through a Scratch never touch the heap — for the
-// radix-2 kernel, the Bluestein kernel, and the 2-D sweep.
+// Bluestein, mixed-radix and radix-2 kernels, and the 2-D sweep.
 func TestTransformScratchAllocationFree(t *testing.T) {
 	var s Scratch
-	for _, n := range []int{24, 32} {
+	for _, n := range []int{22, 24, 32} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		p.TransformScratch(x, Forward, &s)
@@ -82,15 +82,18 @@ func TestTransformScratchAllocationFree(t *testing.T) {
 }
 
 // TestScratchWarm checks Warm pre-grows enough that the very first
-// transform after warming is allocation-free.
+// transform after warming is allocation-free, whichever kernels the
+// rows and columns run.
 func TestScratchWarm(t *testing.T) {
-	var s Scratch
-	p2 := NewPlan2D(24, 48, false)
-	s.Warm(p2)
-	a := grid.NewComplex2DSize(24, 48)
-	if got := testing.AllocsPerRun(1, func() {
-		p2.TransformScratch(a, Forward, &s)
-	}); got != 0 {
-		t.Errorf("first post-Warm transform allocates %v, want 0", got)
+	for _, dims := range [][2]int{{24, 48}, {22, 24}, {24, 22}, {32, 24}, {24, 32}, {22, 32}, {32, 22}, {22, 44}} {
+		var s Scratch
+		p2 := NewPlan2D(dims[0], dims[1], false)
+		s.Warm(p2)
+		a := grid.NewComplex2DSize(dims[0], dims[1])
+		if got := testing.AllocsPerRun(1, func() {
+			p2.TransformScratch(a, Forward, &s)
+		}); got != 0 {
+			t.Errorf("%dx%d: first post-Warm transform allocates %v, want 0", dims[0], dims[1], got)
+		}
 	}
 }

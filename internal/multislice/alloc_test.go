@@ -32,14 +32,14 @@ func benchEngine(n int) (*Engine, []*grid.Complex2D, []*grid.Complex2D, *grid.Fl
 
 // BenchmarkGradientKernel measures the per-probe-location gradient
 // kernel shared by all three reconstruction engines — the hot path the
-// paper's memory-efficiency argument rests on. Covers both FFT kernels:
-// n=24 exercises Bluestein (the paper's non-power-of-2 window sizes),
-// n=32 the radix-2 path.
+// paper's memory-efficiency argument rests on. Covers all three FFT
+// kernels: n=22 Bluestein, n=24 mixed-radix (the 2-3-5-smooth window
+// the quickstart and examples use), n=32 radix-2.
 func BenchmarkGradientKernel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		n    int
-	}{{"n24-bluestein", 24}, {"n32-pow2", 32}} {
+	}{{"n22-bluestein", 22}, {"n24-mixed", 24}, {"n32-pow2", 32}} {
 		b.Run(bc.name, func(b *testing.B) {
 			e, slices, grads, y, win := benchEngine(bc.n)
 			e.LossGrad(slices, win, y, grads)
@@ -54,10 +54,10 @@ func BenchmarkGradientKernel(b *testing.B) {
 
 // TestLossGradAllocationFree guards the tentpole invariant: after the
 // engine's scratch arena has warmed up, evaluating a probe location's
-// loss+gradient performs zero heap allocations, for both FFT kernels
-// and for the probe-gradient variant used by joint refinement.
+// loss+gradient performs zero heap allocations, for all three FFT
+// kernels and for the probe-gradient variant used by joint refinement.
 func TestLossGradAllocationFree(t *testing.T) {
-	for _, n := range []int{24, 32} {
+	for _, n := range []int{22, 24, 32} {
 		e, slices, grads, y, win := benchEngine(n)
 		if got := testing.AllocsPerRun(20, func() {
 			e.LossGrad(slices, win, y, grads)

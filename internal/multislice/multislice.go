@@ -124,11 +124,6 @@ func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2
 	e.ensurePsi(s)
 	copy(e.psi[0].Data, e.probe.Data)
 	for i, sl := range slices {
-		if sl.W() < e.n || sl.H() < e.n {
-			// Slices smaller than the window are legal (vacuum pad), but
-			// warn-level situations are caught by callers in tests.
-			_ = sl
-		}
 		extractWindow(e.twin, sl, win)
 		cur, next := e.psi[i], e.psi[i+1]
 		for j := range cur.Data {
