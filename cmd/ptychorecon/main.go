@@ -25,13 +25,10 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
-	"ptychopath/internal/phantom"
+	"ptychopath/internal/obs"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/tiling"
-	"ptychopath/internal/trace"
 
 	"ptychopath"
 )
@@ -112,7 +109,7 @@ func checkpointWriter(path string) func(iter int, slices []*grid.Complex2D) erro
 }
 
 func run(cfg config) error {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder()
 	var prob *solver.Problem
 	var err error
 	rec.Time("load", func() { prob, err = dataio.ReadFile(cfg.in) })
@@ -122,7 +119,7 @@ func run(cfg config) error {
 	fmt.Printf("loaded %s: %d locations, %dx%d px, %d slices\n",
 		cfg.in, prob.Pattern.N(), prob.Pattern.ImageW, prob.Pattern.ImageH, prob.Slices)
 
-	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
+	var init []*grid.Complex2D // nil = vacuum
 	if cfg.resumePath != "" {
 		ck, err := dataio.ReadObjectFile(cfg.resumePath)
 		if err != nil {
@@ -131,97 +128,45 @@ func run(cfg config) error {
 		if len(ck) != prob.Slices || !ck[0].Bounds.Eq(prob.ImageBounds()) {
 			return fmt.Errorf("checkpoint %s does not match dataset geometry", cfg.resumePath)
 		}
-		init.Slices = ck
+		init = ck
 		fmt.Printf("resumed from %s\n", cfg.resumePath)
 	}
-	onIter := func(it int, cost float64) {
-		fmt.Printf("  iter %3d  cost %.6g\n", it+1, cost)
+	spec := engine.Spec{
+		Algorithm: cfg.alg, Iterations: cfg.iters, StepSize: cfg.step,
+		RoundsPerIteration: cfg.rounds, IntraWorkers: cfg.workers,
+		FaithfulAlg1: cfg.faithful, DisableAPPP: cfg.noAPPP,
+		Timeout: 5 * time.Minute,
 	}
-	onSnap := checkpointWriter(cfg.checkpointPath)
-	snapEvery := 0
-	if onSnap != nil {
-		snapEvery = cfg.checkpointEvery
-		if snapEvery <= 0 {
-			return fmt.Errorf("-checkpoint-every must be positive with -checkpoint, got %d", snapEvery)
+	if spec.MeshRows, spec.MeshCols, err = parseMesh(cfg.mesh); err != nil {
+		return err
+	}
+	hooks := engine.Hooks{
+		OnIteration: func(it int, cost float64) {
+			fmt.Printf("  iter %3d  cost %.6g\n", it+1, cost)
+		},
+		OnSnapshot: checkpointWriter(cfg.checkpointPath),
+	}
+	if hooks.OnSnapshot != nil {
+		spec.SnapshotEvery = cfg.checkpointEvery
+		if spec.SnapshotEvery <= 0 {
+			return fmt.Errorf("-checkpoint-every must be positive with -checkpoint, got %d", spec.SnapshotEvery)
 		}
 	}
 
-	var slices []*grid.Complex2D
-	switch cfg.alg {
-	case "serial":
-		var r *solver.Result
-		rec.Time("reconstruct", func() {
-			r, err = solver.Reconstruct(prob, init.Slices, solver.Options{
-				StepSize: cfg.step, Iterations: cfg.iters, Mode: solver.Batch, OnIteration: onIter,
-				SnapshotEvery: snapEvery, OnSnapshot: onSnap,
-			})
-		})
-		if err != nil {
-			return err
+	var r *engine.Result
+	rec.Time("reconstruct", func() { r, err = engine.Run(prob, init, spec, hooks) })
+	if err != nil {
+		return err
+	}
+	slices := r.Slices
+	if workers := len(r.PerRankLocations); workers > 0 {
+		fmt.Printf("workers %d, exchanged %.2f MB in %d messages", workers, float64(r.BytesSent)/1e6, r.MessagesSent)
+		if cfg.alg == "hve" {
+			owned := sum(r.PerRankOwned)
+			fmt.Printf(" (redundant locations: %d of %d owned)", sum(r.PerRankLocations)-owned, owned)
 		}
-		slices = r.Slices
-
-	case "gd":
-		rows, cols, merr := parseMesh(cfg.mesh)
-		if merr != nil {
-			return merr
-		}
-		mesh, merr2 := tiling.NewMesh(prob.ImageBounds(), rows, cols, tiling.HaloForWindow(prob.WindowN))
-		if merr2 != nil {
-			return merr2
-		}
-		mode := gradsync.ModeBatch
-		if cfg.faithful {
-			mode = gradsync.ModeFaithful
-		}
-		var r *gradsync.Result
-		rec.Time("reconstruct", func() {
-			r, err = gradsync.Reconstruct(prob, init.Slices, gradsync.Options{
-				Mesh: mesh, Mode: mode, StepSize: cfg.step, Iterations: cfg.iters,
-				RoundsPerIteration: cfg.rounds, DisableAPPP: cfg.noAPPP,
-				IntraWorkers: cfg.workers,
-				Timeout:      5 * time.Minute, OnIteration: onIter,
-				SnapshotEvery: snapEvery, OnSnapshot: onSnap,
-			})
-		})
-		if err != nil {
-			return err
-		}
-		slices = r.Slices
-		fmt.Printf("workers %d, exchanged %.2f MB in %d messages\n",
-			mesh.NumTiles(), float64(r.BytesSent)/1e6, r.MessagesSent)
+		fmt.Println()
 		printMem(r.PerRankMemBytes)
-
-	case "hve":
-		rows, cols, merr := parseMesh(cfg.mesh)
-		if merr != nil {
-			return merr
-		}
-		mesh, merr2 := tiling.NewMesh(prob.ImageBounds(), rows, cols, tiling.HaloForWindow(prob.WindowN))
-		if merr2 != nil {
-			return merr2
-		}
-		var r *halo.Result
-		rec.Time("reconstruct", func() {
-			r, err = halo.Reconstruct(prob, init.Slices, halo.Options{
-				Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: 1,
-				StepSize: cfg.step, Iterations: cfg.iters,
-				ExchangesPerIteration: cfg.rounds,
-				Timeout:               5 * time.Minute, OnIteration: onIter,
-				SnapshotEvery: snapEvery, OnSnapshot: onSnap,
-			})
-		})
-		if err != nil {
-			return err
-		}
-		slices = r.Slices
-		fmt.Printf("workers %d, exchanged %.2f MB in %d messages (redundant locations: %d of %d owned)\n",
-			mesh.NumTiles(), float64(r.BytesSent)/1e6, r.MessagesSent,
-			sum(r.PerRankLocations)-sum(r.PerRankOwned), sum(r.PerRankOwned))
-		printMem(r.PerRankMemBytes)
-
-	default:
-		return fmt.Errorf("unknown algorithm %q (want gd, hve, serial)", cfg.alg)
 	}
 
 	if cfg.savePath != "" {

@@ -1,0 +1,256 @@
+package engine
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"ptychopath/internal/collective"
+	"ptychopath/internal/gradsync"
+	"ptychopath/internal/grid"
+	"ptychopath/internal/halo"
+	"ptychopath/internal/phantom"
+	"ptychopath/internal/physics"
+	"ptychopath/internal/scan"
+	"ptychopath/internal/simmpi"
+	"ptychopath/internal/solver"
+)
+
+const (
+	testIters   = 6
+	testStep    = 0.01
+	testTimeout = time.Minute
+)
+
+// n16Problem is a 4x4-scan, 16-pixel-window, 2-slice dataset: large
+// enough for a 2x2 mesh to satisfy the hve tile constraint.
+func n16Problem(t *testing.T) *solver.Problem {
+	t.Helper()
+	pat, err := scan.Raster(scan.RasterConfig{
+		Cols: 4, Rows: 4, StepPix: scan.StepForOverlap(8, 0.7), RadiusPix: 8, MarginPix: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := solver.Simulate(solver.SimulateConfig{
+		Optics: physics.PaperOptics(), Pattern: pat,
+		Object: phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 5), WindowN: 16, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prob
+}
+
+// cases is the engine column of ROADMAP 5(a)'s matrix. direct runs the
+// engine package itself with the options jobs.execute used before the
+// seam existed.
+var cases = []struct {
+	name   string
+	spec   Spec
+	direct func(t *testing.T, prob *solver.Problem, init []*grid.Complex2D) ([]*grid.Complex2D, []float64)
+}{
+	{"serial", Spec{Algorithm: "serial"}, func(t *testing.T, prob *solver.Problem, init []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
+		r, err := solver.Reconstruct(prob, init, solver.Options{
+			StepSize: testStep, Iterations: testIters, Mode: solver.Batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Slices, r.CostHistory
+	}},
+	{"gd-2x2", Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 1}, directGD(1, 0)},
+	{"gd-2x2-rounds4-intra2", Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 4, IntraWorkers: 2}, directGD(4, 2)},
+	{"hve-2x2", Spec{Algorithm: "hve", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 1}, func(t *testing.T, prob *solver.Problem, init []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
+		mesh, err := NewMesh(prob, Spec{MeshRows: 2, MeshCols: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := halo.Reconstruct(prob, init, halo.Options{
+			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: 1,
+			StepSize: testStep, Iterations: testIters, ExchangesPerIteration: 1,
+			Timeout: testTimeout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Slices, r.CostHistory
+	}},
+}
+
+func directGD(rounds, intra int) func(*testing.T, *solver.Problem, []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
+	return func(t *testing.T, prob *solver.Problem, init []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
+		mesh, err := NewMesh(prob, Spec{MeshRows: 2, MeshCols: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := gradsync.Reconstruct(prob, init, gradsync.Options{
+			Mesh: mesh, Mode: gradsync.ModeBatch,
+			StepSize: testStep, Iterations: testIters,
+			RoundsPerIteration: rounds, IntraWorkers: intra,
+			Timeout: testTimeout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Slices, r.CostHistory
+	}
+}
+
+func sameObject(t *testing.T, what string, got, want []*grid.Complex2D) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d slices, want %d", what, len(got), len(want))
+	}
+	for s := range want {
+		if !got[s].Bounds.Eq(want[s].Bounds) || !slices.Equal(got[s].Data, want[s].Data) {
+			t.Fatalf("%s: slice %d differs (max diff %g)", what, s, got[s].MaxDiff(want[s]))
+		}
+	}
+}
+
+func TestEngineMatrix(t *testing.T) {
+	prob := n16Problem(t)
+	vacuum := phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := c.spec
+			spec.Iterations, spec.StepSize, spec.Timeout = testIters, testStep, testTimeout
+
+			// (a) The seam adds nothing: Run is the engine's own
+			// Reconstruct, bit for bit. A nil init is vacuum.
+			wantSlices, wantHist := c.direct(t, prob, vacuum)
+			ref, err := Run(prob, nil, spec, Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameObject(t, "Run vs direct", ref.Slices, wantSlices)
+			if !slices.Equal(ref.CostHistory, wantHist) {
+				t.Fatalf("Run cost history %v, direct %v", ref.CostHistory, wantHist)
+			}
+
+			// (b) Placement adds nothing: one RunRank per rank of any
+			// transport, stitched by Assemble, is the same object.
+			if spec.Algorithm != "serial" {
+				outs := make([]*collective.RankOutcome, spec.MeshRows*spec.MeshCols)
+				err := simmpi.Run(len(outs), testTimeout, func(comm *simmpi.Comm) error {
+					out, err := RunRank(comm, prob, vacuum, spec, Hooks{})
+					outs[comm.Rank()] = out
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Assemble(prob, spec, outs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameObject(t, "RunRank+Assemble vs Run", res.Slices, ref.Slices)
+				if !slices.Equal(res.CostHistory, ref.CostHistory) {
+					t.Fatalf("ranks' cost history %v, Run %v", res.CostHistory, ref.CostHistory)
+				}
+				if res.BytesSent != ref.BytesSent || res.MessagesSent != ref.MessagesSent {
+					t.Errorf("ranks sent %d B / %d msgs, Run %d / %d",
+						res.BytesSent, res.MessagesSent, ref.BytesSent, ref.MessagesSent)
+				}
+			}
+
+			// (c) Interruption adds nothing: cancel after k iterations,
+			// resume from the partial object with StartIter k.
+			const k = 2
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var iters, snaps []int
+			hooks := Hooks{
+				Ctx: ctx,
+				OnIteration: func(iter int, _ float64) {
+					iters = append(iters, iter)
+					if iter == k-1 {
+						cancel()
+					}
+				},
+				OnSnapshot: func(iter int, _ []*grid.Complex2D) error {
+					snaps = append(snaps, iter)
+					return nil
+				},
+			}
+			spec.SnapshotEvery = 2
+			part, err := Run(prob, nil, spec, hooks)
+			if !errors.Is(err, context.Canceled) || part == nil {
+				t.Fatalf("cancelled run: result %v, error %v; want partial result and context.Canceled", part, err)
+			}
+			if len(part.CostHistory) != k {
+				t.Fatalf("cancelled run completed %d iterations, want %d", len(part.CostHistory), k)
+			}
+			hooks.Ctx = nil
+			spec.StartIter, spec.Iterations = k, testIters-k
+			rest, err := Run(prob, part.Slices, spec, hooks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameObject(t, "cancel+resume vs uninterrupted", rest.Slices, ref.Slices)
+			if got := append(part.CostHistory, rest.CostHistory...); !slices.Equal(got, ref.CostHistory) {
+				t.Fatalf("cancel+resume cost history %v, uninterrupted %v", got, ref.CostHistory)
+			}
+			if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(iters, want) {
+				t.Errorf("OnIteration indices %v, want %v (0-based plus StartIter)", iters, want)
+			}
+			// The cadence counts from each run's first iteration; the
+			// reported index carries the offset.
+			if want := []int{1, 3, 5}; !slices.Equal(snaps, want) {
+				t.Errorf("OnSnapshot indices %v, want %v", snaps, want)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsWhatTheEngineWould pins the submissions that used
+// to be accepted and then die before iteration 0.
+func TestValidateRejectsWhatTheEngineWould(t *testing.T) {
+	prob := n16Problem(t)
+	ok := Spec{Algorithm: "gd", Iterations: 1, StepSize: testStep, MeshRows: 2, MeshCols: 2}
+	if err := ok.Validate(prob); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Spec){
+		"unknown algorithm":  func(s *Spec) { s.Algorithm = "nope" },
+		"zero iterations":    func(s *Spec) { s.Iterations = 0 },
+		"negative step":      func(s *Spec) { s.StepSize = -1 },
+		"negative rounds":    func(s *Spec) { s.RoundsPerIteration = -1 },
+		"mesh beyond image":  func(s *Spec) { s.MeshRows, s.MeshCols = 200, 200 },
+		"faithful + intra":   func(s *Spec) { s.FaithfulAlg1, s.IntraWorkers = true, 2 },
+		"hve tile too small": func(s *Spec) { s.Algorithm, s.MeshRows, s.MeshCols = "hve", 8, 8 },
+	} {
+		s := ok
+		mutate(&s)
+		err := s.Validate(prob)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, rerr := Run(prob, nil, s, Hooks{}); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: Validate said %v, Run said %v", name, err, rerr)
+		}
+	}
+	tooSmall := ok
+	tooSmall.Algorithm, tooSmall.MeshRows, tooSmall.MeshCols = "hve", 8, 8
+	if err := tooSmall.Validate(prob); !errors.Is(err, halo.ErrTileTooSmall) {
+		t.Errorf("hve 8x8: got %v, want halo.ErrTileTooSmall", err)
+	}
+}
+
+// TestSpecJSONKeysAreTheWALs: a Spec serializes under the keys the job
+// service's submit records have always used (recovery_test.go's
+// pre-sched fixture), so the SETUP payload of ROADMAP item 3 can carry
+// the same bytes.
+func TestSpecJSONKeysAreTheWALs(t *testing.T) {
+	b, err := json.Marshal(Spec{Algorithm: "serial", Iterations: 4, StepSize: 0.01, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"algorithm":"serial","iterations":4,"step_size":0.01}`; string(b) != want {
+		t.Errorf("Spec JSON %s, want %s", b, want)
+	}
+}

@@ -96,13 +96,6 @@ type Options struct {
 	// the callback must be safe for concurrent use. It runs outside
 	// the per-location hot loop: once per rank per iteration.
 	OnRankStats func(rank, iter int, computeNS, commNS int64)
-	// IterOffset is added to the iteration index reported to
-	// OnIteration and OnSnapshot. Epoch-based callers — the streaming
-	// engine re-partitions the growing location set and re-runs
-	// Reconstruct once per epoch — use it to keep reported indices
-	// continuous across epochs. It does not change how many iterations
-	// run.
-	IterOffset int
 	// Ctx, when non-nil, cancels the run at iteration boundaries. The
 	// decision is collective — every rank contributes its view of
 	// Ctx.Err() to an allreduce so all ranks stop at the same iteration
@@ -144,29 +137,9 @@ func (o *Options) validate(prob *solver.Problem) error {
 	return nil
 }
 
-// Result carries the stitched reconstruction and run statistics.
-type Result struct {
-	// Slices is the stitched reconstruction (halos abandoned, interiors
-	// concatenated — Alg 1 line 20).
-	Slices []*grid.Complex2D
-	// CostHistory holds the global cost F(V) per iteration.
-	CostHistory []float64
-	// BytesSent and MessagesSent aggregate all gradient exchanges.
-	BytesSent    int64
-	MessagesSent int64
-	// PerRankLocations[rank] is the number of probe locations owned.
-	PerRankLocations []int
-	// PerRankMemBytes estimates each rank's resident footprint:
-	// extended-tile object + gradient buffer + scratch + owned
-	// measurements + model workspaces.
-	PerRankMemBytes []int64
-	// PerRankComputeNS / PerRankCommNS are measured wall-clock
-	// nanoseconds each rank spent in gradient computation and in the
-	// directional passes (the functional counterpart of Fig 7b's
-	// compute and wait+comm bars).
-	PerRankComputeNS []int64
-	PerRankCommNS    []int64
-}
+// Result carries the stitched reconstruction and run statistics; the
+// type is shared with the Halo Voxel Exchange baseline.
+type Result = collective.Result
 
 // message tags for the four directional passes.
 const (
@@ -546,33 +519,6 @@ func (w *worker) gradientChunkParallel(lo, hi int) float64 {
 	return cost
 }
 
-// RankOutcome is one rank's view of a finished (or cancelled) run: the
-// final extended-tile object, this rank's statistics, and whether the
-// run stopped at a collective cancellation. It is everything a remote
-// worker must ship back to a coordinator for stitching — the
-// distributed grid (internal/transport, internal/gridworker) serializes
-// exactly this.
-type RankOutcome struct {
-	// Slices is the rank's reconstruction on its extended-tile bounds.
-	Slices []*grid.Complex2D
-	// CostHistory holds the all-reduced global cost per iteration
-	// (identical on every rank).
-	CostHistory []float64
-	// Locations is the number of probe locations this rank owned.
-	Locations int
-	// MemBytes estimates the rank's resident footprint.
-	MemBytes int64
-	// ComputeNS and CommNS are wall-clock nanoseconds spent in gradient
-	// computation and in the directional passes.
-	ComputeNS, CommNS int64
-	// SentBytes and SentMessages count this rank's outgoing payload
-	// traffic.
-	SentBytes, SentMessages int64
-	// Cancelled reports that the run stopped early at a collective
-	// Ctx-cancellation decision; Slices then holds the partial state.
-	Cancelled bool
-}
-
 // RunRank executes one rank of the Gradient Decomposition
 // reconstruction against an arbitrary transport endpoint. Every rank of
 // comm's world must call RunRank with identical prob, init and opt —
@@ -583,7 +529,7 @@ type RankOutcome struct {
 // init provides the initial object slices on the full image bounds; it
 // is not mutated. The returned outcome's Slices live on this rank's
 // extended tile.
-func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*RankOutcome, error) {
+func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*collective.RankOutcome, error) {
 	if err := opt.validate(prob); err != nil {
 		return nil, err
 	}
@@ -598,19 +544,13 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	// step, no coordinator round-trip.
 	owned := opt.Mesh.AssignLocations(prob.Pattern)
 
-	snapFn := opt.OnSnapshot
-	if snapFn != nil && opt.IterOffset != 0 {
-		inner := opt.OnSnapshot
-		snapFn = func(iter int, slices []*grid.Complex2D) error {
-			return inner(opt.IterOffset+iter, slices)
-		}
-	}
-	snaps := collective.NewSnapshots(opt.Mesh, opt.SnapshotEvery, snapFn)
+	snaps := collective.NewSnapshots(opt.Mesh, opt.SnapshotEvery, opt.OnSnapshot)
 
 	w := newWorker(comm, prob, &opt, owned, init)
 	defer w.close()
-	out := &RankOutcome{
+	out := &collective.RankOutcome{
 		Locations: len(w.owned),
+		Owned:     len(w.owned),
 		MemBytes:  w.memBytes(),
 	}
 	hist := make([]float64, 0, opt.Iterations)
@@ -629,12 +569,12 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 			// w.computeNS/commNS are cumulative; report this
 			// iteration's delta so the callback sees per-phase time
 			// per iteration, not a running total.
-			opt.OnRankStats(comm.Rank(), opt.IterOffset+iter,
+			opt.OnRankStats(comm.Rank(), iter,
 				w.computeNS-prevComputeNS, w.commNS-prevCommNS)
 			prevComputeNS, prevCommNS = w.computeNS, w.commNS
 		}
 		if comm.Rank() == 0 && opt.OnIteration != nil {
-			opt.OnIteration(opt.IterOffset+iter, global)
+			opt.OnIteration(iter, global)
 		}
 		if snaps.Due(iter) {
 			if err := snaps.Run(comm, w.slices, iter); err != nil {
@@ -673,73 +613,9 @@ func Reconstruct(prob *solver.Problem, init []*grid.Complex2D, opt Options) (*Re
 	if len(init) != prob.Slices {
 		return nil, fmt.Errorf("gradsync: %d initial slices, want %d", len(init), prob.Slices)
 	}
-	m := opt.Mesh
-	ranks := m.NumTiles()
-	outs := make([]*RankOutcome, ranks)
-
-	world := simmpi.NewWorld(ranks, opt.Timeout)
-	err := world.RunAll(func(comm *simmpi.Comm) error {
-		out, err := RunRank(comm, prob, init, opt)
-		if err != nil {
-			return err
-		}
-		outs[comm.Rank()] = out
-		return nil
+	return collective.RunWorld(opt.Ctx, opt.Mesh, opt.Timeout, func(comm *simmpi.Comm) (*collective.RankOutcome, error) {
+		return RunRank(comm, prob, init, opt)
 	})
-	if err != nil {
-		return nil, err
-	}
-	res := assembleResult(m, outs)
-	res.BytesSent = world.BytesSent()
-	res.MessagesSent = world.MessagesSent()
-	if outs[0].Cancelled {
-		return res, opt.Ctx.Err()
-	}
-	return res, nil
-}
-
-// assembleResult stitches per-rank outcomes into the aggregate Result —
-// shared by the in-process driver above and the grid coordinator
-// (internal/jobs), which receives the outcomes over TCP instead.
-func assembleResult(m *tiling.Mesh, outs []*RankOutcome) *Result {
-	ranks := len(outs)
-	tiles := make([][]*grid.Complex2D, ranks)
-	res := &Result{
-		CostHistory:      outs[0].CostHistory,
-		PerRankLocations: make([]int, ranks),
-		PerRankMemBytes:  make([]int64, ranks),
-		PerRankComputeNS: make([]int64, ranks),
-		PerRankCommNS:    make([]int64, ranks),
-	}
-	for rank, out := range outs {
-		tiles[rank] = out.Slices
-		res.PerRankLocations[rank] = out.Locations
-		res.PerRankMemBytes[rank] = out.MemBytes
-		res.PerRankComputeNS[rank] = out.ComputeNS
-		res.PerRankCommNS[rank] = out.CommNS
-	}
-	res.Slices = m.StitchSlices(tiles)
-	return res
-}
-
-// AssembleResult is the exported form of the outcome stitch for
-// drivers outside this package (the grid coordinator). outs must have
-// exactly mesh.NumTiles() entries in rank order, every entry non-nil.
-func AssembleResult(m *tiling.Mesh, outs []*RankOutcome) (*Result, error) {
-	if len(outs) != m.NumTiles() {
-		return nil, fmt.Errorf("gradsync: %d outcomes for %d tiles", len(outs), m.NumTiles())
-	}
-	for i, o := range outs {
-		if o == nil || len(o.Slices) == 0 {
-			return nil, fmt.Errorf("gradsync: missing outcome for rank %d", i)
-		}
-	}
-	res := assembleResult(m, outs)
-	for _, o := range outs {
-		res.BytesSent += o.SentBytes
-		res.MessagesSent += o.SentMessages
-	}
-	return res, nil
 }
 
 // ParallelGradient computes the total image gradient of Eqn. (2) via the

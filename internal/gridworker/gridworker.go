@@ -1,9 +1,9 @@
 // Package gridworker is the worker-process runtime of the distributed
 // grid: it dials the coordinator hub (internal/transport), waits for
 // session setups, runs ONE rank of the selected reconstruction engine
-// per session — the engines are the unmodified gradsync/halo RunRank
-// entry points, driven over the TCP transport instead of the in-process
-// world — and ships the rank's outcome back for stitching.
+// per session — engine.RunRank, the same entry point an in-process run
+// uses, driven over the TCP transport instead of the in-process world —
+// and ships the rank's outcome back for stitching.
 //
 // cmd/ptychoworker is a thin flag wrapper around Run; the capstone
 // tests drive Run directly over loopback TCP.
@@ -19,10 +19,8 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
-	"ptychopath/internal/tiling"
 	"ptychopath/internal/transport"
 )
 
@@ -158,100 +156,67 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	if err != nil {
 		return fail(fmt.Errorf("decoding initial object: %w", err))
 	}
-	mesh, err := tiling.NewMesh(prob.ImageBounds(), setup.MeshRows, setup.MeshCols, setup.Halo)
+
+	// Progress plumbing: the engine invokes OnIteration and OnSnapshot on
+	// rank 0 only, and the transport relays them to the coordinator's job
+	// record. The snapshot send is synchronous — the checkpoint is
+	// durable before the run proceeds, exactly like the in-process
+	// OnSnapshot contract. Every rank additionally reports its
+	// per-iteration compute/comm split (extended ITER frames), which the
+	// coordinator folds into the job's span trace.
+	hooks := engine.Hooks{
+		Ctx:         ctx,
+		OnIteration: func(iter int, cost float64) { c.SendIteration(iter, cost) },
+		OnRankStats: func(rank, iter int, computeNS, commNS int64) {
+			if opts.StatsDelay != nil {
+				if d := opts.StatsDelay(rank, iter); d > 0 {
+					// Synchronous: the engine loop stalls here, so the rank
+					// is genuinely slower, not just reported slower.
+					time.Sleep(d)
+					computeNS += int64(d)
+				}
+			}
+			c.SendIterStats(iter, computeNS, commNS)
+		},
+		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
+			tile, err := encodeTile(slices)
+			if err != nil {
+				return err
+			}
+			return c.SendSnapshot(iter, tile)
+		},
+	}
+	out, err := engine.RunRank(c, prob, init, setupSpec(setup), hooks)
 	if err != nil {
 		return fail(err)
 	}
-	timeout := time.Duration(setup.TimeoutMS) * time.Millisecond
-
-	// Progress plumbing: the engines invoke these on rank 0 only, and
-	// the transport relays them to the coordinator's job record. The
-	// snapshot send is synchronous — the checkpoint is durable before
-	// the run proceeds, exactly like the in-process OnSnapshot contract.
-	onIter := func(iter int, cost float64) { c.SendIteration(iter, cost) }
-	// Timing plumbing: every rank additionally reports its
-	// per-iteration compute/comm split (extended ITER frames), which
-	// the coordinator folds into the job's span trace.
-	onStats := func(rank, iter int, computeNS, commNS int64) {
-		if opts.StatsDelay != nil {
-			if d := opts.StatsDelay(rank, iter); d > 0 {
-				// Synchronous: the engine loop stalls here, so the rank
-				// is genuinely slower, not just reported slower.
-				time.Sleep(d)
-				computeNS += int64(d)
-			}
-		}
-		c.SendIterStats(iter, computeNS, commNS)
-	}
-	onSnap := func(iter int, slices []*grid.Complex2D) error {
-		var buf bytes.Buffer
-		if err := dataio.WriteObject(&buf, slices); err != nil {
-			return err
-		}
-		return c.SendSnapshot(iter, buf.Bytes())
-	}
-
-	switch setup.Algorithm {
-	case "gd":
-		out, err := gradsync.RunRank(c, prob, init, gradsync.Options{
-			Mesh: mesh, Mode: gradsync.ModeBatch,
-			StepSize: setup.StepSize, Iterations: setup.Iterations,
-			RoundsPerIteration: setup.RoundsPerIteration,
-			IntraWorkers:       setup.IntraWorkers,
-			Timeout:            timeout,
-			OnIteration:        onIter,
-			OnRankStats:        onStats, Ctx: ctx,
-			SnapshotEvery: setup.SnapshotEvery, OnSnapshot: onSnap,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return gdResult(setup.Rank, out)
-	case "hve":
-		out, err := halo.RunRank(c, prob, init, halo.Options{
-			Mesh: mesh, HaloWidth: setup.HaloWidth, ExtraRows: setup.ExtraRows,
-			StepSize: setup.StepSize, Iterations: setup.Iterations,
-			ExchangesPerIteration: setup.RoundsPerIteration,
-			Timeout:               timeout,
-			OnIteration:           onIter, Ctx: ctx,
-			SnapshotEvery: setup.SnapshotEvery, OnSnapshot: onSnap,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return hveResult(setup.Rank, out)
-	default:
-		return fail(fmt.Errorf("gridworker: unknown algorithm %q (want gd or hve)", setup.Algorithm))
-	}
-}
-
-func gdResult(rank int, out *gradsync.RankOutcome) *transport.RankResult {
 	tile, err := encodeTile(out.Slices)
 	if err != nil {
-		return &transport.RankResult{Rank: rank, Err: err.Error()}
+		return fail(err)
 	}
 	return &transport.RankResult{
-		Rank: rank, Cancelled: out.Cancelled,
+		Rank: setup.Rank, Cancelled: out.Cancelled,
 		CostHistory: out.CostHistory,
-		Locations:   out.Locations, Owned: out.Locations,
+		Locations:   out.Locations, Owned: out.Owned,
 		MemBytes: out.MemBytes, ComputeNS: out.ComputeNS, CommNS: out.CommNS,
 		SentBytes: out.SentBytes, SentMessages: out.SentMessages,
 		Tile: tile,
 	}
 }
 
-func hveResult(rank int, out *halo.RankOutcome) *transport.RankResult {
-	tile, err := encodeTile(out.Slices)
-	if err != nil {
-		return &transport.RankResult{Rank: rank, Err: err.Error()}
-	}
-	return &transport.RankResult{
-		Rank: rank, Cancelled: out.Cancelled,
-		CostHistory: out.CostHistory,
-		Locations:   out.Locations, Owned: out.Owned,
-		MemBytes:  out.MemBytes,
-		SentBytes: out.SentBytes, SentMessages: out.SentMessages,
-		Tile: tile,
+// setupSpec decodes a session SETUP into the engine's run description.
+// The mesh is not taken from the wire: coordinator and worker both
+// derive it with engine.NewMesh from the same problem and mesh shape.
+func setupSpec(setup *transport.Setup) engine.Spec {
+	return engine.Spec{
+		Algorithm: setup.Algorithm,
+		MeshRows:  setup.MeshRows, MeshCols: setup.MeshCols,
+		StepSize: setup.StepSize, Iterations: setup.Iterations,
+		RoundsPerIteration: setup.RoundsPerIteration,
+		IntraWorkers:       setup.IntraWorkers,
+		SnapshotEvery:      setup.SnapshotEvery,
+		HVEExtraRows:       setup.ExtraRows,
+		Timeout:            time.Duration(setup.TimeoutMS) * time.Millisecond,
 	}
 }
 

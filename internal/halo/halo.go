@@ -115,22 +115,12 @@ func CheckTileConstraint(m *tiling.Mesh, haloWidth int) error {
 	return nil
 }
 
-// Result carries the stitched reconstruction and run statistics.
-type Result struct {
-	Slices      []*grid.Complex2D
-	CostHistory []float64
-	// BytesSent / MessagesSent aggregate the voxel paste traffic.
-	BytesSent    int64
-	MessagesSent int64
-	// PerRankLocations counts owned + extra locations per rank — the
-	// redundant-computation overhead versus Gradient Decomposition.
-	PerRankLocations []int
-	// PerRankOwned counts only the owned locations.
-	PerRankOwned []int
-	// PerRankMemBytes estimates the per-rank footprint including the
-	// extra measurements and the widened halo.
-	PerRankMemBytes []int64
-}
+// Result carries the stitched reconstruction and run statistics; the
+// type is shared with Gradient Decomposition. PerRankLocations counts
+// owned + extra locations — the redundant-computation overhead versus
+// Gradient Decomposition — and PerRankMemBytes includes the extra
+// measurements and the widened halo.
+type Result = collective.Result
 
 const tagPaste = 10
 
@@ -156,32 +146,11 @@ type hworker struct {
 	all    []int             // own + extra locations (reconstructed redundantly)
 }
 
-// RankOutcome is one rank's view of a finished (or cancelled) Halo
-// Voxel Exchange run — the per-process counterpart of gradsync's
-// RankOutcome, shipped back to the grid coordinator for stitching.
-type RankOutcome struct {
-	// Slices is the rank's reconstruction on its widened extended-tile
-	// bounds.
-	Slices []*grid.Complex2D
-	// CostHistory holds the all-reduced global cost per iteration.
-	CostHistory []float64
-	// Locations counts owned + extra (redundant) locations; Owned only
-	// the owned ones.
-	Locations, Owned int
-	// MemBytes estimates the rank's resident footprint.
-	MemBytes int64
-	// SentBytes and SentMessages count this rank's outgoing paste
-	// traffic.
-	SentBytes, SentMessages int64
-	// Cancelled reports a collective Ctx-cancellation stop.
-	Cancelled bool
-}
-
 // RunRank executes one rank of the Halo Voxel Exchange baseline against
 // an arbitrary transport endpoint. Every rank of comm's world must call
 // RunRank with identical prob, init and opt; Reconstruct does so over
 // an in-process world, the distributed grid over TCP.
-func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*RankOutcome, error) {
+func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, opt Options) (*collective.RankOutcome, error) {
 	if err := opt.validate(prob); err != nil {
 		return nil, err
 	}
@@ -229,7 +198,7 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	w.ws = prob.NewWorkspace(ext)
 
 	n2 := int64(prob.WindowN * prob.WindowN)
-	out := &RankOutcome{
+	out := &collective.RankOutcome{
 		Locations: len(w.all),
 		Owned:     len(w.owned),
 		MemBytes: int64(ext.Area())*16*int64(prob.Slices)*2 +
@@ -306,67 +275,9 @@ func Reconstruct(prob *solver.Problem, init []*grid.Complex2D, opt Options) (*Re
 	if err := CheckTileConstraint(m, haloW); err != nil {
 		return nil, err
 	}
-	ranks := m.NumTiles()
-	outs := make([]*RankOutcome, ranks)
-	world := simmpi.NewWorld(ranks, opt.Timeout)
-	err := world.RunAll(func(comm *simmpi.Comm) error {
-		out, err := RunRank(comm, prob, init, opt)
-		if err != nil {
-			return err
-		}
-		outs[comm.Rank()] = out
-		return nil
+	return collective.RunWorld(opt.Ctx, m, opt.Timeout, func(comm *simmpi.Comm) (*collective.RankOutcome, error) {
+		return RunRank(comm, prob, init, opt)
 	})
-	if err != nil {
-		return nil, err
-	}
-	res := assembleResult(m, outs)
-	res.BytesSent = world.BytesSent()
-	res.MessagesSent = world.MessagesSent()
-	if outs[0].Cancelled {
-		return res, opt.Ctx.Err()
-	}
-	return res, nil
-}
-
-// assembleResult stitches per-rank outcomes into the aggregate Result.
-func assembleResult(m *tiling.Mesh, outs []*RankOutcome) *Result {
-	ranks := len(outs)
-	tiles := make([][]*grid.Complex2D, ranks)
-	res := &Result{
-		CostHistory:      outs[0].CostHistory,
-		PerRankLocations: make([]int, ranks),
-		PerRankOwned:     make([]int, ranks),
-		PerRankMemBytes:  make([]int64, ranks),
-	}
-	for rank, out := range outs {
-		tiles[rank] = out.Slices
-		res.PerRankLocations[rank] = out.Locations
-		res.PerRankOwned[rank] = out.Owned
-		res.PerRankMemBytes[rank] = out.MemBytes
-	}
-	res.Slices = m.StitchSlices(tiles)
-	return res
-}
-
-// AssembleResult is the exported outcome stitch for drivers outside
-// this package (the grid coordinator). outs must have exactly
-// mesh.NumTiles() entries in rank order, every entry non-nil.
-func AssembleResult(m *tiling.Mesh, outs []*RankOutcome) (*Result, error) {
-	if len(outs) != m.NumTiles() {
-		return nil, fmt.Errorf("halo: %d outcomes for %d tiles", len(outs), m.NumTiles())
-	}
-	for i, o := range outs {
-		if o == nil || len(o.Slices) == 0 {
-			return nil, fmt.Errorf("halo: missing outcome for rank %d", i)
-		}
-	}
-	res := assembleResult(m, outs)
-	for _, o := range outs {
-		res.BytesSent += o.SentBytes
-		res.MessagesSent += o.SentMessages
-	}
-	return res, nil
 }
 
 // exchangeVoxels performs the synchronous copy-paste: this tile's

@@ -26,11 +26,11 @@ import (
 	"time"
 
 	"ptychopath/internal/cluster"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/obs"
 	"ptychopath/internal/obs/flight"
 	"ptychopath/internal/perfmodel"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/tiling"
 )
 
 // Prediction is the perfmodel-derived runtime estimate published on the
@@ -49,39 +49,42 @@ type Prediction struct {
 	Ranks int `json:"ranks"`
 }
 
-// throughputAlpha is the EWMA smoothing factor for the live per-rank
-// throughput estimate: heavy enough smoothing to ride out checkpoint
-// iterations, light enough to track a real regime change within a job.
-const throughputAlpha = 0.2
+// ewmaAlpha is the smoothing factor of the service's live estimates:
+// heavy enough smoothing to ride out checkpoint iterations, light
+// enough to track a real regime change within a job.
+const ewmaAlpha = 0.2
 
-// throughputEstimate is the live calibration state: an EWMA of the
-// effective per-rank flop/s observed at iteration boundaries, persisted
-// across jobs for the service's lifetime.
-type throughputEstimate struct {
-	mu    sync.Mutex
-	flops float64
-	n     int // iterations folded in
+// ewma is an exponentially weighted moving average of positive finite
+// observations, kept for the service's lifetime. Two instances exist:
+// the effective per-rank flop/s observed at iteration boundaries (the
+// live calibration of runtime predictions) and finished jobs'
+// wall-clock seconds (the Retry-After fallback for jobs with no
+// prediction and no observed iterations — streaming jobs, cold starts).
+type ewma struct {
+	mu sync.Mutex
+	v  float64
+	n  int // observations folded in
 }
 
-func (t *throughputEstimate) observe(flops float64) {
-	if flops <= 0 || math.IsInf(flops, 0) || math.IsNaN(flops) {
+func (e *ewma) observe(x float64) {
+	if x <= 0 || math.IsInf(x, 0) || math.IsNaN(x) {
 		return
 	}
-	t.mu.Lock()
-	if t.n == 0 {
-		t.flops = flops
+	e.mu.Lock()
+	if e.n == 0 {
+		e.v = x
 	} else {
-		t.flops += throughputAlpha * (flops - t.flops)
+		e.v += ewmaAlpha * (x - e.v)
 	}
-	t.n++
-	t.mu.Unlock()
+	e.n++
+	e.mu.Unlock()
 }
 
-// value returns the current estimate and how many iterations back it.
-func (t *throughputEstimate) value() (float64, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.flops, t.n
+// value returns the current estimate and how many observations back it.
+func (e *ewma) value() (float64, int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.v, e.n
 }
 
 // predStats summarizes prediction accuracy across finished jobs for
@@ -145,11 +148,19 @@ func (s *Service) predict(prob *solver.Problem, p Params) (*Prediction, float64,
 		cal.IterOverheadSec = 0
 		source = "calibrated"
 	}
-	ranks := 1
-	if p.Algorithm != "serial" {
-		ranks = p.MeshRows * p.MeshCols
+	// The prediction's decomposition is the mesh the engine will run on
+	// (one rank for the serial algorithm); validate has already rejected
+	// a mesh the engine would.
+	run := p.spec()
+	if p.Algorithm == "serial" {
+		run.MeshRows, run.MeshCols = 1, 1
 	}
-	halo := float64(tiling.HaloForWindow(prob.WindowN))
+	mesh, err := engine.NewMesh(prob, run)
+	if err != nil {
+		return nil, 0, 0
+	}
+	ranks := mesh.NumTiles()
+	halo := float64(mesh.Halo)
 	cfg := perfmodel.Config{
 		Machine:       cluster.Summit(),
 		Cal:           cal,
@@ -158,7 +169,7 @@ func (s *Service) predict(prob *solver.Problem, p Params) (*Prediction, float64,
 		SimIterations: 2,
 		HaloGDPM:      halo,
 		HaloHVEPM:     halo,
-		HVEExtraRows:  1, // matches execute()'s halo.Options.ExtraRows
+		HVEExtraRows:  engine.HVEExtraRows,
 	}
 	var row perfmodel.Row
 	switch p.Algorithm {

@@ -92,7 +92,7 @@ func TestRankTrackerBalancedRanksNotFlagged(t *testing.T) {
 }
 
 func TestThroughputEstimateEWMA(t *testing.T) {
-	var e throughputEstimate
+	var e ewma
 	e.observe(1000)
 	if f, n := e.value(); f != 1000 || n != 1 {
 		t.Fatalf("after first sample: %v/%d, want 1000/1", f, n)

@@ -7,12 +7,11 @@ import (
 	"sync"
 	"time"
 
+	"ptychopath/internal/collective"
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
 	"ptychopath/internal/phantom"
-	"ptychopath/internal/tiling"
 	"ptychopath/internal/transport"
 )
 
@@ -62,19 +61,17 @@ func (s *Service) GridWorkers() []transport.WorkerInfo {
 // session failure it returns the last snapshot received (possibly nil)
 // so the caller flushes a final checkpoint, mirroring the partial-result
 // contract of the in-process engines.
-func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
+func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, error) {
 	p := j.params
 	prob := j.prob
 	init := p.InitialObject
 	if init == nil {
 		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
 	}
-	mesh, err := tiling.NewMesh(prob.ImageBounds(), p.MeshRows, p.MeshCols,
-		tiling.HaloForWindow(prob.WindowN))
+	mesh, err := engine.NewMesh(prob, spec)
 	if err != nil {
 		return nil, err
 	}
-	ranks := mesh.NumTiles()
 
 	// Serialize the dataset and warm-start once; every rank receives
 	// the same blobs and derives its shard deterministically from the
@@ -86,23 +83,26 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 	if err := dataio.WriteObject(&initBuf, init); err != nil {
 		return nil, fmt.Errorf("grid: encoding initial object: %w", err)
 	}
-	setups := make([]*transport.Setup, ranks)
+	setups := make([]*transport.Setup, mesh.NumTiles())
 	for r := range setups {
 		setups[r] = &transport.Setup{
 			JobID:     j.id,
-			Algorithm: p.Algorithm,
-			MeshRows:  p.MeshRows, MeshCols: p.MeshCols, Halo: mesh.Halo,
-			HaloWidth: mesh.Halo, ExtraRows: 1, // hve defaults, matching execute()
-			StepSize:  p.StepSize, Iterations: p.Iterations,
-			RoundsPerIteration: p.RoundsPerIteration,
-			IntraWorkers:       p.IntraWorkers,
-			SnapshotEvery:      p.CheckpointEvery,
-			TimeoutMS:          s.cfg.Timeout.Milliseconds(),
+			Algorithm: spec.Algorithm,
+			MeshRows:  spec.MeshRows, MeshCols: spec.MeshCols, Halo: mesh.Halo,
+			HaloWidth: mesh.Halo, ExtraRows: engine.HVEExtraRows,
+			StepSize: spec.StepSize, Iterations: spec.Iterations,
+			RoundsPerIteration: spec.RoundsPerIteration,
+			IntraWorkers:       spec.IntraWorkers,
+			SnapshotEvery:      spec.SnapshotEvery,
+			TimeoutMS:          spec.Timeout.Milliseconds(),
 			Trace:              p.RequestID,
 			Problem:            probBuf.Bytes(), Init: initBuf.Bytes(),
 		}
 	}
 
+	// The ranks run unshifted (SETUP carries no start iteration), so the
+	// job's offset is applied to the indices they relay, here.
+	hooks := s.hooks(j).Offset(spec.StartIter)
 	// lastSnap tracks the newest decoded snapshot for the final-
 	// checkpoint-on-failure guarantee; snapshots arrive on hub
 	// goroutines.
@@ -110,14 +110,8 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 	var lastSnap []*grid.Complex2D
 	j.beginIterations()
 	sess, err := s.grid.StartSession(setups, transport.SessionCallbacks{
-		OnIteration: func(iter int, cost float64) {
-			s.observeIteration(j, j.recordIteration(p.StartIter+iter+1, cost))
-			s.logIteration(j, p.StartIter+iter+1, cost)
-			s.met.iterations.Add(1)
-		},
-		OnRankTiming: func(rank, iter int, computeNS, commNS int64) {
-			s.recordRankStats(j, rank, p.StartIter+iter+1, computeNS, commNS)
-		},
+		OnIteration:  hooks.OnIteration,
+		OnRankTiming: hooks.OnRankStats,
 		OnSnapshot: func(iter int, object []byte) error {
 			slices, err := dataio.ReadObject(bytes.NewReader(object))
 			if err != nil {
@@ -126,7 +120,7 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 			snapMu.Lock()
 			lastSnap = slices
 			snapMu.Unlock()
-			return s.snapshot(j, p.StartIter+iter+1, slices)
+			return hooks.OnSnapshot(iter, slices)
 		},
 	})
 	if err != nil {
@@ -152,60 +146,29 @@ func (s *Service) executeGrid(j *Job) ([]*grid.Complex2D, error) {
 		snapMu.Unlock()
 		return snap, fmt.Errorf("grid: %w", err)
 	}
-	slices, cancelled, err := assembleGrid(p.Algorithm, mesh, results)
+	// Decode the per-rank results and stitch them with the engine's own
+	// assembler, so a grid job's final object is byte-for-byte what the
+	// in-process run of the same parameters produces.
+	outs := make([]*collective.RankOutcome, len(results))
+	for i, r := range results {
+		slices, err := dataio.ReadObject(bytes.NewReader(r.Tile))
+		if err != nil {
+			return nil, fmt.Errorf("grid: decoding rank %d tile: %w", i, err)
+		}
+		outs[i] = &collective.RankOutcome{
+			Slices: slices, CostHistory: r.CostHistory,
+			Locations: r.Locations, Owned: r.Owned, MemBytes: r.MemBytes,
+			ComputeNS: r.ComputeNS, CommNS: r.CommNS,
+			SentBytes: r.SentBytes, SentMessages: r.SentMessages,
+			Cancelled: r.Cancelled,
+		}
+	}
+	res, err := engine.Assemble(prob, spec, outs)
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
-	if cancelled {
-		return slices, context.Canceled
+	if outs[0].Cancelled {
+		return res.Slices, context.Canceled
 	}
-	return slices, nil
-}
-
-// assembleGrid decodes per-rank results and stitches them with the
-// engine's own assembler, so a grid job's final object is byte-for-byte
-// what the in-process run of the same parameters produces.
-func assembleGrid(alg string, mesh *tiling.Mesh, results []*transport.RankResult) ([]*grid.Complex2D, bool, error) {
-	switch alg {
-	case "gd":
-		outs := make([]*gradsync.RankOutcome, len(results))
-		for i, r := range results {
-			slices, err := dataio.ReadObject(bytes.NewReader(r.Tile))
-			if err != nil {
-				return nil, false, fmt.Errorf("decoding rank %d tile: %w", i, err)
-			}
-			outs[i] = &gradsync.RankOutcome{
-				Slices: slices, CostHistory: r.CostHistory,
-				Locations: r.Locations, MemBytes: r.MemBytes,
-				ComputeNS: r.ComputeNS, CommNS: r.CommNS,
-				SentBytes: r.SentBytes, SentMessages: r.SentMessages,
-				Cancelled: r.Cancelled,
-			}
-		}
-		res, err := gradsync.AssembleResult(mesh, outs)
-		if err != nil {
-			return nil, false, err
-		}
-		return res.Slices, outs[0].Cancelled, nil
-	case "hve":
-		outs := make([]*halo.RankOutcome, len(results))
-		for i, r := range results {
-			slices, err := dataio.ReadObject(bytes.NewReader(r.Tile))
-			if err != nil {
-				return nil, false, fmt.Errorf("decoding rank %d tile: %w", i, err)
-			}
-			outs[i] = &halo.RankOutcome{
-				Slices: slices, CostHistory: r.CostHistory,
-				Locations: r.Locations, Owned: r.Owned, MemBytes: r.MemBytes,
-				SentBytes: r.SentBytes, SentMessages: r.SentMessages,
-				Cancelled: r.Cancelled,
-			}
-		}
-		res, err := halo.AssembleResult(mesh, outs)
-		if err != nil {
-			return nil, false, err
-		}
-		return res.Slices, outs[0].Cancelled, nil
-	}
-	return nil, false, fmt.Errorf("unknown grid algorithm %q", alg)
+	return res.Slices, nil
 }

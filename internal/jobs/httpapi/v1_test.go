@@ -177,6 +177,32 @@ func TestV1EnvelopeOverTheWire(t *testing.T) {
 		}
 	})
 
+	// Parameters the engine would reject before its first iteration are
+	// refused at the door (they used to be accepted with 202 and fail at
+	// iteration 0), and before the runtime predictor simulates the
+	// mesh — an absurd one must not stall the submit path.
+	for name, params := range map[string]string{
+		"negative rounds":        `{"algorithm":"gd","rounds_per_iteration":-1}`,
+		"mesh larger than image": `{"algorithm":"gd","mesh_rows":4000,"mesh_cols":4000}`,
+		"hve tile below halo":    `{"algorithm":"hve","mesh_rows":6,"mesh_cols":6}`,
+	} {
+		t.Run("bad_params "+name, func(t *testing.T) {
+			body, ct := multipartSubmit(t, params, upload.Bytes())
+			start := time.Now()
+			resp, err := http.Post(ts.URL+"/v1/jobs", ct, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := decodeProblem(t, resp)
+			if resp.StatusCode != http.StatusBadRequest || p.Code != client.CodeBadParams {
+				t.Fatalf("got %d/%s: %s", resp.StatusCode, p.Code, p.Detail)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("rejection took %v", d)
+			}
+		})
+	}
+
 	t.Run("not_streaming frames to batch job", func(t *testing.T) {
 		body, ct := multipartSubmit(t, `{"algorithm":"serial","iterations":1}`, upload.Bytes())
 		resp, err := http.Post(ts.URL+"/v1/jobs", ct, body)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/jobs/sched"
 	"ptychopath/internal/obs"
@@ -69,37 +70,40 @@ func (s State) String() string {
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancelled }
 
-// Params configures one reconstruction job.
+// Params configures one reconstruction job. The JSON tags are the
+// shape of the WAL submit record (see marshalParams); InitialObject is
+// spooled as an OBJCKv1 file and referenced by path instead.
 type Params struct {
 	// Algorithm is "serial", "gd" (gradient decomposition) or "hve"
 	// (halo voxel exchange). Default "serial".
-	Algorithm string
+	Algorithm string `json:"algorithm"`
 	// Iterations is the number of iterations to run. Default 20.
-	Iterations int
+	Iterations int `json:"iterations"`
 	// StepSize is the gradient step. Default 0.01.
-	StepSize float64
+	StepSize float64 `json:"step_size"`
 	// MeshRows and MeshCols shape the tile mesh (parallel algorithms).
 	// Default 2x2.
-	MeshRows, MeshCols int
+	MeshRows int `json:"mesh_rows,omitempty"`
+	MeshCols int `json:"mesh_cols,omitempty"`
 	// RoundsPerIteration is the communication frequency of the parallel
 	// algorithms. Default 1.
-	RoundsPerIteration int
+	RoundsPerIteration int `json:"rounds_per_iteration,omitempty"`
 	// IntraWorkers is the per-rank goroutine count for gd batch mode.
-	IntraWorkers int
+	IntraWorkers int `json:"intra_workers,omitempty"`
 	// CheckpointEvery is the iteration period of OBJCKv1 checkpoints and
 	// preview snapshots; 0 selects the service default.
-	CheckpointEvery int
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// InitialObject warm-starts the run (resume path); nil means vacuum.
-	InitialObject []*grid.Complex2D
+	InitialObject []*grid.Complex2D `json:"-"`
 	// StartIter offsets progress reporting for resumed jobs: a job that
 	// resumes a run cancelled after k iterations carries StartIter k, so
 	// Iter counts continue where the original left off.
-	StartIter int
+	StartIter int `json:"start_iter,omitempty"`
 	// Grid runs the parallel engine across registered grid-worker
 	// processes (one per mesh tile) instead of in-process goroutines.
 	// Requires a gd or hve algorithm and a service started with a grid
 	// coordinator (Config.GridAddr); see grid.go.
-	Grid bool
+	Grid bool `json:"grid,omitempty"`
 
 	// The fields below apply to Streaming jobs only (SubmitStreaming).
 	// For a streaming job, Iterations is the TAIL: how many iterations
@@ -107,33 +111,46 @@ type Params struct {
 
 	// FoldEvery is the number of iterations between ingest folds while
 	// the stream is open. Default 1.
-	FoldEvery int
+	FoldEvery int `json:"fold_every,omitempty"`
 	// MaxIterations, when positive, bounds iterations run before the
 	// stream closes (a stalled feed fails the job instead of spinning
 	// forever). 0 means unlimited.
-	MaxIterations int
+	MaxIterations int `json:"max_iterations,omitempty"`
 	// IngestCapacity bounds the job's frame buffer; Append beyond it
 	// returns stream.ErrIngestFull (HTTP 429). 0 selects the service
 	// default.
-	IngestCapacity int
+	IngestCapacity int `json:"ingest_capacity,omitempty"`
 
 	// RequestID is the trace context of the submission: the
 	// X-Request-ID the HTTP layer generated or propagated. It is
 	// assigned server-side (never decoded from a client's params
 	// JSON), tags the job's spans and log lines, and travels to grid
 	// workers in the session SETUP.
-	RequestID string
+	RequestID string `json:"-"`
 
 	// Tenant is the fair-share accounting principal of the submission
 	// — the sanitized X-API-Key at the HTTP layer. Like RequestID it
 	// is assigned server-side, never decoded from client params JSON.
-	// Empty means the "anonymous" tenant.
-	Tenant string
+	// Empty means the "anonymous" tenant. Tenant and Priority are the
+	// PTYWALv2 scheduler addendum (docs/FORMATS.md): both omitempty, so
+	// records written before the sched layer existed read back cleanly.
+	Tenant string `json:"tenant,omitempty"`
 	// Priority is the scheduling class: "bulk" (default) or
 	// "interactive". Under the wfq policy an interactive job
 	// dispatches before any bulk job and may preempt a running bulk
 	// job at its next iteration boundary.
-	Priority string
+	Priority string `json:"priority,omitempty"`
+}
+
+// spec is the engine-level description of the job's run. The
+// communication timeout is service configuration, set by the executor.
+func (p *Params) spec() engine.Spec {
+	return engine.Spec{
+		Algorithm: p.Algorithm, Iterations: p.Iterations, StepSize: p.StepSize,
+		MeshRows: p.MeshRows, MeshCols: p.MeshCols,
+		RoundsPerIteration: p.RoundsPerIteration, IntraWorkers: p.IntraWorkers,
+		SnapshotEvery: p.CheckpointEvery, StartIter: p.StartIter,
+	}
 }
 
 func (p *Params) setDefaults(cfg Config) {
@@ -167,15 +184,10 @@ func (p *Params) setDefaults(cfg Config) {
 }
 
 func (p *Params) validate(prob *solver.Problem) error {
-	switch p.Algorithm {
-	case "serial", "gd", "hve":
-	default:
-		return fmt.Errorf("%w: unknown algorithm %q (want serial, gd, hve)", ErrInvalidParams, p.Algorithm)
-	}
 	if p.Grid && p.Algorithm == "serial" {
 		return fmt.Errorf("%w: grid execution requires a parallel algorithm (gd or hve)", ErrInvalidParams)
 	}
-	if err := p.validateCommon(); err != nil {
+	if err := p.validateCommon(prob); err != nil {
 		return err
 	}
 	if p.InitialObject != nil {
@@ -191,12 +203,12 @@ func (p *Params) validate(prob *solver.Problem) error {
 	return nil
 }
 
-func (p *Params) validateCommon() error {
-	if p.Iterations <= 0 {
-		return fmt.Errorf("%w: iterations must be positive, got %d", ErrInvalidParams, p.Iterations)
-	}
-	if p.StepSize <= 0 {
-		return fmt.Errorf("%w: step size must be positive, got %g", ErrInvalidParams, p.StepSize)
+// validateCommon holds the checks batch and streaming jobs share: what
+// the engine would reject before its first iteration (on prob's
+// geometry), plus the service's own parameters.
+func (p *Params) validateCommon(prob *solver.Problem) error {
+	if err := p.spec().Validate(prob); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidParams, err)
 	}
 	if p.MeshRows <= 0 || p.MeshCols <= 0 {
 		return fmt.Errorf("%w: invalid mesh %dx%d", ErrInvalidParams, p.MeshRows, p.MeshCols)
@@ -213,13 +225,14 @@ func (p *Params) validateCommon() error {
 // validateStreaming checks the parameters of a Streaming job against
 // its stream header.
 func (p *Params) validateStreaming(hdr *dataio.StreamHeader) error {
-	switch p.Algorithm {
-	case "serial", "gd":
-	default:
+	if p.Algorithm != "serial" && p.Algorithm != "gd" {
 		return fmt.Errorf("%w: unknown streaming algorithm %q (want serial or gd; hve needs a fixed location set)",
 			ErrInvalidParams, p.Algorithm)
 	}
-	if err := p.validateCommon(); err != nil {
+	if err := hdr.Validate(); err != nil {
+		return fmt.Errorf("%w: invalid stream header: %v", ErrInvalidParams, err)
+	}
+	if err := p.validateCommon(hdr.NewProblem()); err != nil {
 		return err
 	}
 	if p.FoldEvery < 0 {
@@ -236,9 +249,6 @@ func (p *Params) validateStreaming(hdr *dataio.StreamHeader) error {
 	}
 	if p.Grid {
 		return fmt.Errorf("%w: streaming jobs run on the local pool (the grid reconstructs fixed datasets)", ErrInvalidParams)
-	}
-	if err := hdr.Validate(); err != nil {
-		return fmt.Errorf("%w: invalid stream header: %v", ErrInvalidParams, err)
 	}
 	return nil
 }

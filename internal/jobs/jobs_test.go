@@ -238,6 +238,22 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(prob, Params{Iterations: -1}); err == nil {
 		t.Error("negative iterations accepted")
 	}
+	// What the engine would reject before iteration 0 is rejected at the
+	// door — and before the runtime predictor simulates the mesh, so an
+	// absurd one costs nothing.
+	for name, p := range map[string]Params{
+		"negative rounds":        {Algorithm: "gd", RoundsPerIteration: -1},
+		"mesh larger than image": {Algorithm: "gd", MeshRows: 4000, MeshCols: 4000},
+		"hve tile below halo":    {Algorithm: "hve", MeshRows: 6, MeshCols: 6},
+	} {
+		start := time.Now()
+		if _, err := s.Submit(prob, p); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: got %v, want ErrInvalidParams", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejection took %v", name, d)
+		}
+	}
 	if _, err := s.Resume("job-9999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("resume unknown: got %v, want ErrNotFound", err)
 	}

@@ -21,51 +21,19 @@ import (
 	"encoding/json"
 )
 
-// persistParams is the JSON shape of jobs.Params in WAL submit records
-// — everything except InitialObject, which is spooled as an OBJCKv1
-// file and referenced by path.
-type persistParams struct {
-	Algorithm          string  `json:"algorithm"`
-	Iterations         int     `json:"iterations"`
-	StepSize           float64 `json:"step_size"`
-	MeshRows           int     `json:"mesh_rows,omitempty"`
-	MeshCols           int     `json:"mesh_cols,omitempty"`
-	RoundsPerIteration int     `json:"rounds_per_iteration,omitempty"`
-	IntraWorkers       int     `json:"intra_workers,omitempty"`
-	CheckpointEvery    int     `json:"checkpoint_every,omitempty"`
-	StartIter          int     `json:"start_iter,omitempty"`
-	Grid               bool    `json:"grid,omitempty"`
-	FoldEvery          int     `json:"fold_every,omitempty"`
-	MaxIterations      int     `json:"max_iterations,omitempty"`
-	IngestCapacity     int     `json:"ingest_capacity,omitempty"`
-
-	// Scheduler fields (PTYWALv2 addendum, docs/FORMATS.md): both
-	// omitempty, so records written before the sched layer existed
-	// read back cleanly — recovery normalizes the zero values to the
-	// anonymous tenant and the bulk class.
-	Tenant   string `json:"tenant,omitempty"`
-	Priority string `json:"priority,omitempty"`
-}
-
+// marshalParams encodes the WAL submit record's parameters: Params'
+// own JSON shape, minus the warm-start object (spooled separately).
 func marshalParams(p Params) json.RawMessage {
 	// Write the defaults as absent keys: an anonymous bulk submission
 	// serializes byte-identically to a pre-sched record, so enabling
 	// the scheduler does not fork the WAL format for unkeyed traffic.
-	tenant, priority := p.Tenant, p.Priority
-	if tenant == AnonymousTenant {
-		tenant = ""
+	if p.Tenant == AnonymousTenant {
+		p.Tenant = ""
 	}
-	if priority == sched.Bulk.String() {
-		priority = ""
+	if p.Priority == sched.Bulk.String() {
+		p.Priority = ""
 	}
-	b, err := json.Marshal(persistParams{
-		Algorithm: p.Algorithm, Iterations: p.Iterations, StepSize: p.StepSize,
-		MeshRows: p.MeshRows, MeshCols: p.MeshCols,
-		RoundsPerIteration: p.RoundsPerIteration, IntraWorkers: p.IntraWorkers,
-		CheckpointEvery: p.CheckpointEvery, StartIter: p.StartIter, Grid: p.Grid,
-		FoldEvery: p.FoldEvery, MaxIterations: p.MaxIterations, IngestCapacity: p.IngestCapacity,
-		Tenant: tenant, Priority: priority,
-	})
+	b, err := json.Marshal(p)
 	if err != nil {
 		return nil
 	}
@@ -76,28 +44,21 @@ func unmarshalParams(raw json.RawMessage) (Params, error) {
 	if len(raw) == 0 {
 		return Params{}, errors.New("no parameters recorded")
 	}
-	var pp persistParams
-	if err := json.Unmarshal(raw, &pp); err != nil {
+	var p Params
+	if err := json.Unmarshal(raw, &p); err != nil {
 		return Params{}, err
 	}
 	// Version tolerance: submit records written before the scheduler
 	// existed carry no tenant/priority keys; they recover as the
 	// anonymous tenant's bulk work, exactly how they were scheduled
 	// when written.
-	if pp.Tenant == "" {
-		pp.Tenant = AnonymousTenant
+	if p.Tenant == "" {
+		p.Tenant = AnonymousTenant
 	}
-	if pp.Priority == "" {
-		pp.Priority = sched.Bulk.String()
+	if p.Priority == "" {
+		p.Priority = sched.Bulk.String()
 	}
-	return Params{
-		Algorithm: pp.Algorithm, Iterations: pp.Iterations, StepSize: pp.StepSize,
-		MeshRows: pp.MeshRows, MeshCols: pp.MeshCols,
-		RoundsPerIteration: pp.RoundsPerIteration, IntraWorkers: pp.IntraWorkers,
-		CheckpointEvery: pp.CheckpointEvery, StartIter: pp.StartIter, Grid: pp.Grid,
-		FoldEvery: pp.FoldEvery, MaxIterations: pp.MaxIterations, IngestCapacity: pp.IngestCapacity,
-		Tenant: pp.Tenant, Priority: pp.Priority,
-	}, nil
+	return p, nil
 }
 
 func stateFromString(s string) (State, bool) {
@@ -139,7 +100,6 @@ func (s *Service) persistSubmit(j *Job, key string) error {
 		Created: j.created,
 	}
 	j.mu.Unlock()
-	p.InitialObject = nil
 	rec.Params = marshalParams(p)
 
 	var err error
@@ -406,7 +366,7 @@ func (s *Service) recoverJob(jr *store.JobRecord) *Job {
 	// Re-log the submission with the recovery-adjusted parameters so a
 	// SECOND crash recovers from the same point, not the original one.
 	rec := store.SubmitRecord{
-		ID: j.id, Params: marshalParams(paramsNoInit(j.params)), Streaming: j.streaming,
+		ID: j.id, Params: marshalParams(j.params), Streaming: j.streaming,
 		Key: jr.Key, ResumedFrom: j.resumedFrom, RecoveredFrom: j.recoveredFrom,
 		Dataset: jr.Dataset, InitObject: jr.InitObject, Created: j.created,
 	}
@@ -428,7 +388,7 @@ func (s *Service) logPreempt(j *Job) {
 	}
 	j.mu.Lock()
 	rec := store.SubmitRecord{
-		ID: j.id, Params: marshalParams(paramsNoInit(j.params)), Streaming: j.streaming,
+		ID: j.id, Params: marshalParams(j.params), Streaming: j.streaming,
 		Key: j.idemKey, ResumedFrom: j.resumedFrom, RecoveredFrom: j.recoveredFrom,
 		Dataset: j.datasetPath, Created: j.created,
 	}
@@ -436,11 +396,6 @@ func (s *Service) logPreempt(j *Job) {
 	if err := s.store.LogSubmit(rec); err != nil {
 		s.met.walErrors.Add(1)
 	}
-}
-
-func paramsNoInit(p Params) Params {
-	p.InitialObject = nil
-	return p
 }
 
 // unrecoverable parks a job whose payloads could not be reloaded as

@@ -12,17 +12,14 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/halo"
 	"ptychopath/internal/jobs/sched"
 	"ptychopath/internal/jobs/store"
 	"ptychopath/internal/obs"
 	"ptychopath/internal/obs/flight"
-	"ptychopath/internal/phantom"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/stream"
-	"ptychopath/internal/tiling"
 	"ptychopath/internal/transport"
 )
 
@@ -132,7 +129,7 @@ type Service struct {
 
 	// Analysis-layer state (see analysis.go): the live throughput EWMA
 	// feeding runtime predictions, and the prediction-error summary.
-	throughput throughputEstimate
+	throughput ewma
 	preds      predStats
 
 	// WAL replay statistics, set once during NewService recovery.
@@ -140,7 +137,7 @@ type Service struct {
 
 	// Fleet-wide runtime EWMA: the Retry-After fallback for jobs
 	// without a prediction (see tenancy.go).
-	runtime runtimeEstimate
+	runtime ewma
 
 	mu     sync.Mutex
 	notify *sync.Cond  // signals workers: queue non-empty or closing
@@ -937,86 +934,45 @@ func (j *Job) completedIters() int {
 	return j.iter
 }
 
-// execute dispatches to the selected engine. On cancellation it returns
-// the engine's partial slices together with context.Canceled.
+// hooks builds the one engine.Hooks value every execution path of a job
+// shares: progress, per-rank timing and snapshot plumbing into the job
+// record, the WAL and the metrics. Indices arrive 0-based and already
+// offset by the job's StartIter; the job record counts completed
+// iterations.
+func (s *Service) hooks(j *Job) engine.Hooks {
+	return engine.Hooks{
+		Ctx: j.ctx,
+		OnIteration: func(iter int, cost float64) {
+			s.observeIteration(j, j.recordIteration(iter+1, cost))
+			s.logIteration(j, iter+1, cost)
+			s.met.iterations.Add(1)
+		},
+		OnRankStats: func(rank, iter int, computeNS, commNS int64) {
+			s.recordRankStats(j, rank, iter+1, computeNS, commNS)
+		},
+		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
+			return s.snapshot(j, iter+1, slices)
+		},
+	}
+}
+
+// execute runs the job's engine. On cancellation it returns the
+// engine's partial slices together with context.Canceled.
 func (s *Service) execute(j *Job) ([]*grid.Complex2D, error) {
+	spec := j.params.spec()
+	spec.Timeout = s.cfg.Timeout
 	if j.streaming {
-		return s.executeStream(j)
+		return s.executeStream(j, spec)
 	}
 	if j.params.Grid {
-		return s.executeGrid(j)
+		return s.executeGrid(j, spec)
 	}
-	p := j.params
-	prob := j.prob
-	init := p.InitialObject
-	if init == nil {
-		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	j.beginIterations()
+	r, err := engine.Run(j.prob, j.params.InitialObject, spec, s.hooks(j))
+	if r == nil {
+		return nil, err
 	}
-	onIter := func(iter int, cost float64) {
-		s.observeIteration(j, j.recordIteration(p.StartIter+iter+1, cost))
-		s.logIteration(j, p.StartIter+iter+1, cost)
-		s.met.iterations.Add(1)
-	}
-	onSnap := func(iter int, slices []*grid.Complex2D) error {
-		return s.snapshot(j, p.StartIter+iter+1, slices)
-	}
-	switch p.Algorithm {
-	case "serial":
-		j.beginIterations()
-		r, err := solver.Reconstruct(prob, init, solver.Options{
-			StepSize: p.StepSize, Iterations: p.Iterations, Mode: solver.Batch,
-			OnIteration: onIter, Ctx: j.ctx,
-			SnapshotEvery: p.CheckpointEvery, OnSnapshot: onSnap,
-		})
-		if r == nil {
-			return nil, err
-		}
-		return r.Slices, err
-	case "gd":
-		mesh, err := tiling.NewMesh(prob.ImageBounds(), p.MeshRows, p.MeshCols,
-			tiling.HaloForWindow(prob.WindowN))
-		if err != nil {
-			return nil, err
-		}
-		j.beginIterations()
-		r, err := gradsync.Reconstruct(prob, init, gradsync.Options{
-			Mesh: mesh, Mode: gradsync.ModeBatch,
-			StepSize: p.StepSize, Iterations: p.Iterations,
-			RoundsPerIteration: p.RoundsPerIteration,
-			IntraWorkers:       p.IntraWorkers,
-			Timeout:            s.cfg.Timeout,
-			OnIteration:        onIter,
-			OnRankStats: func(rank, iter int, computeNS, commNS int64) {
-				s.recordRankStats(j, rank, p.StartIter+iter+1, computeNS, commNS)
-			},
-			Ctx:           j.ctx,
-			SnapshotEvery: p.CheckpointEvery, OnSnapshot: onSnap,
-		})
-		if r == nil {
-			return nil, err
-		}
-		return r.Slices, err
-	case "hve":
-		mesh, err := tiling.NewMesh(prob.ImageBounds(), p.MeshRows, p.MeshCols,
-			tiling.HaloForWindow(prob.WindowN))
-		if err != nil {
-			return nil, err
-		}
-		j.beginIterations()
-		r, err := halo.Reconstruct(prob, init, halo.Options{
-			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: 1,
-			StepSize: p.StepSize, Iterations: p.Iterations,
-			ExchangesPerIteration: p.RoundsPerIteration,
-			Timeout:               s.cfg.Timeout,
-			OnIteration:           onIter, Ctx: j.ctx,
-			SnapshotEvery: p.CheckpointEvery, OnSnapshot: onSnap,
-		})
-		if r == nil {
-			return nil, err
-		}
-		return r.Slices, err
-	}
-	return nil, fmt.Errorf("jobs: unknown algorithm %q", p.Algorithm)
+	return r.Slices, err
 }
 
 // executeStream runs a Streaming job: the engine folds ingest
@@ -1024,36 +980,19 @@ func (s *Service) execute(j *Job) ([]*grid.Complex2D, error) {
 // the tail over the complete set. Iteration, fold, snapshot and
 // checkpoint plumbing is identical to the batch path, so previews,
 // /metrics and SSE events behave the same for both job kinds.
-func (s *Service) executeStream(j *Job) ([]*grid.Complex2D, error) {
-	p := j.params
+func (s *Service) executeStream(j *Job, spec engine.Spec) ([]*grid.Complex2D, error) {
 	j.beginIterations()
 	res, err := stream.Run(j.hdr, j.ingest, stream.Options{
-		Algorithm:          p.Algorithm,
-		StepSize:           p.StepSize,
-		TailIterations:     p.Iterations,
-		FoldEvery:          p.FoldEvery,
-		MaxIterations:      p.MaxIterations,
-		MeshRows:           p.MeshRows,
-		MeshCols:           p.MeshCols,
-		RoundsPerIteration: p.RoundsPerIteration,
-		IntraWorkers:       p.IntraWorkers,
-		Timeout:            s.cfg.Timeout,
-		Ctx:                j.ctx,
-		OnIteration: func(iter int, cost float64) {
-			s.observeIteration(j, j.recordIteration(iter+1, cost))
-			s.logIteration(j, iter+1, cost)
-			s.met.iterations.Add(1)
-		},
+		Spec:          spec,
+		Hooks:         s.hooks(j),
+		FoldEvery:     j.params.FoldEvery,
+		MaxIterations: j.params.MaxIterations,
 		OnFold: func(_, _, active int) {
 			j.recordFold(active)
 			s.met.folds.Add(1)
 		},
 		OnFoldTimed: func(iter, _, _ int, start time.Time, d time.Duration) {
 			j.tr.Record("fold", j.rootSpan, obs.RankCoordinator, iter, start, d)
-		},
-		SnapshotEvery: p.CheckpointEvery,
-		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
-			return s.snapshot(j, iter+1, slices)
 		},
 	})
 	if res == nil {

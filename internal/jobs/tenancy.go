@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"ptychopath/internal/jobs/sched"
@@ -173,35 +172,6 @@ func frameBytes(windowN int) int64 {
 	return int64(windowN)*int64(windowN)*8 + 16
 }
 
-// runtimeEstimate is a coarse EWMA of finished jobs' wall-clock
-// seconds: the Retry-After fallback for jobs with no perfmodel
-// prediction and no observed iterations (streaming jobs, cold starts).
-type runtimeEstimate struct {
-	mu  sync.Mutex
-	sec float64
-	n   int
-}
-
-func (r *runtimeEstimate) observe(sec float64) {
-	if sec <= 0 || math.IsInf(sec, 0) || math.IsNaN(sec) {
-		return
-	}
-	r.mu.Lock()
-	if r.n == 0 {
-		r.sec = sec
-	} else {
-		r.sec += throughputAlpha * (sec - r.sec)
-	}
-	r.n++
-	r.mu.Unlock()
-}
-
-func (r *runtimeEstimate) value() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sec
-}
-
 // remainingSeconds estimates how much wall-clock work a job still has:
 // observed per-iteration latency × remaining iterations when the job
 // has run, the perfmodel prediction before that, the service-wide
@@ -237,7 +207,7 @@ const costFallbackSeconds = 1.0
 // fallbackSeconds returns the fleet-wide runtime EWMA, or the static
 // fallback before any job has finished.
 func (s *Service) fallbackSeconds() float64 {
-	if v := s.runtime.value(); v > 0 {
+	if v, _ := s.runtime.value(); v > 0 {
 		return v
 	}
 	return costFallbackSeconds

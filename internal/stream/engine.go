@@ -6,27 +6,33 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
-	"ptychopath/internal/gradsync"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/tiling"
 )
 
 // Options configures a streaming reconstruction.
 type Options struct {
-	// Algorithm is "serial" (default) or "gd" (Gradient Decomposition
-	// with per-epoch tile re-partitioning). Halo Voxel Exchange is not
-	// supported: its redundant boundary locations are assigned once,
-	// which contradicts a growing location set.
-	Algorithm string
-	// StepSize is the gradient step. Default 0.01.
-	StepSize float64
-	// TailIterations is how many iterations run over the complete set
-	// after the stream closes — the "finish its epochs" phase.
-	// Default 20.
-	TailIterations int
+	// Spec describes the engine run, with streaming readings of three
+	// fields. Algorithm is "serial" (default) or "gd" (Gradient
+	// Decomposition with per-epoch tile re-partitioning); Halo Voxel
+	// Exchange is not supported: its redundant boundary locations are
+	// assigned once, which contradicts a growing location set.
+	// Iterations is the TAIL: how many iterations run over the complete
+	// set after the stream closes — the "finish its epochs" phase
+	// (default 20). SnapshotEvery counts iterations of the whole
+	// streaming run; the cadence is exact for the serial engine, while
+	// the gd engine snapshots at epoch boundaries, so its cadence is
+	// exact when FoldEvery is 1. Other defaults: step 0.01, mesh 2x2.
+	// StartIter is unused (a stream cannot warm-start mid-count).
+	Spec engine.Spec
+	// Hooks observes the run under the engine's hook contracts: Ctx
+	// also wakes the engine when it is blocked waiting for the first
+	// frames, OnIteration's cost is over the active set, and
+	// OnRankStats is not called.
+	Hooks engine.Hooks
 	// FoldEvery is the number of iterations between ingest polls while
 	// the stream is open (and the epoch length of the gd engine).
 	// Default 1: new frames fold in at every iteration boundary.
@@ -36,24 +42,9 @@ type Options struct {
 	// partial (checkpointable) result. Guards against a stalled feed
 	// spinning the solver forever. 0 means unlimited.
 	MaxIterations int
-	// MeshRows and MeshCols shape the gd tile mesh. Default 2x2.
-	MeshRows, MeshCols int
-	// RoundsPerIteration is the gd communication frequency. Default 1.
-	RoundsPerIteration int
-	// IntraWorkers is the gd per-rank goroutine count.
-	IntraWorkers int
-	// Timeout bounds gd communication. 0 uses the gradsync default.
-	Timeout time.Duration
 	// InitialObject warm-starts the run (copied, not mutated); nil
 	// means vacuum.
 	InitialObject []*grid.Complex2D
-	// Ctx, when non-nil, cancels the run at iteration boundaries (and
-	// wakes the engine when it is blocked waiting for the first
-	// frames). Run returns the partial result with Ctx's error.
-	Ctx context.Context
-	// OnIteration receives the 0-based global iteration index and the
-	// cost over the active set measured during that iteration.
-	OnIteration func(iter int, cost float64)
 	// OnFold fires after each fold that grew the active set: the
 	// iteration count completed so far, the number of frames folded,
 	// and the new active-set size.
@@ -61,36 +52,27 @@ type Options struct {
 	// OnFoldTimed additionally reports when the fold started and how
 	// long it took (the AppendLocations work); nil skips the timing.
 	OnFoldTimed func(iter, added, active int, start time.Time, d time.Duration)
-	// SnapshotEvery, with OnSnapshot, emits periodic object snapshots
-	// exactly like the batch engines (0-based iteration index; live
-	// buffers for the serial engine — copy to retain). The cadence is
-	// exact for the serial engine; the gd engine snapshots at epoch
-	// boundaries, so cadence is exact when FoldEvery is 1.
-	SnapshotEvery int
-	OnSnapshot    func(iter int, slices []*grid.Complex2D) error
 }
 
 func (o *Options) setDefaults() {
-	if o.Algorithm == "" {
-		o.Algorithm = "serial"
+	s := &o.Spec
+	if s.Algorithm == "" {
+		s.Algorithm = "serial"
 	}
-	if o.StepSize == 0 {
-		o.StepSize = 0.01
+	if s.StepSize == 0 {
+		s.StepSize = 0.01
 	}
-	if o.TailIterations == 0 {
-		o.TailIterations = 20
+	if s.Iterations == 0 {
+		s.Iterations = 20
 	}
 	if o.FoldEvery <= 0 {
 		o.FoldEvery = 1
 	}
-	if o.MeshRows == 0 {
-		o.MeshRows = 2
+	if s.MeshRows == 0 {
+		s.MeshRows = 2
 	}
-	if o.MeshCols == 0 {
-		o.MeshCols = 2
-	}
-	if o.RoundsPerIteration == 0 {
-		o.RoundsPerIteration = 1
+	if s.MeshCols == 0 {
+		s.MeshCols = 2
 	}
 }
 
@@ -98,22 +80,14 @@ func (o *Options) validate(hdr *dataio.StreamHeader) error {
 	if err := hdr.Validate(); err != nil {
 		return err
 	}
-	switch o.Algorithm {
-	case "serial", "gd":
-	default:
-		return fmt.Errorf("stream: unknown algorithm %q (want serial or gd)", o.Algorithm)
+	if o.Spec.Algorithm == "hve" {
+		return fmt.Errorf("stream: algorithm hve is not supported (want serial or gd)")
 	}
-	if o.StepSize <= 0 {
-		return fmt.Errorf("stream: step size must be positive, got %g", o.StepSize)
-	}
-	if o.TailIterations <= 0 {
-		return fmt.Errorf("stream: tail iterations must be positive, got %d", o.TailIterations)
+	if err := o.Spec.Validate(hdr.NewProblem()); err != nil {
+		return fmt.Errorf("stream: %w", err)
 	}
 	if o.MaxIterations < 0 {
 		return fmt.Errorf("stream: max iterations must be non-negative, got %d", o.MaxIterations)
-	}
-	if o.MeshRows <= 0 || o.MeshCols <= 0 {
-		return fmt.Errorf("stream: invalid mesh %dx%d", o.MeshRows, o.MeshCols)
 	}
 	if o.InitialObject != nil {
 		if len(o.InitialObject) != hdr.Slices {
@@ -161,22 +135,22 @@ func (r *recorder) record(cost float64) {
 }
 
 // recordIndexed publishes one completed iteration whose 0-based global
-// index the engine reports directly — the gd engine's gradsync epochs
-// carry IterOffset, so the index arriving here is already continuous
+// index the engine reports directly — the gd engine's epochs run with
+// Spec.StartIter set, so the index arriving here is already continuous
 // across epochs and becomes the recorder's progress counter.
 func (r *recorder) recordIndexed(iter int, cost float64) {
 	r.hist = append(r.hist, cost)
 	r.done = iter + 1
-	if r.opt.OnIteration != nil {
-		r.opt.OnIteration(iter, cost)
+	if r.opt.Hooks.OnIteration != nil {
+		r.opt.Hooks.OnIteration(iter, cost)
 	}
 }
 
 // snapshotDue reports whether the global cadence owes a snapshot after
 // r.done completed iterations.
 func (r *recorder) snapshotDue() bool {
-	return r.opt.SnapshotEvery > 0 && r.opt.OnSnapshot != nil &&
-		r.done > 0 && r.done%r.opt.SnapshotEvery == 0
+	return r.opt.Spec.SnapshotEvery > 0 && r.opt.Hooks.OnSnapshot != nil &&
+		r.done > 0 && r.done%r.opt.Spec.SnapshotEvery == 0
 }
 
 // serialEngine runs the exact batch gradient-descent step of
@@ -220,17 +194,17 @@ func (e *serialEngine) iterate() float64 {
 // run executes up to n iterations, honoring cancellation and the
 // snapshot cadence at every iteration boundary.
 func (e *serialEngine) run(n int, rec *recorder) error {
-	opt := rec.opt
+	h := rec.opt.Hooks
 	for k := 0; k < n; k++ {
 		cost := e.iterate()
 		rec.record(cost)
 		if rec.snapshotDue() {
-			if err := opt.OnSnapshot(rec.done-1, e.slices); err != nil {
+			if err := h.OnSnapshot(rec.done-1, e.slices); err != nil {
 				return fmt.Errorf("stream: snapshot at iteration %d: %w", rec.done-1, err)
 			}
 		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return context.Cause(opt.Ctx)
+		if h.Ctx != nil && h.Ctx.Err() != nil {
+			return context.Cause(h.Ctx)
 		}
 	}
 	return nil
@@ -240,38 +214,23 @@ func (e *serialEngine) object() []*grid.Complex2D { return e.slices }
 
 // gdEngine runs Gradient Decomposition in epochs: each call
 // re-partitions the grown location set across the tile mesh
-// (Mesh.AssignLocations inside gradsync.Reconstruct) and advances the
-// object by one epoch of iterations, warm-starting from the previous
-// epoch's stitched result. IterOffset keeps reported iteration indices
+// (Mesh.AssignLocations inside the engine run) and advances the object
+// by one epoch of iterations, warm-starting from the previous epoch's
+// stitched result. Spec.StartIter keeps reported iteration indices
 // continuous across epochs.
 type gdEngine struct {
 	prob *solver.Problem
 	cur  []*grid.Complex2D
-	mesh *tiling.Mesh
-	opt  *Options
-}
-
-func newGDEngine(prob *solver.Problem, init []*grid.Complex2D, opt *Options) (*gdEngine, error) {
-	mesh, err := tiling.NewMesh(prob.ImageBounds(), opt.MeshRows, opt.MeshCols,
-		tiling.HaloForWindow(prob.WindowN))
-	if err != nil {
-		return nil, err
-	}
-	return &gdEngine{prob: prob, cur: init, mesh: mesh, opt: opt}, nil
 }
 
 func (e *gdEngine) run(n int, rec *recorder) error {
 	opt := rec.opt
-	r, err := gradsync.Reconstruct(e.prob, e.cur, gradsync.Options{
-		Mesh: e.mesh, Mode: gradsync.ModeBatch,
-		StepSize: opt.StepSize, Iterations: n,
-		RoundsPerIteration: opt.RoundsPerIteration,
-		IntraWorkers:       opt.IntraWorkers,
-		Timeout:            opt.Timeout,
-		IterOffset:         rec.done,
-		OnIteration:        rec.recordIndexed,
-		Ctx:                opt.Ctx,
-	})
+	// One epoch: n iterations from where the count stands. Snapshots are
+	// taken below, on the global cadence, not by the epoch's own run.
+	spec := opt.Spec
+	spec.Iterations, spec.StartIter, spec.SnapshotEvery = n, rec.done, 0
+	r, err := engine.Run(e.prob, e.cur, spec,
+		engine.Hooks{Ctx: opt.Hooks.Ctx, OnIteration: rec.recordIndexed})
 	if r != nil {
 		e.cur = r.Slices
 	}
@@ -281,7 +240,7 @@ func (e *gdEngine) run(n int, rec *recorder) error {
 	// Epoch-boundary snapshot: the stitched full-image object is only
 	// available between epochs.
 	if rec.snapshotDue() {
-		if serr := opt.OnSnapshot(rec.done-1, e.cur); serr != nil {
+		if serr := opt.Hooks.OnSnapshot(rec.done-1, e.cur); serr != nil {
 			return fmt.Errorf("stream: snapshot at iteration %d: %w", rec.done-1, serr)
 		}
 	}
@@ -290,8 +249,8 @@ func (e *gdEngine) run(n int, rec *recorder) error {
 
 func (e *gdEngine) object() []*grid.Complex2D { return e.cur }
 
-// engine is the per-algorithm stepping interface of the streaming loop.
-type engine interface {
+// stepper is the per-algorithm stepping interface of the streaming loop.
+type stepper interface {
 	// run advances the reconstruction by up to n iterations over the
 	// CURRENT active set, reporting progress through rec. A non-nil
 	// error with partial progress (cancellation) leaves object() valid.
@@ -302,7 +261,7 @@ type engine interface {
 
 // Run reconstructs an acquisition streamed through in, starting from
 // geometry metadata only. Frames are folded into the active set at
-// iteration boundaries; after the stream closes, TailIterations more
+// iteration boundaries; after the stream closes, Spec.Iterations more
 // iterations run over the complete set. On cancellation (or
 // ErrIterationBudget) the partial result is returned alongside the
 // error so the caller can checkpoint it.
@@ -325,16 +284,11 @@ func Run(hdr *dataio.StreamHeader, in *Ingest, opt Options) (*Result, error) {
 		}
 		init = cp
 	}
-	var eng engine
-	var err error
-	switch opt.Algorithm {
-	case "serial":
-		eng = newSerialEngine(prob, init, opt.StepSize)
-	case "gd":
-		if eng, err = newGDEngine(prob, init, &opt); err != nil {
-			return nil, err
-		}
+	var eng stepper = &gdEngine{prob: prob, cur: init}
+	if opt.Spec.Algorithm == "serial" {
+		eng = newSerialEngine(prob, init, opt.Spec.StepSize)
 	}
+	var err error
 
 	rec := &recorder{opt: &opt}
 	result := func() *Result {
@@ -378,7 +332,7 @@ func Run(hdr *dataio.StreamHeader, in *Ingest, opt Options) (*Result, error) {
 		if prob.Pattern.N() == 0 {
 			// Nothing to iterate on yet: block until the acquisition
 			// produces frames, closes, or the run is cancelled.
-			if frames, eof, err = in.wait(opt.Ctx); err != nil {
+			if frames, eof, err = in.wait(opt.Hooks.Ctx); err != nil {
 				return result(), err
 			}
 		} else {
@@ -409,7 +363,7 @@ func Run(hdr *dataio.StreamHeader, in *Ingest, opt Options) (*Result, error) {
 	// here is an exact batch step, so checkpoints taken now warm-start
 	// bit-identical batch runs.
 	chunk := opt.FoldEvery
-	for left := opt.TailIterations; left > 0; left -= chunk {
+	for left := opt.Spec.Iterations; left > 0; left -= chunk {
 		if err := eng.run(min(chunk, left), rec); err != nil {
 			return result(), err
 		}

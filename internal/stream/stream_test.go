@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/gradsync"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
@@ -64,7 +65,7 @@ type snap struct {
 }
 
 func (c *capture) options(base Options) Options {
-	base.OnIteration = func(int, float64) {
+	base.Hooks.OnIteration = func(int, float64) {
 		c.mu.Lock()
 		c.iters++
 		c.mu.Unlock()
@@ -75,8 +76,8 @@ func (c *capture) options(base Options) Options {
 		c.active = active
 		c.mu.Unlock()
 	}
-	base.SnapshotEvery = 1
-	base.OnSnapshot = func(iter int, slices []*grid.Complex2D) error {
+	base.Spec.SnapshotEvery = 1
+	base.Hooks.OnSnapshot = func(iter int, slices []*grid.Complex2D) error {
 		cp := make([]*grid.Complex2D, len(slices))
 		for i, s := range slices {
 			cp[i] = s.Clone()
@@ -141,10 +142,10 @@ func runCapstone(t *testing.T, alg string) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := Run(hdr, in, c.options(Options{
-			Algorithm: alg, StepSize: step, TailIterations: tail,
+		res, err := Run(hdr, in, c.options(Options{Spec: engine.Spec{
+			Algorithm: alg, StepSize: step, Iterations: tail,
 			MeshRows: 2, MeshCols: 2, Timeout: 2 * time.Minute,
-		}))
+		}}))
 		done <- outcome{res, err}
 	}()
 	feed(t, in, frames, c)
@@ -294,7 +295,7 @@ func TestRunCancelledWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(dataio.HeaderFromProblem(prob), in, Options{Ctx: ctx})
+		_, err := Run(dataio.HeaderFromProblem(prob), in, Options{Hooks: engine.Hooks{Ctx: ctx}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -332,13 +333,13 @@ func TestRunValidation(t *testing.T) {
 	prob := acquisition(t, 1)
 	hdr := dataio.HeaderFromProblem(prob)
 	in := NewIngest(0)
-	if _, err := Run(hdr, in, Options{Algorithm: "hve"}); err == nil {
+	if _, err := Run(hdr, in, Options{Spec: engine.Spec{Algorithm: "hve"}}); err == nil {
 		t.Error("hve accepted (unsupported for streaming)")
 	}
-	if _, err := Run(hdr, in, Options{StepSize: -1}); err == nil {
+	if _, err := Run(hdr, in, Options{Spec: engine.Spec{StepSize: -1}}); err == nil {
 		t.Error("negative step accepted")
 	}
-	if _, err := Run(hdr, in, Options{TailIterations: -2}); err == nil {
+	if _, err := Run(hdr, in, Options{Spec: engine.Spec{Iterations: -2}}); err == nil {
 		t.Error("negative tail accepted")
 	}
 	if _, err := Run(hdr, nil, Options{}); err == nil {

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/gradsync"
-	"ptychopath/internal/halo"
 	"ptychopath/internal/metrics"
 	"ptychopath/internal/phantom"
-	"ptychopath/internal/solver"
 	"ptychopath/internal/tiling"
 )
 
@@ -117,9 +115,6 @@ func (o *ReconstructOptions) setDefaults() {
 	if o.RoundsPerIteration == 0 {
 		o.RoundsPerIteration = 1
 	}
-	if o.HVEExtraRows == 0 {
-		o.HVEExtraRows = 1
-	}
 }
 
 // Result carries a reconstruction and its run statistics.
@@ -167,106 +162,56 @@ func (d *Dataset) Reconstruct(opt ReconstructOptions) (*Result, error) {
 			init.Slices[i] = f.toGrid()
 		}
 	}
-	var onSnapshot func(iter int, slices []*grid.Complex2D) error
+	hooks := engine.Hooks{Ctx: opt.Ctx, OnIteration: opt.OnIteration}
 	if opt.OnSnapshot != nil {
-		onSnapshot = func(iter int, slices []*grid.Complex2D) error {
+		hooks.OnSnapshot = func(iter int, slices []*grid.Complex2D) error {
 			return opt.OnSnapshot(iter, toFields(slices))
 		}
 	}
-
-	res := &Result{imageW: bounds.W(), imageH: bounds.H()}
+	spec := engine.Spec{
+		Iterations: opt.Iterations, StepSize: opt.StepSize,
+		MeshRows: opt.MeshRows, MeshCols: opt.MeshCols,
+		RoundsPerIteration: opt.RoundsPerIteration,
+		IntraWorkers:       opt.IntraWorkers,
+		SnapshotEvery:      opt.SnapshotEvery,
+		FaithfulAlg1:       opt.FaithfulAlg1,
+		DisableAPPP:        opt.DisableAPPP,
+		SerialSequential:   opt.SerialSequential,
+		ProbeRefineStep:    opt.ProbeRefineStep,
+		HVEExtraRows:       opt.HVEExtraRows,
+		Timeout:            opt.Timeout,
+	}
 	switch opt.Algorithm {
 	case Serial:
-		mode := solver.Batch
-		if opt.SerialSequential {
-			mode = solver.Sequential
-		}
-		r, err := solver.Reconstruct(d.prob, init.Slices, solver.Options{
-			StepSize: opt.StepSize, Iterations: opt.Iterations,
-			Mode: mode, ProbeStepSize: opt.ProbeRefineStep,
-			OnIteration: opt.OnIteration,
-			Ctx:         opt.Ctx,
-			SnapshotEvery: opt.SnapshotEvery, OnSnapshot: onSnapshot,
-		})
-		if r == nil {
-			return nil, err
-		}
-		res.Slices = toFields(r.Slices)
-		res.CostHistory = r.CostHistory
-		res.Workers = 1
-		if r.RefinedProbe != nil {
-			res.RefinedProbe = fieldFrom(r.RefinedProbe)
-		}
-		return res, err
-
+		spec.Algorithm = "serial"
 	case GradientDecomposition:
-		mesh, err := d.mesh(opt.MeshRows, opt.MeshCols)
-		if err != nil {
-			return nil, err
-		}
-		mode := gradsync.ModeBatch
-		if opt.FaithfulAlg1 {
-			mode = gradsync.ModeFaithful
-		}
-		r, err := gradsync.Reconstruct(d.prob, init.Slices, gradsync.Options{
-			Mesh: mesh, Mode: mode,
-			StepSize: opt.StepSize, Iterations: opt.Iterations,
-			RoundsPerIteration: opt.RoundsPerIteration,
-			DisableAPPP:        opt.DisableAPPP,
-			IntraWorkers:       opt.IntraWorkers,
-			Timeout:            opt.Timeout,
-			OnIteration:        opt.OnIteration,
-			Ctx:                opt.Ctx,
-			SnapshotEvery:      opt.SnapshotEvery, OnSnapshot: onSnapshot,
-		})
-		if r == nil {
-			return nil, err
-		}
-		res.Slices = toFields(r.Slices)
-		res.CostHistory = r.CostHistory
-		res.Workers = mesh.NumTiles()
-		res.BytesSent = r.BytesSent
-		res.MessagesSent = r.MessagesSent
-		res.PerRankLocations = r.PerRankLocations
-		res.PerRankMemBytes = r.PerRankMemBytes
-		res.meshRows, res.meshCols = opt.MeshRows, opt.MeshCols
-		return res, err
-
+		spec.Algorithm = "gd"
 	case HaloVoxelExchange:
-		mesh, err := d.mesh(opt.MeshRows, opt.MeshCols)
-		if err != nil {
-			return nil, err
-		}
-		r, err := halo.Reconstruct(d.prob, init.Slices, halo.Options{
-			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: opt.HVEExtraRows,
-			StepSize: opt.StepSize, Iterations: opt.Iterations,
-			ExchangesPerIteration: opt.RoundsPerIteration,
-			Timeout:               opt.Timeout,
-			OnIteration:           opt.OnIteration,
-			Ctx:                   opt.Ctx,
-			SnapshotEvery:         opt.SnapshotEvery, OnSnapshot: onSnapshot,
-		})
-		if r == nil {
-			return nil, err
-		}
-		res.Slices = toFields(r.Slices)
-		res.CostHistory = r.CostHistory
-		res.Workers = mesh.NumTiles()
-		res.BytesSent = r.BytesSent
-		res.MessagesSent = r.MessagesSent
-		res.PerRankLocations = r.PerRankLocations
-		res.PerRankMemBytes = r.PerRankMemBytes
-		res.meshRows, res.meshCols = opt.MeshRows, opt.MeshCols
-		return res, err
+		spec.Algorithm = "hve"
+	default:
+		return nil, fmt.Errorf("ptycho: unknown algorithm %v", opt.Algorithm)
 	}
-	return nil, fmt.Errorf("ptycho: unknown algorithm %v", opt.Algorithm)
-}
-
-// mesh builds the tile mesh with the halo sized so every tile covers its
-// own probe windows (the Gradient Decomposition requirement).
-func (d *Dataset) mesh(rows, cols int) (*tiling.Mesh, error) {
-	return tiling.NewMesh(d.prob.ImageBounds(), rows, cols,
-		tiling.HaloForWindow(d.prob.WindowN))
+	r, err := engine.Run(d.prob, init.Slices, spec, hooks)
+	if r == nil {
+		return nil, err
+	}
+	res := &Result{
+		Slices:           toFields(r.Slices),
+		CostHistory:      r.CostHistory,
+		Workers:          max(1, len(r.PerRankLocations)),
+		BytesSent:        r.BytesSent,
+		MessagesSent:     r.MessagesSent,
+		PerRankLocations: r.PerRankLocations,
+		PerRankMemBytes:  r.PerRankMemBytes,
+		imageW:           bounds.W(), imageH: bounds.H(),
+	}
+	if opt.Algorithm != Serial {
+		res.meshRows, res.meshCols = opt.MeshRows, opt.MeshCols
+	}
+	if r.RefinedProbe != nil {
+		res.RefinedProbe = fieldFrom(r.RefinedProbe)
+	}
+	return res, err
 }
 
 func toFields(slices []*grid.Complex2D) []Field {
