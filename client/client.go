@@ -249,9 +249,38 @@ type switchWriter struct{ w io.Writer }
 
 func (s *switchWriter) Write(p []byte) (int, error) { return s.w.Write(p) }
 
+// readDataset reads r to its end. When r tells how much is left — the
+// in-memory readers by Len, a file by seeking — everything lands in one
+// buffer of that size; io.ReadAll's doubling allocates about six times
+// the dataset on the way to holding it once.
+func readDataset(r io.Reader) ([]byte, error) {
+	size := -1
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case io.Seeker:
+		if cur, err := v.Seek(0, io.SeekCurrent); err == nil {
+			if end, err := v.Seek(0, io.SeekEnd); err == nil {
+				size = int(end - cur)
+			}
+			if _, err := v.Seek(cur, io.SeekStart); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	// ReadFrom stops growing while bytes.MinRead of room is left, so the
+	// read that finds EOF still fits.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // submit shares the batch/streaming submission path.
 func (c *Client) submit(ctx context.Context, path string, req SubmitRequest, dataset io.Reader) (*Job, error) {
-	data, err := io.ReadAll(dataset)
+	data, err := readDataset(dataset)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading dataset: %w", err)
 	}

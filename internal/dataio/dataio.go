@@ -1,8 +1,7 @@
 // Package dataio defines the binary on-disk dataset format used by the
 // command-line tools: a self-describing container holding the scan
 // pattern, probe wavefunction, propagator, and per-location diffraction
-// amplitudes. The format is little-endian, versioned, and written with
-// nothing but encoding/binary.
+// amplitudes. The format is little-endian and versioned.
 //
 // Layout (all integers little-endian):
 //
@@ -32,6 +31,7 @@ import (
 	"ptychopath/internal/grid"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
+	"ptychopath/internal/wire"
 )
 
 var magic = [8]byte{'P', 'T', 'Y', 'C', 'H', 'O', 'v', '1'}
@@ -101,16 +101,21 @@ func Write(w io.Writer, prob *solver.Problem) error {
 			return err
 		}
 	}
+	// One row of scratch carries every location and measurement to bw:
+	// nothing is allocated per element.
+	row := make([]byte, 0, 8*prob.WindowN*prob.WindowN)
 	for _, l := range prob.Pattern.Locations {
-		if err := binary.Write(bw, binary.LittleEndian, int64(l.Index)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, []float64{l.X, l.Y, l.Radius}); err != nil {
+		row = wire.AppendInt64(row[:0], int64(l.Index))
+		row = wire.AppendFloat64(row, l.X)
+		row = wire.AppendFloat64(row, l.Y)
+		row = wire.AppendFloat64(row, l.Radius)
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
 	for _, m := range prob.Meas {
-		if err := binary.Write(bw, binary.LittleEndian, m.Data); err != nil {
+		row = wire.AppendFloat64s(row[:0], m.Data)
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
@@ -118,23 +123,17 @@ func Write(w io.Writer, prob *solver.Problem) error {
 }
 
 func writeComplex(w io.Writer, a *grid.Complex2D) error {
-	buf := make([]float64, 2*len(a.Data))
-	for i, v := range a.Data {
-		buf[2*i] = real(v)
-		buf[2*i+1] = imag(v)
-	}
-	return binary.Write(w, binary.LittleEndian, buf)
+	_, err := w.Write(wire.AppendComplex128s(make([]byte, 0, 16*len(a.Data)), a.Data))
+	return err
 }
 
 func readComplex(r io.Reader, n int) (*grid.Complex2D, error) {
-	buf := make([]float64, 2*n*n)
-	if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+	buf := make([]byte, 16*n*n)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	a := grid.NewComplex2DSize(n, n)
-	for i := range a.Data {
-		a.Data[i] = complex(buf[2*i], buf[2*i+1])
-	}
+	wire.Complex128s(a.Data, buf)
 	return a, nil
 }
 
@@ -176,25 +175,26 @@ func Read(r io.Reader) (*solver.Problem, error) {
 		RadiusPix: float64(header[7]) / 1e6,
 	}
 	pat.Locations = make([]scan.Location, numLoc)
+	// One row of scratch is refilled for every location and measurement;
+	// the only allocations left are the arrays the problem keeps.
+	row := make([]byte, max(32, 8*windowN*windowN))
 	for i := range pat.Locations {
-		var idx int64
-		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
-			return nil, fmt.Errorf("dataio: reading location %d: %w", i, err)
-		}
-		coords := make([]float64, 3)
-		if err := binary.Read(br, binary.LittleEndian, coords); err != nil {
+		if _, err := io.ReadFull(br, row[:32]); err != nil {
 			return nil, fmt.Errorf("dataio: reading location %d: %w", i, err)
 		}
 		pat.Locations[i] = scan.Location{
-			Index: int(idx), X: coords[0], Y: coords[1], Radius: coords[2],
+			Index: int(wire.Int64(row)), X: wire.Float64(row[8:]),
+			Y: wire.Float64(row[16:]), Radius: wire.Float64(row[24:]),
 		}
 	}
 	meas := make([]*grid.Float2D, numLoc)
+	row = row[:8*windowN*windowN]
 	for i := range meas {
-		a := grid.NewFloat2DSize(windowN, windowN)
-		if err := binary.Read(br, binary.LittleEndian, a.Data); err != nil {
+		if _, err := io.ReadFull(br, row); err != nil {
 			return nil, fmt.Errorf("dataio: reading measurement %d: %w", i, err)
 		}
+		a := grid.NewFloat2DSize(windowN, windowN)
+		wire.Float64s(a.Data, row)
 		meas[i] = a
 	}
 	prob := &solver.Problem{

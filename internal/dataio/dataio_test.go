@@ -3,8 +3,10 @@ package dataio
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
@@ -154,5 +156,43 @@ func TestWriteRejectsInvalidProblem(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, prob); err == nil {
 		t.Fatal("invalid problem accepted")
+	}
+}
+
+// TestReadAllocatesTheProblemOnly bounds what decoding a dataset costs
+// beyond the arrays it returns: Read used to allocate a temporary the
+// size of every measurement and location it moved (2x the dataset in
+// all); one reused row of scratch leaves the buffered reader, that row
+// and the probe/propagator staging — under 10 % on a dataset of any
+// real size.
+func TestReadAllocatesTheProblemOnly(t *testing.T) {
+	pat, err := scan.Raster(scan.RasterConfig{Cols: 12, Rows: 12, StepPix: 5, RadiusPix: 6, MarginPix: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := solver.Simulate(solver.SimulateConfig{
+		Optics: physics.PaperOptics(), Pattern: pat,
+		Object: phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 9), WindowN: 16, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, prob); err != nil {
+		t.Fatal(err)
+	}
+	n2 := prob.WindowN * prob.WindowN
+	decoded := pat.N()*(8*n2+int(unsafe.Sizeof(scan.Location{}))) + 2*16*n2
+
+	r := bytes.NewReader(buf.Bytes())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(r); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(decoded) {
+		t.Errorf("Read allocated %d B for %d B of decoded arrays (%.2fx, budget 1.1x)",
+			got, decoded, float64(got)/float64(decoded))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"ptychopath/internal/grid"
+	"ptychopath/internal/wire"
 )
 
 // Object checkpoints (OBJCKv1) persist a multi-slice complex object —
@@ -23,6 +24,9 @@ import (
 
 var objMagic = [8]byte{'O', 'B', 'J', 'C', 'K', 'v', '1', 0}
 
+// objHeaderLen is the magic plus the five int64 header fields.
+const objHeaderLen = 8 + 5*8
+
 // Object-checkpoint resource caps (see ErrHeaderBounds in dataio.go).
 const (
 	maxObjectSlices = 1 << 16
@@ -36,47 +40,70 @@ const (
 // cannot resume the run it claims to hold.
 var ErrSliceMismatch = errors.New("dataio: inconsistent object slices")
 
-// WriteObject serializes object slices (all sharing bounds) to w.
-func WriteObject(w io.Writer, slices []*grid.Complex2D) error {
+// checkObject validates a slice stack and returns its shared bounds.
+func checkObject(slices []*grid.Complex2D) (grid.Rect, error) {
 	if len(slices) == 0 {
-		return fmt.Errorf("%w: no slices to write", ErrSliceMismatch)
+		return grid.Rect{}, fmt.Errorf("%w: no slices to write", ErrSliceMismatch)
 	}
 	bounds := slices[0].Bounds
 	for i, s := range slices {
 		if s == nil {
-			return fmt.Errorf("%w: slice %d is nil", ErrSliceMismatch, i)
+			return grid.Rect{}, fmt.Errorf("%w: slice %d is nil", ErrSliceMismatch, i)
 		}
 		if s.Bounds != bounds {
-			return fmt.Errorf("%w: slice %d bounds %v != %v", ErrSliceMismatch, i, s.Bounds, bounds)
+			return grid.Rect{}, fmt.Errorf("%w: slice %d bounds %v != %v", ErrSliceMismatch, i, s.Bounds, bounds)
 		}
 		if len(s.Data) != bounds.Area() {
-			return fmt.Errorf("%w: slice %d has %d values for bounds %v (want %d)",
+			return grid.Rect{}, fmt.Errorf("%w: slice %d has %d values for bounds %v (want %d)",
 				ErrSliceMismatch, i, len(s.Data), bounds, bounds.Area())
 		}
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(objMagic[:]); err != nil {
+	return bounds, nil
+}
+
+// appendObjectHeader appends the magic and the five header fields.
+func appendObjectHeader(dst []byte, n int, bounds grid.Rect) []byte {
+	dst = append(dst, objMagic[:]...)
+	for _, v := range [...]int{n, bounds.X0, bounds.Y0, bounds.W(), bounds.H()} {
+		dst = wire.AppendInt64(dst, int64(v))
+	}
+	return dst
+}
+
+// WriteObject serializes object slices (all sharing bounds) to w, one
+// slice at a time through a single reused scratch.
+func WriteObject(w io.Writer, slices []*grid.Complex2D) error {
+	bounds, err := checkObject(slices)
+	if err != nil {
 		return err
 	}
-	header := []int64{
-		int64(len(slices)),
-		int64(bounds.X0), int64(bounds.Y0),
-		int64(bounds.W()), int64(bounds.H()),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
-		return err
-	}
-	buf := make([]float64, 2*bounds.Area())
+	buf := appendObjectHeader(make([]byte, 0, objHeaderLen+16*bounds.Area()), len(slices), bounds)
 	for _, s := range slices {
-		for i, v := range s.Data {
-			buf[2*i] = real(v)
-			buf[2*i+1] = imag(v)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, buf); err != nil {
+		buf = wire.AppendComplex128s(buf, s.Data) // the header rides with slice 0
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
+		buf = buf[:0]
 	}
-	return bw.Flush()
+	return nil
+}
+
+// AppendObject appends the OBJCKv1 encoding of slices to dst, growing
+// it once to the exact size — the in-memory form of WriteObject, for
+// the tiles that travel inside grid frames.
+func AppendObject(dst []byte, slices []*grid.Complex2D) ([]byte, error) {
+	bounds, err := checkObject(slices)
+	if err != nil {
+		return dst, err
+	}
+	if need := objHeaderLen + len(slices)*16*bounds.Area(); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	dst = appendObjectHeader(dst, len(slices), bounds)
+	for _, s := range slices {
+		dst = wire.AppendComplex128s(dst, s.Data)
+	}
+	return dst, nil
 }
 
 // ReadObject deserializes object slices from r.
@@ -89,8 +116,8 @@ func ReadObject(r io.Reader) ([]*grid.Complex2D, error) {
 	if m != objMagic {
 		return nil, fmt.Errorf("dataio: bad object magic %q", m)
 	}
-	header := make([]int64, 5)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
+	var header [5]int64
+	if err := binary.Read(br, binary.LittleEndian, header[:]); err != nil {
 		return nil, fmt.Errorf("dataio: reading object header: %w", err)
 	}
 	n := int(header[0])
@@ -104,16 +131,13 @@ func ReadObject(r io.Reader) ([]*grid.Complex2D, error) {
 	}
 	bounds := grid.RectWH(int(header[1]), int(header[2]), w, h)
 	out := make([]*grid.Complex2D, n)
-	buf := make([]float64, 2*w*h)
+	buf := make([]byte, 16*w*h) // one slice of staging, reused
 	for s := 0; s < n; s++ {
-		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("dataio: reading object slice %d: %w", s, err)
 		}
-		a := grid.NewComplex2D(bounds)
-		for i := range a.Data {
-			a.Data[i] = complex(buf[2*i], buf[2*i+1])
-		}
-		out[s] = a
+		out[s] = grid.NewComplex2D(bounds)
+		wire.Complex128s(out[s].Data, buf)
 	}
 	return out, nil
 }

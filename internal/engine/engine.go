@@ -31,6 +31,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ptychopath/internal/collective"
@@ -107,11 +108,9 @@ type Hooks struct {
 	OnSnapshot  func(iter int, slices []*grid.Complex2D) error
 }
 
-// Offset returns hooks whose callbacks see every iteration index
-// shifted by k. Run and RunRank apply Spec.StartIter through it; a
-// coordinator relaying indices from remote ranks (which run unshifted)
-// applies it on its own side.
-func (h Hooks) Offset(k int) Hooks {
+// offset returns hooks whose callbacks see every iteration index
+// shifted by k: how Run and RunRank apply Spec.StartIter.
+func (h Hooks) offset(k int) Hooks {
 	if k == 0 {
 		return h
 	}
@@ -204,11 +203,61 @@ func Run(prob *solver.Problem, init []*grid.Complex2D, s Spec, h Hooks) (*Result
 }
 
 // RunRank executes one rank of a parallel run against an arbitrary
-// transport endpoint. Every rank of comm's world must call it with
-// identical prob, init and spec.
+// transport endpoint. Every rank of comm's world calls it with the same
+// spec and either the shared full problem and init, or just its own
+// share of them as Shards describes it.
 func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, s Spec, h Hooks) (*collective.RankOutcome, error) {
 	_, out, err := dispatch(comm, prob, init, s, h)
 	return out, err
+}
+
+// Shard is the part of a problem one rank of a parallel run touches.
+type Shard struct {
+	// Locations indexes prob.Pattern.Locations (and prob.Meas), ascending:
+	// every location the rank evaluates.
+	Locations []int
+	// Region is the only part of the initial object the rank reads.
+	Region grid.Rect
+}
+
+// Shards splits a parallel run by rank. A problem that keeps prob's
+// geometry, probe and propagator but only shards[r].Locations (in that
+// order), with an init covering shards[r].Region, is all rank r needs:
+// RunRank on it is bit-identical to RunRank on the full problem, because
+// the engines assign locations to tiles by position and the subset puts
+// the same ones, in the same order, on rank r. This is the only place
+// that knows which engine needs what.
+func Shards(prob *solver.Problem, s Spec) ([]Shard, error) {
+	mesh, err := s.check(prob)
+	if err != nil {
+		return nil, err
+	}
+	if mesh == nil {
+		return nil, fmt.Errorf("engine: the serial algorithm has no ranks to shard")
+	}
+	owned := mesh.AssignLocations(prob.Pattern)
+	shards := make([]Shard, mesh.NumTiles())
+	for rank := range shards {
+		r, c := mesh.RowCol(rank)
+		if s.Algorithm == "gd" {
+			shards[rank] = Shard{Locations: owned[rank], Region: mesh.Extended(r, c)}
+			continue
+		}
+		// hve also evaluates the neighbours' locations near its border.
+		locs := append(slices.Clone(owned[rank]),
+			mesh.ExtraRowLocations(prob.Pattern, owned, r, c, s.hveExtraRows())...)
+		slices.Sort(locs)
+		shards[rank] = Shard{Locations: locs, Region: mesh.ExtendedWithHalo(r, c, mesh.Halo)}
+	}
+	return shards, nil
+}
+
+// hveExtraRows resolves the HVEExtraRows default.
+func (s Spec) hveExtraRows() int {
+	if s.HVEExtraRows != 0 {
+		return s.HVEExtraRows
+	}
+	return HVEExtraRows
 }
 
 // Assemble stitches the outcomes of RunRank on every rank, in rank
@@ -237,7 +286,7 @@ func dispatch(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2
 	if init == nil {
 		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
 	}
-	h = h.Offset(s.StartIter)
+	h = h.offset(s.StartIter)
 	var par *collective.Result
 	switch s.Algorithm {
 	case "serial":
@@ -281,15 +330,12 @@ func dispatch(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2
 		par, err = gradsync.Reconstruct(prob, init, opt)
 	case "hve":
 		opt := halo.Options{
-			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: HVEExtraRows,
+			Mesh: mesh, HaloWidth: mesh.Halo, ExtraRows: s.hveExtraRows(),
 			StepSize: s.StepSize, Iterations: s.Iterations,
 			ExchangesPerIteration: s.RoundsPerIteration,
 			Timeout:               s.Timeout,
 			OnIteration:           h.OnIteration, Ctx: h.Ctx,
 			SnapshotEvery: s.SnapshotEvery, OnSnapshot: h.OnSnapshot,
-		}
-		if s.HVEExtraRows != 0 {
-			opt.ExtraRows = s.HVEExtraRows
 		}
 		if comm != nil {
 			out, err := halo.RunRank(comm, prob, init, opt)

@@ -100,6 +100,29 @@ func directGD(rounds, intra int) func(*testing.T, *solver.Problem, []*grid.Compl
 	}
 }
 
+// subProblem is prob restricted to the given locations: what a rank
+// that was sent only its shard holds.
+func subProblem(prob *solver.Problem, locs []int) *solver.Problem {
+	pat := *prob.Pattern
+	pat.Locations = nil
+	sub := *prob
+	sub.Pattern, sub.Meas = &pat, nil
+	for _, i := range locs {
+		pat.Locations = append(pat.Locations, prob.Pattern.Locations[i])
+		sub.Meas = append(sub.Meas, prob.Meas[i])
+	}
+	return &sub
+}
+
+// cropped is init cut down to region.
+func cropped(init []*grid.Complex2D, region grid.Rect) []*grid.Complex2D {
+	out := make([]*grid.Complex2D, len(init))
+	for s, a := range init {
+		out[s] = a.Extract(region)
+	}
+	return out
+}
+
 func sameObject(t *testing.T, what string, got, want []*grid.Complex2D) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -155,6 +178,51 @@ func TestEngineMatrix(t *testing.T) {
 				if res.BytesSent != ref.BytesSent || res.MessagesSent != ref.MessagesSent {
 					t.Errorf("ranks sent %d B / %d msgs, Run %d / %d",
 						res.BytesSent, res.MessagesSent, ref.BytesSent, ref.MessagesSent)
+				}
+
+				// (b') Sharding adds nothing: each rank handed only its
+				// Shards share — its locations, its region of the init —
+				// computes the same tile.
+				shards, err := Shards(prob, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sharded := make([]*collective.RankOutcome, len(shards))
+				err = simmpi.Run(len(shards), testTimeout, func(comm *simmpi.Comm) error {
+					sh := shards[comm.Rank()]
+					out, err := RunRank(comm, subProblem(prob, sh.Locations), cropped(vacuum, sh.Region), spec, Hooks{})
+					sharded[comm.Rank()] = out
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err = Assemble(prob, spec, sharded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameObject(t, "sharded RunRank+Assemble vs Run", res.Slices, ref.Slices)
+				if !slices.Equal(res.CostHistory, ref.CostHistory) {
+					t.Fatalf("sharded ranks' cost history %v, Run %v", res.CostHistory, ref.CostHistory)
+				}
+				seen := make([]int, prob.Pattern.N())
+				for rank, sh := range shards {
+					if !slices.IsSorted(sh.Locations) {
+						t.Errorf("rank %d shard locations not ascending: %v", rank, sh.Locations)
+					}
+					if len(sh.Locations) != outs[rank].Locations {
+						t.Errorf("rank %d shard holds %d locations, the rank evaluates %d",
+							rank, len(sh.Locations), outs[rank].Locations)
+					}
+					for _, i := range sh.Locations {
+						seen[i]++
+					}
+				}
+				if spec.Algorithm == "gd" && slices.ContainsFunc(seen, func(n int) bool { return n != 1 }) {
+					t.Errorf("gd shards do not partition the locations: counts %v", seen)
+				}
+				if spec.Algorithm == "hve" && slices.Max(seen) < 2 {
+					t.Error("hve shards share no location: the extra rows are missing")
 				}
 			}
 

@@ -3,17 +3,22 @@
 // session setups, runs ONE rank of the selected reconstruction engine
 // per session — engine.RunRank, the same entry point an in-process run
 // uses, driven over the TCP transport instead of the in-process world —
-// and ships the rank's outcome back for stitching.
+// and ships the rank's interior tile back for stitching. A rank holds
+// only what the coordinator sharded out to it: the measurements of the
+// locations it evaluates and its own tile of the initial object.
 //
 // cmd/ptychoworker is a thin flag wrapper around Run; the capstone
 // tests drive Run directly over loopback TCP.
 package gridworker
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -21,6 +26,8 @@ import (
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
+	"ptychopath/internal/scan"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -122,11 +129,11 @@ func serve(ctx context.Context, c *transport.Client, name string, opts Options) 
 			return err
 		}
 		if setup.Trace != "" {
-			opts.Logf("%s: session %s rank %d/%d (%s %dx%d mesh, trace %s)",
-				name, setup.JobID, setup.Rank, setup.Size, setup.Algorithm, setup.MeshRows, setup.MeshCols, setup.Trace)
+			opts.Logf("%s: session %s rank %d/%d (%s, trace %s)",
+				name, setup.JobID, setup.Rank, setup.Size, setup.Algorithm, setup.Trace)
 		} else {
-			opts.Logf("%s: session %s rank %d/%d (%s %dx%d mesh)",
-				name, setup.JobID, setup.Rank, setup.Size, setup.Algorithm, setup.MeshRows, setup.MeshCols)
+			opts.Logf("%s: session %s rank %d/%d (%s)",
+				name, setup.JobID, setup.Rank, setup.Size, setup.Algorithm)
 		}
 		res := runSession(sctx, c, setup, opts)
 		sessCancel()
@@ -148,9 +155,14 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	fail := func(err error) *transport.RankResult {
 		return &transport.RankResult{Rank: setup.Rank, Err: err.Error()}
 	}
-	prob, err := dataio.Read(bytes.NewReader(setup.Problem))
+	var spec engine.Spec
+	if err := json.Unmarshal(setup.Spec, &spec); err != nil {
+		return fail(fmt.Errorf("decoding spec: %w", err))
+	}
+	spec.Timeout = time.Duration(setup.TimeoutMS) * time.Millisecond
+	prob, err := readShard(setup.Shard)
 	if err != nil {
-		return fail(fmt.Errorf("decoding problem: %w", err))
+		return fail(fmt.Errorf("decoding shard: %w", err))
 	}
 	init, err := dataio.ReadObject(bytes.NewReader(setup.Init))
 	if err != nil {
@@ -179,18 +191,27 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 			c.SendIterStats(iter, computeNS, commNS)
 		},
 		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
-			tile, err := encodeTile(slices)
+			object, err := dataio.AppendObject(nil, slices)
 			if err != nil {
 				return err
 			}
-			return c.SendSnapshot(iter, tile)
+			return c.SendSnapshot(iter, object)
 		},
 	}
-	out, err := engine.RunRank(c, prob, init, setupSpec(setup), hooks)
+	out, err := engine.RunRank(c, prob, init, spec, hooks)
 	if err != nil {
 		return fail(err)
 	}
-	tile, err := encodeTile(out.Slices)
+	// Only the interior goes back: the stitch copies nothing else.
+	mesh, err := engine.NewMesh(prob, spec)
+	if err != nil {
+		return fail(err)
+	}
+	interior := mesh.Tile(mesh.RowCol(setup.Rank))
+	for i, a := range out.Slices {
+		out.Slices[i] = a.Extract(interior)
+	}
+	tile, err := dataio.AppendObject(nil, out.Slices)
 	if err != nil {
 		return fail(err)
 	}
@@ -204,28 +225,43 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	}
 }
 
-// setupSpec decodes a session SETUP into the engine's run description.
-// The mesh is not taken from the wire: coordinator and worker both
-// derive it with engine.NewMesh from the same problem and mesh shape.
-func setupSpec(setup *transport.Setup) engine.Spec {
-	return engine.Spec{
-		Algorithm: setup.Algorithm,
-		MeshRows:  setup.MeshRows, MeshCols: setup.MeshCols,
-		StepSize: setup.StepSize, Iterations: setup.Iterations,
-		RoundsPerIteration: setup.RoundsPerIteration,
-		IntraWorkers:       setup.IntraWorkers,
-		SnapshotEvery:      setup.SnapshotEvery,
-		HVEExtraRows:       setup.ExtraRows,
-		Timeout:            time.Duration(setup.TimeoutMS) * time.Millisecond,
+// readShard decodes a rank's shard — a PTYCHSv2 stream, read as its
+// frames arrive — into the problem the rank runs on: the dataset's
+// geometry, probe and propagator with only this rank's locations. The
+// stream must close with its 'E' chunk: a shard that merely stops is a
+// coordinator that broke off, not a short dataset.
+func readShard(r io.Reader) (*solver.Problem, error) {
+	if r == nil {
+		return nil, errors.New("the session carries none")
 	}
-}
-
-// encodeTile serializes extended-tile slices as OBJCKv1 (bounds travel
-// with the data, so the coordinator reassembles exact rectangles).
-func encodeTile(slices []*grid.Complex2D) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := dataio.WriteObject(&buf, slices); err != nil {
+	// One buffered reader for the opening and the chunks
+	// (ReadStreamHeader's own bufio.NewReader returns br itself, so
+	// nothing it reads ahead is lost to the chunk decoder).
+	br := bufio.NewReader(r)
+	hdr, err := dataio.ReadStreamHeader(br)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	prob := hdr.NewProblem()
+	var locs []scan.Location
+	var meas []*grid.Float2D
+	for {
+		frames, eof, err := dataio.ReadChunk(br, hdr.WindowN)
+		if errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("stream ends before its 'E' chunk: %w", io.ErrUnexpectedEOF)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if eof {
+			return prob, prob.Validate()
+		}
+		locs, meas = locs[:0], meas[:0]
+		for _, f := range frames {
+			locs, meas = append(locs, f.Loc), append(meas, f.Meas)
+		}
+		if err := prob.AppendLocations(locs, meas); err != nil {
+			return nil, err
+		}
+	}
 }

@@ -3,22 +3,28 @@ package gridworker
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
+	"ptychopath/internal/wire"
 )
 
-// TestBadSetupFailsInBand: a SETUP the worker cannot run — an unknown
-// algorithm, corrupt dataset bytes — comes back as RankResult.Err (the
-// session fails with the rank's message), never as a dropped
-// connection: the same two connections then serve a good session.
+// TestBadSetupFailsInBand: a session the worker cannot run — a Spec
+// naming an unknown algorithm, a shard with a flipped byte (caught by
+// the PTYCHS chunk CRC), a shard that stops before its 'E' chunk — comes
+// back as RankResult.Err (the session fails with the rank's message),
+// never as a dropped connection: the same two connections then serve a
+// good session.
 func TestBadSetupFailsInBand(t *testing.T) {
 	pat, err := scan.Raster(scan.RasterConfig{Cols: 4, Rows: 4, StepPix: 5, RadiusPix: 6, MarginPix: 6})
 	if err != nil {
@@ -31,12 +37,34 @@ func TestBadSetupFailsInBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var probBuf, initBuf bytes.Buffer
-	if err := dataio.Write(&probBuf, prob); err != nil {
+	const ranks = 2
+	spec := engine.Spec{Algorithm: "gd", MeshRows: 1, MeshCols: ranks, StepSize: 0.02, Iterations: 3}
+	shards, err := engine.Shards(prob, spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dataio.WriteObject(&initBuf, phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices); err != nil {
-		t.Fatal(err)
+	// Each rank's share as the coordinator sends it: init tile and a
+	// PTYCHS stream of two chunks.
+	inits, streams := make([][]byte, ranks), make([][]byte, ranks)
+	for r, sh := range shards {
+		if inits[r], err = dataio.AppendObject(nil, phantom.Vacuum(sh.Region, prob.Slices).Slices); err != nil {
+			t.Fatal(err)
+		}
+		var frames []dataio.Frame
+		for _, i := range sh.Locations {
+			frames = append(frames, dataio.Frame{Loc: pat.Locations[i], Meas: prob.Meas[i]})
+		}
+		var buf bytes.Buffer
+		half := len(frames) / 2
+		if err := errors.Join(
+			dataio.WriteStreamHeader(&buf, dataio.HeaderFromProblem(prob)),
+			dataio.WriteFrameChunk(&buf, prob.WindowN, frames[:half]),
+			dataio.WriteFrameChunk(&buf, prob.WindowN, frames[half:]),
+			dataio.WriteEOFChunk(&buf),
+		); err != nil {
+			t.Fatal(err)
+		}
+		streams[r] = buf.Bytes()
 	}
 
 	hub, err := transport.Listen("127.0.0.1:0")
@@ -49,9 +77,8 @@ func TestBadSetupFailsInBand(t *testing.T) {
 	exited := make(chan error, 1)
 	// No Reconnect: a torn-down connection would end Run, and the good
 	// session below would find no worker.
-	go func() { exited <- Run(ctx, hub.Addr().String(), Options{Name: "w", Ranks: 2}) }()
+	go func() { exited <- Run(ctx, hub.Addr().String(), Options{Name: "w", Ranks: ranks}) }()
 
-	const ranks = 2
 	waitIdle := func() []transport.WorkerInfo {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
@@ -68,14 +95,24 @@ func TestBadSetupFailsInBand(t *testing.T) {
 		}
 		return hub.Workers()
 	}
-	session := func(alg string, problem []byte) ([]*transport.RankResult, error) {
+	// session runs one session in which rank 1's shard is mangled.
+	session := func(alg string, mangle func([]byte) []byte) ([]*transport.RankResult, error) {
 		t.Helper()
+		spec := spec
+		spec.Algorithm = alg
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		setups := make([]*transport.Setup, ranks)
 		for r := range setups {
+			stream := streams[r]
+			if r == 1 {
+				stream = mangle(bytes.Clone(stream))
+			}
 			setups[r] = &transport.Setup{
-				JobID: "t", Algorithm: alg, MeshRows: 1, MeshCols: ranks,
-				StepSize: 0.02, Iterations: 3, TimeoutMS: 30_000,
-				Problem: problem, Init: initBuf.Bytes(),
+				JobID: "t", Algorithm: alg, TimeoutMS: 30_000,
+				Spec: specJSON, Init: inits[r], Shard: bytes.NewReader(stream),
 			}
 		}
 		sess, err := hub.StartSession(setups, transport.SessionCallbacks{})
@@ -84,29 +121,39 @@ func TestBadSetupFailsInBand(t *testing.T) {
 		}
 		return sess.Wait(context.Background())
 	}
+	intact := func(b []byte) []byte { return b }
 
 	before := waitIdle()
-	if _, err := session("nope", probBuf.Bytes()); err == nil || !strings.Contains(err.Error(), `unknown algorithm "nope"`) {
-		t.Fatalf("unknown algorithm: session error %v", err)
-	}
-	waitIdle()
-	if _, err := session("gd", probBuf.Bytes()[:probBuf.Len()/2]); err == nil || !strings.Contains(err.Error(), "decoding problem") {
-		t.Fatalf("corrupt problem: session error %v", err)
+	for _, bad := range []struct {
+		name, alg, want string
+		mangle          func([]byte) []byte
+	}{
+		{"unknown algorithm", "nope", `unknown algorithm "nope"`, intact},
+		{"flipped shard byte", "gd", "decoding shard: " + dataio.ErrChunkCorrupt.Error(),
+			func(b []byte) []byte { b[len(b)-100] ^= 0x20; return b }},
+		{"shard truncated before 'E'", "gd", "decoding shard: stream ends before its 'E' chunk",
+			func(b []byte) []byte { return b[:len(b)-wire.ChunkOverhead] }},
+	} {
+		if _, err := session(bad.alg, bad.mangle); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("%s: session error %v, want %q", bad.name, err, bad.want)
+		}
+		waitIdle()
 	}
 	after := waitIdle()
 	for i := range before {
 		if after[i].ID != before[i].ID {
-			t.Fatalf("worker %d reconnected (id %d -> %d): a bad SETUP tore its connection down",
+			t.Fatalf("worker %d reconnected (id %d -> %d): a bad session tore its connection down",
 				i, before[i].ID, after[i].ID)
 		}
 	}
-	results, err := session("gd", probBuf.Bytes())
+	results, err := session("gd", intact)
 	if err != nil {
-		t.Fatalf("good session after two bad ones: %v", err)
+		t.Fatalf("good session after three bad ones: %v", err)
 	}
 	for r, res := range results {
-		if res.Err != "" || len(res.CostHistory) != 3 || len(res.Tile) == 0 {
-			t.Errorf("rank %d result: err %q, %d costs, %d tile bytes", r, res.Err, len(res.CostHistory), len(res.Tile))
+		if res.Err != "" || len(res.CostHistory) != 3 || len(res.Tile) == 0 || res.Locations != len(shards[r].Locations) {
+			t.Errorf("rank %d result: err %q, %d costs, %d tile bytes, %d locations",
+				r, res.Err, len(res.CostHistory), len(res.Tile), res.Locations)
 		}
 	}
 }

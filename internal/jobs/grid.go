@@ -3,7 +3,9 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -19,8 +22,12 @@ import (
 // transport.Hub that worker processes (cmd/ptychoworker) register with,
 // and jobs submitted with Params.Grid execute their parallel engine
 // across those processes instead of in-process goroutines — one rank
-// per leased worker endpoint, mesh tiles sharded across them, traffic
-// routed over the CRC-framed TCP transport. Progress, snapshots and
+// per leased worker endpoint, traffic routed over the CRC-framed TCP
+// transport. The coordinator shards the job with engine.Shards: a rank
+// is sent the measurements it evaluates and its own tile of the initial
+// object, streamed while it decodes, and never sees the rest of the
+// dataset — the paper's memory-per-GPU claim (Table II/III) at the
+// process boundary. Progress, snapshots and
 // checkpoints reuse the exact machinery of local jobs: the worker
 // running rank 0 relays per-iteration cost and periodic stitched
 // snapshots, and the coordinator writes the same OBJCKv1 checkpoints,
@@ -57,6 +64,67 @@ func (s *Service) GridWorkers() []transport.WorkerInfo {
 	return s.grid.Workers()
 }
 
+// shardChunkBytes is the target size of one chunk of a shard stream:
+// well under the transport's SHARD frame cap, so a chunk travels as one
+// frame, and large enough that framing is noise.
+const shardChunkBytes = 256 << 10
+
+// shardSource is one rank's part of a dataset as a PTYCHSv2 stream —
+// the opening, 'F' chunks of the rank's locations in ascending order
+// (referencing the job's measurement arrays, not copying them), 'E' —
+// encoded one piece per Read, straight into the hub's buffer when the
+// piece fits: no rank's shard, let alone the dataset, is ever
+// serialized whole.
+type shardSource struct {
+	prob           *solver.Problem
+	locs           []int // not yet sent
+	opened, closed bool
+	frames         []dataio.Frame // chunk scratch
+	rest           []byte         // tail of a piece larger than the Read that encoded it
+}
+
+func (s *shardSource) Read(p []byte) (int, error) {
+	if len(s.rest) == 0 {
+		piece, err := s.next(p[:0:len(p)])
+		if err != nil {
+			return 0, err
+		}
+		if len(piece) <= len(p) {
+			return len(piece), nil // encoded in place
+		}
+		s.rest = piece
+	}
+	n := copy(p, s.rest)
+	s.rest = s.rest[n:]
+	return n, nil
+}
+
+// next appends the stream's next piece to dst; io.EOF after the last.
+func (s *shardSource) next(dst []byte) ([]byte, error) {
+	w := bytes.NewBuffer(dst)
+	var err error
+	switch {
+	case !s.opened:
+		s.opened = true
+		err = dataio.WriteStreamHeader(w, dataio.HeaderFromProblem(s.prob))
+	case len(s.locs) > 0:
+		n := s.prob.WindowN
+		count := min(len(s.locs), max(1, shardChunkBytes/(8*n*n)))
+		s.frames = s.frames[:0]
+		for _, i := range s.locs[:count] {
+			s.frames = append(s.frames, dataio.Frame{Loc: s.prob.Pattern.Locations[i], Meas: s.prob.Meas[i]})
+		}
+		s.locs = s.locs[count:]
+		err = dataio.WriteFrameChunk(w, n, s.frames)
+	case !s.closed:
+		s.closed = true
+		err = dataio.WriteEOFChunk(w)
+	default:
+		return nil, io.EOF
+	}
+	return w.Bytes(), err
+}
+
 // executeGrid runs one parallel job across leased grid workers. On
 // session failure it returns the last snapshot received (possibly nil)
 // so the caller flushes a final checkpoint, mirroring the partial-result
@@ -64,45 +132,36 @@ func (s *Service) GridWorkers() []transport.WorkerInfo {
 func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, error) {
 	p := j.params
 	prob := j.prob
-	init := p.InitialObject
-	if init == nil {
-		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
-	}
-	mesh, err := engine.NewMesh(prob, spec)
+	shards, err := engine.Shards(prob, spec)
 	if err != nil {
 		return nil, err
 	}
-
-	// Serialize the dataset and warm-start once; every rank receives
-	// the same blobs and derives its shard deterministically from the
-	// mesh (see gradsync.RunRank).
-	var probBuf, initBuf bytes.Buffer
-	if err := dataio.Write(&probBuf, prob); err != nil {
-		return nil, fmt.Errorf("grid: encoding problem: %w", err)
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("grid: encoding spec: %w", err)
 	}
-	if err := dataio.WriteObject(&initBuf, init); err != nil {
-		return nil, fmt.Errorf("grid: encoding initial object: %w", err)
-	}
-	setups := make([]*transport.Setup, mesh.NumTiles())
-	for r := range setups {
+	setups := make([]*transport.Setup, len(shards))
+	for r, sh := range shards {
+		tile := phantom.Vacuum(sh.Region, prob.Slices).Slices
+		for i, full := range p.InitialObject {
+			tile[i].CopyRegion(full, sh.Region)
+		}
+		init, err := dataio.AppendObject(nil, tile)
+		if err != nil {
+			return nil, fmt.Errorf("grid: encoding initial object: %w", err)
+		}
 		setups[r] = &transport.Setup{
 			JobID:     j.id,
 			Algorithm: spec.Algorithm,
-			MeshRows:  spec.MeshRows, MeshCols: spec.MeshCols, Halo: mesh.Halo,
-			HaloWidth: mesh.Halo, ExtraRows: engine.HVEExtraRows,
-			StepSize: spec.StepSize, Iterations: spec.Iterations,
-			RoundsPerIteration: spec.RoundsPerIteration,
-			IntraWorkers:       spec.IntraWorkers,
-			SnapshotEvery:      spec.SnapshotEvery,
-			TimeoutMS:          spec.Timeout.Milliseconds(),
-			Trace:              p.RequestID,
-			Problem:            probBuf.Bytes(), Init: initBuf.Bytes(),
+			TimeoutMS: spec.Timeout.Milliseconds(),
+			Trace:     p.RequestID,
+			Spec:      specJSON,
+			Init:      init,
+			Shard:     &shardSource{prob: prob, locs: sh.Locations},
 		}
 	}
 
-	// The ranks run unshifted (SETUP carries no start iteration), so the
-	// job's offset is applied to the indices they relay, here.
-	hooks := s.hooks(j).Offset(spec.StartIter)
+	hooks := s.hooks(j)
 	// lastSnap tracks the newest decoded snapshot for the final-
 	// checkpoint-on-failure guarantee; snapshots arrive on hub
 	// goroutines.

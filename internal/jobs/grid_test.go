@@ -4,13 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"ptychopath/internal/collective"
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/gridworker"
+	"ptychopath/internal/phantom"
+	"ptychopath/internal/physics"
+	"ptychopath/internal/scan"
+	"ptychopath/internal/simmpi"
+	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -98,10 +107,95 @@ func TestGridBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGridShardsSixteenRanks is the memory half of the capstone, on a
+// 4x4 mesh: every one of the 16 ranks is sent its own measurements, the
+// dataset's opening and its own tile of the initial object — within 20 %
+// — and nothing of the other fifteen shares, and the stitched result is
+// still the in-process one.
+func TestGridShardsSixteenRanks(t *testing.T) {
+	pat, err := scan.Raster(scan.RasterConfig{Cols: 12, Rows: 12, StepPix: 5, RadiusPix: 6, MarginPix: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := solver.Simulate(solver.SimulateConfig{
+		Optics: physics.PaperOptics(), Pattern: pat,
+		Object: phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 1), WindowN: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks = 16
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 4, Timeout: 30 * time.Second, GridAddr: "127.0.0.1:0"})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go gridworker.Run(ctx, s.GridAddr(), gridworker.Options{Name: "w", Ranks: ranks})
+	waitFor(t, "grid workers registered", func() bool { return len(s.GridWorkers()) == ranks })
+
+	params := Params{Algorithm: "gd", Iterations: 2, StepSize: 0.02, MeshRows: 4, MeshCols: 4, Grid: true}
+	j, err := s.Submit(prob, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "grid job done", func() bool { return j.State().Terminal() })
+	if info := j.Info(0); info.State != Done.String() {
+		t.Fatalf("grid job %s: %s", info.State, info.Error)
+	}
+
+	// The same run, rank by rank in this process: the reference object,
+	// and what each rank is sent over its directional passes.
+	spec := params.spec()
+	spec.Timeout = 30 * time.Second
+	outs := make([]*collective.RankOutcome, ranks)
+	vacuum := phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	if err := simmpi.Run(ranks, spec.Timeout, func(comm *simmpi.Comm) error {
+		out, err := engine.RunRank(comm, prob, vacuum, spec, engine.Hooks{})
+		outs[comm.Rank()] = out
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := engine.Assemble(prob, spec, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _ := j.CheckpointPath()
+	got, err := dataio.ReadObjectFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Slices {
+		if !slices.Equal(got[i].Data, ref.Slices[i].Data) {
+			t.Fatalf("slice %d of the 16-rank grid job differs from the in-process run", i)
+		}
+	}
+
+	shards, err := engine.Shards(prob, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2 := prob.WindowN * prob.WindowN
+	opening := 8 + 8*8 + 16*n2
+	if prob.Prop != nil {
+		opening += 16 * n2
+	}
+	for rank, w := range s.GridWorkers() {
+		sh := shards[rank]
+		share := len(sh.Locations)*(32+8*n2) + opening + 48 + prob.Slices*16*sh.Region.Area()
+		// A gd pass comes back over the overlap it went out on, so what
+		// a rank's peers routed to it is what it sent them.
+		setup := w.BytesOut - outs[rank].SentBytes
+		if setup < int64(share) || float64(setup) > 1.2*float64(share) {
+			t.Errorf("rank %d was sent %d B of set-up; its share (%d locations, opening, %v of the init) is %d B",
+				rank, setup, len(sh.Locations), sh.Region, share)
+		}
+	}
+}
+
 // TestGridWorkerKilled is the capstone's failure half: killing a worker
 // process mid-iteration fails the job cleanly (typed peer-lost error,
 // no hang) with a final OBJCKv1 checkpoint flushed, from which Resume
-// continues once the pool is healthy again.
+// continues once the pool is healthy again — also when the first resume
+// loses a worker while its shard is still arriving.
 func TestGridWorkerKilled(t *testing.T) {
 	prob := tinyProblem(t)
 	s := newTestService(t, Config{
@@ -142,28 +236,58 @@ func TestGridWorkerKilled(t *testing.T) {
 		t.Fatalf("checkpoint shape: %d slices on %v", len(slices), slices[0].Bounds)
 	}
 
-	// The job is resumable on the surviving pool (3 workers for a 2x2
-	// mesh is not enough; a fresh 4th joins first).
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go gridworker.Run(ctx, s.GridAddr(), gridworker.Options{Name: "replacement"})
-	waitFor(t, "replacement worker", func() bool {
+	// The job is resumable once the pool is whole again (3 workers are
+	// not enough for a 2x2 mesh). First a 4th joins that dies mid-shard —
+	// it takes its SETUP, reads the start of its measurements and drops
+	// the connection: the resumed run must fail the same clean way, and
+	// the survivors must come back idle.
+	idleWorkers := func() int {
 		idle := 0
 		for _, w := range s.GridWorkers() {
 			if !w.Busy {
 				idle++
 			}
 		}
-		return idle >= 4
-	})
+		return idle
+	}
+	doomed, err := transport.Dial(s.GridAddr(), transport.DialOptions{Name: "dies-mid-shard"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer doomed.Close()
+		if setup, err := doomed.WaitSetup(context.Background(), nil); err == nil {
+			io.ReadFull(setup.Shard, make([]byte, 64))
+		}
+	}()
+	waitFor(t, "doomed worker", func() bool { return idleWorkers() == 4 })
+	lost, err := s.Resume(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "resumed job on the doomed worker failed", func() bool { return lost.State() == Failed })
+	if info := lost.Info(0); !strings.Contains(info.Error, "peer lost") {
+		t.Fatalf("failure error %q does not name the lost peer", info.Error)
+	}
+	waitFor(t, "survivors idle", func() bool { return idleWorkers() == 3 && len(s.GridWorkers()) == 3 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go gridworker.Run(ctx, s.GridAddr(), gridworker.Options{Name: "replacement"})
+	waitFor(t, "replacement worker", func() bool { return idleWorkers() == 4 })
 	resumed, err := s.Resume(j.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "resumed job running", func() bool {
-		st := resumed.State()
-		return st == Running || st.Terminal()
+	// The ranks apply the Spec's start_iter themselves: the first
+	// iteration the resumed job reports is iter+1, not 1.
+	waitFor(t, "resumed job iterating", func() bool {
+		return len(resumed.Info(-1).CostHistory) >= 2 || resumed.State().Terminal()
 	})
+	if info := resumed.Info(-1); len(info.CostHistory) < 2 || info.Iter != iter+len(info.CostHistory) {
+		t.Fatalf("resumed from iteration %d, ran %d more, reports iteration %d (%s %s)",
+			iter, len(info.CostHistory), info.Iter, info.State, info.Error)
+	}
 	if err := s.Cancel(resumed.ID()); err != nil && !errors.Is(err, ErrFinished) {
 		t.Fatal(err)
 	}

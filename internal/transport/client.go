@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -28,7 +29,6 @@ type Client struct {
 	name    string
 	id      int
 	timeout time.Duration
-	gen     wire.Gen // checksum generation negotiated at handshake
 
 	// wmu serializes frame writes. Outgoing frames are batched into
 	// wbuf — small collective and progress frames coalesce into one
@@ -39,13 +39,14 @@ type Client struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	mu       sync.Mutex
-	signal   chan struct{} // pulsed on every state change; single waiter
-	inbox    []message
-	setups   []*Setup
-	barriers int     // pending barrier releases
-	reduces  []float64
-	snapAcks []error
+	mu            sync.Mutex
+	signal        chan struct{} // pulsed on every state change; single waiter
+	inbox         []message
+	setups        []*Setup
+	shard         *shardPipe // of the Setup WaitSetup last returned; nil without one
+	barriers      int        // pending barrier releases
+	reduces       []float64
+	snapAcks      []error
 	fatal         error  // connection dead — permanent
 	sessErr       error  // current session aborted — cleared on the next SETUP
 	onCancel      func() // session cancel hook (frameCancel)
@@ -121,13 +122,6 @@ func newClient(conn net.Conn, opts DialOptions) (*Client, error) {
 		if v < MinProtoVersion || v > ProtoVersion {
 			return nil, fmt.Errorf("%w: hub speaks v%d, client v%d", ErrVersionMismatch, v, ProtoVersion)
 		}
-		// The hub echoes the negotiated version; v3 connections frame
-		// with the Castagnoli generation from here on.
-		if v >= 3 {
-			c.gen = wire.GenCastagnoli
-		} else {
-			c.gen = wire.GenIEEE
-		}
 		c.id = int(int32(le32(fr.payload[4:])))
 	case frameError:
 		return nil, decodeError(fr.payload)
@@ -150,10 +144,94 @@ func (c *Client) pulse() {
 	}
 }
 
+// shardPipe lends the read loop's SHARD payloads to the session
+// goroutine one frame at a time: the reader sees the connection's own
+// read scratch, and the read loop does not touch the connection again
+// until the frame is handed back — no copy, and never more of a shard in
+// memory than the frame that just arrived.
+type shardPipe struct {
+	frames chan []byte   // read loop → reader; closed, after err is set, when the shard ends
+	taken  chan struct{} // reader → read loop: done with the lent frame (buffer of one: the single loan)
+	quit   chan struct{} // closed by the next WaitSetup: nobody will read the rest
+	err    error         // io.EOF after a complete shard, else why it broke off
+
+	// Reader side only.
+	timeout time.Duration
+	cur     []byte // unread rest of the lent frame
+}
+
+func newShardPipe() *shardPipe {
+	return &shardPipe{
+		frames: make(chan []byte),
+		taken:  make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+	}
+}
+
+// lend hands one SHARD payload to the reader and waits until it is
+// consumed. False means the reader abandoned the shard. Read loop only.
+func (p *shardPipe) lend(payload []byte) bool {
+	select {
+	case p.frames <- payload:
+	case <-p.quit:
+		return false
+	}
+	select {
+	case <-p.taken:
+		return true
+	case <-p.quit:
+		return false
+	}
+}
+
+// end closes the shard: the reader drains nothing further and gets err
+// (io.EOF for a complete shard). Read loop only, once.
+func (p *shardPipe) end(err error) {
+	p.err = err
+	close(p.frames)
+}
+
+// Read implements io.Reader over the frames as they arrive. It blocks
+// at most the session timeout for the next one, and hands a frame back
+// with the Read that drains it: the reader of a complete stream never
+// calls Read again, and the read loop must not wait for it to.
+func (p *shardPipe) Read(b []byte) (int, error) {
+	if len(p.cur) == 0 {
+		timer := time.NewTimer(p.timeout)
+		defer timer.Stop()
+		select {
+		case f, ok := <-p.frames:
+			if !ok {
+				return 0, p.err
+			}
+			p.cur = f
+		case <-timer.C:
+			return 0, fmt.Errorf("%w: waiting for the next shard frame", simmpi.ErrTimeout)
+		}
+	}
+	n := copy(b, p.cur)
+	p.cur = p.cur[n:]
+	if len(p.cur) == 0 {
+		p.taken <- struct{}{}
+	}
+	return n, nil
+}
+
 // readLoop is the sole frame reader: it classifies incoming frames into
 // the client's queues and wakes the session goroutine.
 func (c *Client) readLoop() {
 	rd := frameReader{r: c.conn}
+	// shard receives the SHARD frames of the session the latest SETUP
+	// opened; nil when that session has none, its shard is complete, or
+	// its reader gave up.
+	var shard *shardPipe
+	endShard := func(err error) {
+		if shard != nil {
+			shard.end(err)
+			shard = nil
+		}
+	}
+	defer func() { endShard(c.Err()) }() // every return below is a fatal one
 	for {
 		fr, err := rd.read()
 		if err != nil {
@@ -162,10 +240,15 @@ func (c *Client) readLoop() {
 		}
 		switch fr.typ {
 		case frameSetup:
-			var s Setup
-			if err := decodeGob(fr.payload, &s); err != nil {
+			s, hasShard, err := decodeSetup(fr.payload)
+			if err != nil {
 				c.setFatal(err)
 				return
+			}
+			endShard(io.ErrUnexpectedEOF) // the hub moved on mid-shard
+			if hasShard {
+				shard = newShardPipe()
+				s.Shard = shard
 			}
 			c.mu.Lock()
 			// A SETUP opens a fresh session: everything still queued
@@ -180,9 +263,17 @@ func (c *Client) readLoop() {
 			c.sessErr = nil
 			c.onCancel = nil
 			c.pendingCancel = false
-			c.setups = append(c.setups, &s)
+			c.setups = append(c.setups, s)
 			c.mu.Unlock()
 			c.pulse()
+		case frameShard:
+			switch {
+			case shard == nil: // a session that failed while its shard was in flight
+			case len(fr.payload) == 0:
+				endShard(io.EOF)
+			case !shard.lend(fr.payload):
+				shard = nil
+			}
 		case frameData:
 			data, err := bytesToComplex(fr.payload)
 			if err != nil {
@@ -234,10 +325,13 @@ func (c *Client) readLoop() {
 			}
 		case frameError:
 			// Session-level abort: the connection stays healthy, the
-			// current session's blocking operations fail.
+			// current session's blocking operations fail — a shard read
+			// included.
+			err := decodeError(fr.payload)
 			c.mu.Lock()
-			c.sessErr = decodeError(fr.payload)
+			c.sessErr = err
 			c.mu.Unlock()
+			endShard(err)
 			c.pulse()
 		default:
 			c.setFatal(fmt.Errorf("%w: unexpected frame 0x%02x", ErrFrameCorrupt, fr.typ))
@@ -297,9 +391,12 @@ func (c *Client) await(ready func() bool, what string) error {
 }
 
 // WaitSetup blocks until the coordinator opens a session on this
-// connection and returns its Setup. It resets all per-session state
-// (inbox, collectives, a previous session's abort) and installs
-// onCancel as the frameCancel hook. ctx bounds the idle wait; a closed
+// connection and returns its Setup as soon as the header has arrived;
+// Setup.Shard, when the session has one, then reads the shard while the
+// rest of it is still in flight. It installs onCancel as the
+// frameCancel hook, and whatever the caller left unread of the previous
+// session's shard is discarded, so a session that failed mid-decode
+// cannot stall the connection. ctx bounds the idle wait; a closed
 // connection returns the underlying error.
 func (c *Client) WaitSetup(ctx context.Context, onCancel func()) (*Setup, error) {
 	c.flush() // a previous session's last frames must not sit batched
@@ -307,6 +404,10 @@ func (c *Client) WaitSetup(ctx context.Context, onCancel func()) (*Setup, error)
 	defer stop()
 	var setup *Setup
 	c.mu.Lock()
+	if c.shard != nil {
+		close(c.shard.quit)
+		c.shard = nil
+	}
 	for {
 		if c.fatal != nil {
 			err := c.fatal
@@ -336,6 +437,10 @@ func (c *Client) WaitSetup(ctx context.Context, onCancel func()) (*Setup, error)
 	if setup.TimeoutMS > 0 {
 		c.timeout = time.Duration(setup.TimeoutMS) * time.Millisecond
 	}
+	if setup.Shard != nil {
+		c.shard = setup.Shard.(*shardPipe)
+		c.shard.timeout = c.timeout
+	}
 	c.mu.Unlock()
 	if deliverCancel {
 		onCancel()
@@ -355,7 +460,7 @@ const flushThreshold = 64 << 10
 // contract).
 func (c *Client) send(f frame) {
 	c.wmu.Lock()
-	buf, err := appendFrame(c.wbuf, f, c.gen)
+	buf, err := appendFrame(c.wbuf, f, wire.GenCurrent)
 	c.wbuf = buf
 	if err == nil && len(c.wbuf) >= flushThreshold {
 		err = c.flushLocked()
@@ -547,11 +652,14 @@ func (c *Client) SendSnapshot(iter int, object []byte) error {
 // SendResult ships this rank's outcome, ending its part of the session.
 // The hub returns the worker to the idle pool on receipt.
 func (c *Client) SendResult(res *RankResult) error {
-	payload, err := encodeGob(res)
+	c.wmu.Lock()
+	buf, start := beginFrame(c.wbuf, frameResult, int32(c.rank), hubRank, 0)
+	buf, err := endFrame(appendResult(buf, res), start, wire.GenCurrent)
+	c.wbuf = buf
+	c.wmu.Unlock()
 	if err != nil {
 		return err
 	}
-	c.send(frame{typ: frameResult, src: int32(c.rank), dst: hubRank, payload: payload})
 	c.flush() // the hub frees this worker only once the RESULT arrives
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -569,7 +677,7 @@ func (c *Client) Err() error {
 // connection closes. Safe to call more than once.
 func (c *Client) Close() error {
 	c.wmu.Lock()
-	if buf, err := appendFrame(c.wbuf, frame{typ: frameGoodbye, dst: hubRank}, c.gen); err == nil {
+	if buf, err := appendFrame(c.wbuf, frame{typ: frameGoodbye, dst: hubRank}, wire.GenCurrent); err == nil {
 		c.wbuf = buf
 	}
 	c.flushLocked()

@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 
 	"ptychopath/internal/wire"
@@ -100,23 +102,23 @@ func TestFrameCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestHubSpeaksIEEEToV2Worker is the downgrade-compat check: a worker
-// that negotiates protocol v2 must get v2 semantics back — the WELCOME
-// echoes version 2, and every hub frame on that connection carries an
-// IEEE CRC so an old, single-generation reader can verify it.
-func TestHubSpeaksIEEEToV2Worker(t *testing.T) {
+// TestV3WorkerRefused: there is one protocol generation. A worker of
+// the previous one (v3 could not parse a v4 SETUP) is turned away at
+// the handshake with a typed version error — and that refusal is
+// legacy-framed (IEEE CRC), so a reader of any generation can verify it.
+func TestV3WorkerRefused(t *testing.T) {
 	h := startHub(t)
 	conn, err := net.Dial("tcp", h.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := append(uint32le(MinProtoVersion), []byte("v2-worker")...)
+	hello := append(uint32le(3), []byte("v3-worker")...)
 	if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
 		t.Fatal(err)
 	}
 
-	// Read the WELCOME raw so the trailing CRC's generation is visible.
+	// Read the reply raw so the trailing CRC's generation is visible.
 	var hdr [4 + frameHeaderLen]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		t.Fatal(err)
@@ -128,17 +130,23 @@ func TestHubSpeaksIEEEToV2Worker(t *testing.T) {
 	}
 	payload, crc := body[:n], binary.LittleEndian.Uint32(body[n:])
 	covered := append(append([]byte(nil), hdr[4:]...), payload...)
-	if hdr[4] != frameWelcome {
-		t.Fatalf("frame type 0x%02x, want frameWelcome", hdr[4])
+	if hdr[4] != frameError {
+		t.Fatalf("frame type 0x%02x, want frameError", hdr[4])
 	}
-	if got := binary.LittleEndian.Uint32(payload); got != MinProtoVersion {
-		t.Fatalf("WELCOME echoes version %d, want the negotiated %d", got, MinProtoVersion)
+	if err := decodeError(payload); !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "worker sent v3") {
+		t.Fatalf("refusal decodes to %v, want ErrVersionMismatch naming v3", err)
 	}
 	if crc != wire.Checksum(wire.GenIEEE, covered) {
-		t.Fatal("hub sent a non-IEEE CRC to a v2 worker")
+		t.Fatal("the version refusal is not legacy-framed")
 	}
 	if crc == wire.Checksum(wire.GenCastagnoli, covered) {
 		t.Fatal("CRC ambiguously matches both generations; fixture needs new bytes")
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("hub kept the connection open after refusing: %v", err)
+	}
+	if len(h.Workers()) != 0 {
+		t.Fatal("refused worker was registered")
 	}
 }
 
@@ -166,6 +174,23 @@ func FuzzReadFrame(f *testing.F) {
 	for _, m := range wiretest.Mutations(legacy, 17) {
 		f.Add(m)
 	}
+	// The v4 frames: a SETUP header and a RESULT (whose hand-framed
+	// payloads have length fields of their own to lie in) and a SHARD.
+	setup := conformanceSetup()
+	setup.Shard = bytes.NewReader(nil)
+	for _, v4 := range []frame{
+		{typ: frameSetup, src: hubRank, dst: 2, payload: appendSetup(nil, setup)},
+		{typ: frameShard, src: hubRank, dst: 2, payload: []byte("PTYCHSv2 bytes, opaque to the transport")},
+		{typ: frameResult, src: 3, dst: hubRank, payload: appendResult(nil, conformanceResult())},
+	} {
+		raw, err := appendFrame(nil, v4, wire.GenCurrent)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, m := range wiretest.Mutations(raw, 17) {
+			f.Add(m)
+		}
+	}
 	// PTGW-specific: the real length field is a uint32.
 	f.Add(wiretest.PatchUint32(current, 17, maxFramePayload+1))
 	f.Add(wiretest.PatchUint32(current, 17, 0xFFFFFFFF))
@@ -183,6 +208,29 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if len(got.payload) > maxFramePayload {
 				t.Fatalf("read returned %d payload bytes past the cap", len(got.payload))
+			}
+			// The hand-framed payloads: typed rejection or a value that
+			// re-encodes to the same bytes, never a panic.
+			switch got.typ {
+			case frameSetup:
+				if s, hasShard, err := decodeSetup(got.payload); err == nil {
+					if hasShard {
+						s.Shard = bytes.NewReader(nil)
+					}
+					if !bytes.Equal(appendSetup(nil, s), got.payload) && got.payload[16]&^setupHasShard == 0 {
+						t.Fatal("accepted SETUP payload does not re-encode to itself")
+					}
+				} else if !errors.Is(err, ErrFrameCorrupt) {
+					t.Fatalf("SETUP payload rejected with %v", err)
+				}
+			case frameResult:
+				if res, err := decodeResult(got.payload); err == nil {
+					if !bytes.Equal(appendResult(nil, res), got.payload) && got.payload[4]&^resultCancelled == 0 {
+						t.Fatal("accepted RESULT payload does not re-encode to itself")
+					}
+				} else if !errors.Is(err, ErrFrameCorrupt) {
+					t.Fatalf("RESULT payload rejected with %v", err)
+				}
 			}
 			// A frame the reader accepts must survive re-encode →
 			// re-read unchanged.

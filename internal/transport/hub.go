@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ptychopath/internal/simmpi"
 	"ptychopath/internal/wire"
 )
 
@@ -37,7 +39,6 @@ type hubConn struct {
 	id   int
 	name string
 	conn net.Conn
-	gen  wire.Gen // checksum generation negotiated at handshake
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // per-connection encode scratch, guarded by wmu
@@ -145,19 +146,12 @@ func (h *Hub) serveConn(conn net.Conn) {
 		return
 	}
 	h.nextID++
-	// The connection frames with the Castagnoli generation only when
-	// the worker is v3+; a v2 worker's reader knows only IEEE.
-	gen := wire.GenIEEE
-	if v >= 3 {
-		gen = wire.GenCastagnoli
-	}
-	w := &hubConn{id: h.nextID, name: name, conn: conn, gen: gen}
+	w := &hubConn{id: h.nextID, name: name, conn: conn}
 	h.mu.Unlock()
 
 	// WELCOME must be on the wire before the worker becomes leasable:
 	// registering first would let a concurrent StartSession write its
-	// SETUP ahead of the handshake reply. It echoes the negotiated
-	// version — the agreed dialect, not the hub's newest.
+	// SETUP ahead of the handshake reply.
 	welcome := append(uint32le(v), uint32le(uint32(w.id))...)
 	if err := w.write(frame{typ: frameWelcome, src: hubRank, payload: welcome}); err != nil {
 		conn.Close()
@@ -221,12 +215,24 @@ func (w *hubConn) write(f frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	w.bytesOut.Add(int64(len(f.payload)))
-	buf, err := appendFrame(w.wbuf[:0], f, w.gen)
+	buf, err := appendFrame(w.wbuf[:0], f, wire.GenCurrent)
 	w.wbuf = buf
 	if err != nil {
 		return err
 	}
 	_, err = w.conn.Write(buf)
+	return err
+}
+
+// writeBy writes buf under a deadline. SETUP and SHARD are the writes
+// big enough to fill the receive window of a worker that stopped
+// reading; without a deadline such a worker would park its writer — and
+// everything queued behind the write locks it holds — forever. The
+// caller holds wmu.
+func (w *hubConn) writeBy(buf []byte, timeout time.Duration) error {
+	w.conn.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := w.conn.Write(buf)
+	w.conn.SetWriteDeadline(time.Time{})
 	return err
 }
 
@@ -374,43 +380,120 @@ func (h *Hub) StartSession(setups []*Setup, cb SessionCallbacks) (*Session, erro
 	for _, w := range s.members {
 		w.sessCnt.Add(1)
 	}
-	// Every SETUP goes out under ALL members' write locks. Routing is
-	// already live (the members are leased), so a rank that receives its
-	// SETUP early can have its first halo message routed to a peer
+	// Every SETUP header goes out under ALL members' write locks. Routing
+	// is already live (the members are leased), so a rank that receives
+	// its SETUP early can have its first halo message routed to a peer
 	// before that peer's own SETUP is written — and the client clears
 	// its queues when a SETUP arrives, wiping the early message and
 	// wedging the session. Holding the write locks parks any routed
-	// frame until every SETUP is on the wire.
+	// frame until every SETUP is on the wire. The shards are not part of
+	// that: they follow below, each under its own connection's lock only.
 	for _, w := range s.members {
 		w.wmu.Lock()
 	}
-	var setupErr, lostErr error
-	for rank, w := range s.members {
-		setups[rank].Rank = rank
-		setups[rank].Size = size
-		payload, err := encodeGob(setups[rank])
-		if err != nil {
-			setupErr = err
-			break
+	var err error
+	sent := 0 // ranks whose SETUP is on the wire
+	for ; sent < size; sent++ {
+		w, setup := s.members[sent], setups[sent]
+		setup.Rank, setup.Size = sent, size
+		buf, start := beginFrame(w.wbuf[:0], frameSetup, hubRank, int32(sent), 0)
+		if buf, err = endFrame(appendSetup(buf, setup), start, wire.GenCurrent); err == nil {
+			w.bytesOut.Add(int64(len(buf) - frameOverhead))
+			err = w.writeBy(buf, writeTimeout(setup))
 		}
-		w.bytesOut.Add(int64(len(payload)))
-		if err := writeFrameGen(w.conn, frame{typ: frameSetup, src: hubRank, dst: int32(rank), payload: payload}, w.gen); err != nil {
-			lostErr = fmt.Errorf("%w: worker %d: %v", ErrPeerLost, w.id, err)
+		w.wbuf = buf[:0]
+		if err != nil {
 			break
 		}
 	}
 	for _, w := range s.members {
 		w.wmu.Unlock()
 	}
-	if setupErr != nil {
-		s.fail(setupErr)
-		return nil, setupErr
-	}
-	if lostErr != nil {
-		s.fail(lostErr)
+	if err != nil {
+		// The rank whose SETUP failed is gone and the ranks after it were
+		// never told of the session, so neither will ever send the RESULT
+		// that returns a member to the pool: drop the one, detach the
+		// others. The ranks before it unwind as in any failed session.
+		for _, w := range s.members[sent+1:] {
+			w.mu.Lock()
+			w.sess = nil
+			w.mu.Unlock()
+		}
+		h.drop(s.members[sent], err)
 		return s, nil // Wait surfaces the failure
 	}
+	for rank, setup := range setups {
+		if setup.Shard != nil {
+			go s.sendShard(s.members[rank], rank, setup.Shard, writeTimeout(setup))
+		}
+	}
 	return s, nil
+}
+
+// writeTimeout is the deadline of a session's SETUP and SHARD writes.
+func writeTimeout(setup *Setup) time.Duration {
+	if setup.TimeoutMS > 0 {
+		return time.Duration(setup.TimeoutMS) * time.Millisecond
+	}
+	return simmpi.DefaultTimeout
+}
+
+// shardBufs holds the maxShardFrame buffers sendShard reads its source
+// into before it takes the connection's write lock.
+var shardBufs = sync.Pool{New: func() any { return new([maxShardFrame]byte) }}
+
+// sendShard streams one rank's shard: one Read of src per SHARD frame,
+// then the empty frame that ends the shard. A source error fails the
+// session. Nothing waits for it: it ends with the shard, or at its next
+// frame once the session is over, and no write outlasts its deadline.
+func (s *Session) sendShard(w *hubConn, rank int, src io.Reader, timeout time.Duration) {
+	piece := shardBufs.Get().(*[maxShardFrame]byte)
+	defer shardBufs.Put(piece)
+	for {
+		n, err := src.Read(piece[:])
+		if err != nil && err != io.EOF {
+			s.fail(fmt.Errorf("transport: rank %d shard: %w", rank, err))
+			return
+		}
+		if n > 0 && !s.writeShard(w, rank, piece[:n], timeout) {
+			return
+		}
+		if err == io.EOF {
+			s.writeShard(w, rank, nil, timeout)
+			return
+		}
+	}
+}
+
+// writeShard writes one SHARD frame and reports whether to go on. It
+// stops once the session is over or the worker has left it — a stale
+// SHARD must never follow another session's SETUP onto the connection —
+// and a write that fails or misses its deadline drops the worker, which
+// fails the session with ErrPeerLost.
+func (s *Session) writeShard(w *hubConn, rank int, payload []byte, timeout time.Duration) bool {
+	w.wmu.Lock()
+	s.mu.Lock()
+	live := !s.finished
+	s.mu.Unlock()
+	w.mu.Lock()
+	live = live && w.sess == s
+	w.mu.Unlock()
+	if !live {
+		w.wmu.Unlock()
+		return false
+	}
+	buf, err := appendFrame(w.wbuf[:0], frame{typ: frameShard, src: hubRank, dst: int32(rank), payload: payload}, wire.GenCurrent)
+	w.wbuf = buf
+	if err == nil {
+		w.bytesOut.Add(int64(len(payload)))
+		err = w.writeBy(buf, timeout)
+	}
+	w.wmu.Unlock()
+	if err != nil {
+		s.hub.drop(w, err)
+		return false
+	}
+	return true
 }
 
 // release detaches every member that has not already been detached.
@@ -594,8 +677,8 @@ func (s *Session) handle(w *hubConn, fr frame) {
 			}
 		}
 	case frameResult:
-		var res RankResult
-		if err := decodeGob(fr.payload, &res); err != nil {
+		res, err := decodeResult(fr.payload)
+		if err != nil {
 			s.fail(err)
 			return
 		}
@@ -624,7 +707,7 @@ func (s *Session) handle(w *hubConn, fr frame) {
 			s.fail(fmt.Errorf("%w: duplicate result from rank %d", ErrFrameCorrupt, rank))
 			return
 		}
-		s.results[rank] = &res
+		s.results[rank] = res
 		s.resultCnt++
 		complete := s.resultCnt == s.size
 		if complete {

@@ -18,9 +18,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -30,28 +28,21 @@ import (
 	"ptychopath/internal/wire"
 )
 
-// ProtoVersion is the wire-protocol generation. The handshake
-// negotiates downward: a v3 hub accepts workers back to
-// MinProtoVersion and echoes the agreed version in WELCOME; anything
-// outside the range is refused (ErrVersionMismatch) — mixed
-// deployments fail fast instead of corrupting a run.
+// ProtoVersion is the wire-protocol generation. Coordinator and workers
+// ship from one repository, so there is exactly one: a worker announcing
+// anything else is refused at the handshake (ErrVersionMismatch, in a
+// legacy-framed ERROR any generation can parse) — mixed deployments fail
+// fast instead of corrupting a run.
 //
-// v2 extended ITER: every rank (not just rank 0) reports per-iteration
-// compute/comm timings in a 24-byte ITER payload, and SETUP carries a
-// trace-context string. A v1 hub would misread the 24-byte stats
-// payload as a progress report, hence the bump.
-//
-// v3 switched the frame CRC to the Castagnoli generation
-// (internal/wire): both ends of a v3 connection emit hardware-speed
-// CRC-32C. Readers accept either generation per frame, and handshake
-// frames are always legacy-framed so any version can parse the
-// refusal; a v2 worker on a v3 hub simply keeps IEEE framing for its
-// connection. Deploy coordinator-first: a v3 worker needs a v3 hub.
-const ProtoVersion = 3
+// v2 added per-rank ITER timings and the SETUP trace string, v3 the
+// Castagnoli frame CRC. v4 replaced the gob SETUP/RESULT payloads with
+// the hand-framed layouts below and added SHARD: a rank is sent its own
+// measurements and its own tile of the initial object, never the
+// dataset. A v3 worker cannot parse a v4 SETUP, hence no overlap.
+const ProtoVersion = 4
 
-// MinProtoVersion is the oldest worker generation the hub still
-// accepts.
-const MinProtoVersion = 2
+// MinProtoVersion is the oldest worker generation the hub accepts.
+const MinProtoVersion = 4
 
 // frameMagic opens every frame on the wire.
 var frameMagic = [4]byte{'P', 'T', 'G', 'W'}
@@ -60,7 +51,7 @@ var frameMagic = [4]byte{'P', 'T', 'G', 'W'}
 const (
 	frameHello      = 0x01 // worker → hub: version + worker name
 	frameWelcome    = 0x02 // hub → worker: version + assigned worker id
-	frameSetup      = 0x03 // hub → worker: gob(Setup) — a session begins
+	frameSetup      = 0x03 // hub → worker: Setup header — a session begins
 	frameData       = 0x04 // worker ↔ worker (routed): complex128 payload
 	frameBarrier    = 0x05 // worker → hub: enter barrier
 	frameBarrierOK  = 0x06 // hub → worker: barrier released
@@ -69,10 +60,11 @@ const (
 	frameSnapshot   = 0x09 // rank 0 → hub: int64 iter + opaque object bytes
 	frameSnapshotOK = 0x0A // hub → rank 0: uint8 ok + error string
 	frameIter       = 0x0B // worker → hub, no reply: 16 B = rank 0 progress (int64 iter + float64 cost); 24 B = any rank's timings (int64 iter + int64 computeNS + int64 commNS)
-	frameResult     = 0x0C // worker → hub: gob(RankResult) — session ends for this rank
+	frameResult     = 0x0C // worker → hub: RankResult — session ends for this rank
 	frameError      = 0x0D // either: uint8 code + message; aborts the session or conn
 	frameCancel     = 0x0E // hub → worker: stop at the next iteration boundary
 	frameGoodbye    = 0x0F // worker → hub: graceful teardown
+	frameShard      = 0x10 // hub → worker, after SETUP: next piece of the rank's shard; empty = end of shard
 )
 
 // Error codes carried by frameError payloads.
@@ -92,6 +84,10 @@ const hubRank = -1
 // while keeping a corrupt length field from committing the reader to an
 // absurd allocation.
 const maxFramePayload = 1 << 30
+
+// maxShardFrame bounds one SHARD payload, so neither end ever buffers
+// more than this of a shard however large the dataset is.
+const maxShardFrame = 1 << 20
 
 // handshakeTimeout bounds the hello/welcome exchange.
 const handshakeTimeout = 10 * time.Second
@@ -130,6 +126,14 @@ type frame struct {
 // fixed header that follows the magic.
 const frameHeaderLen = 1 + 4 + 4 + 4 + 4
 
+// frameLenOffset is where a frame's payload length sits: after the
+// magic, type, src, dst and tag. frameOverhead is what a frame adds
+// around its payload: magic, header and the trailing CRC.
+const (
+	frameLenOffset = 4 + frameHeaderLen - 4
+	frameOverhead  = 4 + frameHeaderLen + 4
+)
+
 // appendFrame encodes one frame into dst:
 //
 //	magic[4] | type[1] | src[4] | dst[4] | tag[4] | len[4] | payload | crc[4]
@@ -141,14 +145,33 @@ func appendFrame(dst []byte, f frame, g wire.Gen) ([]byte, error) {
 	if len(f.payload) > maxFramePayload {
 		return dst, fmt.Errorf("%w: payload %d exceeds %d", ErrFrameCorrupt, len(f.payload), maxFramePayload)
 	}
-	start := len(dst)
+	dst, start := beginFrame(dst, f.typ, f.src, f.dst, f.tag)
+	return endFrame(append(dst, f.payload...), start, g)
+}
+
+// beginFrame appends a frame's magic and header with a length
+// placeholder and returns the buffer plus the frame's start offset for
+// endFrame: large payloads (a SETUP's init tile, a SHARD, a RESULT's
+// tile) are built in place in the connection's write buffer, so no
+// intermediate payload buffer exists.
+func beginFrame(dst []byte, typ uint8, src, to, tag int32) (out []byte, start int) {
+	start = len(dst)
 	dst = append(dst, frameMagic[:]...)
-	dst = append(dst, f.typ)
-	dst = wire.AppendUint32(dst, uint32(f.src))
-	dst = wire.AppendUint32(dst, uint32(f.dst))
-	dst = wire.AppendUint32(dst, uint32(f.tag))
-	dst = wire.AppendUint32(dst, uint32(len(f.payload)))
-	dst = append(dst, f.payload...)
+	dst = append(dst, typ)
+	dst = wire.AppendUint32(dst, uint32(src))
+	dst = wire.AppendUint32(dst, uint32(to))
+	dst = wire.AppendUint32(dst, uint32(tag))
+	return wire.AppendUint32(dst, 0), start // backfilled by endFrame
+}
+
+// endFrame completes a frame begun with beginFrame: everything appended
+// since is the payload. An over-limit payload is cut back off dst.
+func endFrame(dst []byte, start int, g wire.Gen) ([]byte, error) {
+	n := len(dst) - start - frameLenOffset - 4
+	if n > maxFramePayload {
+		return dst[:start], fmt.Errorf("%w: payload %d exceeds %d", ErrFrameCorrupt, n, maxFramePayload)
+	}
+	binary.LittleEndian.PutUint32(dst[start+frameLenOffset:], uint32(n))
 	return wire.AppendUint32(dst, wire.Checksum(g, dst[start+4:])), nil
 }
 
@@ -175,8 +198,9 @@ func writeFrameGen(w io.Writer, f frame, g wire.Gen) error {
 // frameReader decodes frames from one connection, reusing a payload
 // scratch buffer across reads: a returned frame's payload is valid
 // only until the next read, so handlers must copy anything they
-// retain (DATA payloads are copied by bytesToComplex, gob payloads by
-// decoding).
+// retain (DATA payloads are copied by bytesToComplex, SETUP and RESULT
+// payloads by their decoders; a SHARD payload is lent to the session
+// goroutine, and the read loop waits until it is handed back).
 type frameReader struct {
 	r       io.Reader
 	scratch []byte
@@ -281,12 +305,11 @@ func decodeError(payload []byte) error {
 	}
 }
 
-// Setup is the job description a coordinator sends each worker to open
-// a session: which rank it is, the mesh geometry, the engine
-// parameters, and the serialized dataset and initial object. Problem
-// and Init are opaque byte blobs (PTYCHOv1 and OBJCKv1 respectively —
-// see internal/dataio and docs/FORMATS.md); the transport does not
-// interpret them.
+// Setup opens a session on one worker: which rank it is, how to run,
+// and that rank's share of the job — nothing of any other rank's. Spec,
+// Init and the shard are opaque to the transport (engine.Spec as JSON,
+// OBJCKv1, and a PTYCHSv2 stream — see internal/dataio and
+// docs/FORMATS.md).
 type Setup struct {
 	// JobID names the coordinator-side job this session executes.
 	JobID string
@@ -294,42 +317,31 @@ type Setup struct {
 	// fills them in at StartSession.
 	Rank int
 	Size int
-
-	// Algorithm selects the engine: "gd" (gradsync) or "hve" (halo).
+	// Algorithm names the engine for the worker's log line; what runs is
+	// decided by Spec.
 	Algorithm string
-	// MeshRows, MeshCols and Halo reproduce the coordinator's tile
-	// mesh exactly on every rank.
-	MeshRows, MeshCols int
-	Halo               int
-	HaloWidth          int // hve exchange halo (0 = mesh halo)
-	ExtraRows          int // hve redundant scan rows
-	// StepSize through SnapshotEvery mirror the engine Options of the
-	// in-process run.
-	StepSize           float64
-	Iterations         int
-	RoundsPerIteration int
-	IntraWorkers       int
-	SnapshotEvery      int
-	// TimeoutMS bounds the session's blocking transport operations
-	// (milliseconds; 0 keeps the worker's dial-time default).
+	// TimeoutMS bounds the session's blocking transport operations and
+	// the hub's SETUP and SHARD writes (milliseconds; 0 keeps the
+	// transport default).
 	TimeoutMS int64
 	// Trace is the coordinator's trace context (the job's request ID):
 	// workers tag their logs with it so one grep follows a request
-	// from HTTP accept through every rank. Empty disables nothing —
-	// timings are always reported.
+	// from HTTP accept through every rank.
 	Trace string
 
-	// Problem is the full PTYCHOv1 dataset; every rank derives its own
-	// shard deterministically from the mesh (tile-by-tile location
-	// assignment), so no per-rank slicing happens coordinator-side.
-	Problem []byte
-	// Init is the OBJCKv1 warm-start object on full image bounds.
+	// Spec is the run description, the same on every rank.
+	Spec []byte
+	// Init is the rank's tile of the warm-start object.
 	Init []byte
+	// Shard carries the rank's measurements. The coordinator supplies a
+	// source the hub reads from after the SETUP headers are out, one
+	// SHARD frame per Read; the worker gets a reader fed by its
+	// connection as the frames arrive. Nil when the session has none.
+	Shard io.Reader
 }
 
 // RankResult is one rank's outcome, shipped worker → hub when its part
-// of the session finishes (successfully or not). Tile is an opaque
-// OBJCKv1 blob of the rank's extended-tile slices.
+// of the session finishes (successfully or not).
 type RankResult struct {
 	// Rank identifies the sender within the session.
 	Rank int
@@ -353,21 +365,158 @@ type RankResult struct {
 	// SentBytes and SentMessages count the rank's outgoing payload
 	// traffic.
 	SentBytes, SentMessages int64
-	// Tile is the rank's extended-tile object as OBJCKv1 bytes.
+	// Tile is the rank's interior tile as OBJCKv1 bytes — the bounds
+	// travel with the data, and the halo is not the rank's to report.
 	Tile []byte
 }
 
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encoding %T: %w", v, err)
+// setupHasShard is the SETUP flag bit announcing that SHARD frames
+// follow; resultCancelled is RankResult.Cancelled on the wire.
+const (
+	setupHasShard   = 0x01
+	resultCancelled = 0x01
+)
+
+// appendSetup encodes a SETUP payload:
+//
+//	rank[4] size[4] timeoutMS[8] flags[1] | jobID | algorithm | trace | spec | init
+//
+// where every trailing field is a uint32 length and that many bytes.
+func appendSetup(dst []byte, s *Setup) []byte {
+	dst = wire.AppendUint32(dst, uint32(s.Rank))
+	dst = wire.AppendUint32(dst, uint32(s.Size))
+	dst = wire.AppendInt64(dst, s.TimeoutMS)
+	var flags byte
+	if s.Shard != nil {
+		flags |= setupHasShard
 	}
-	return buf.Bytes(), nil
+	dst = append(dst, flags)
+	dst = appendBytes(dst, s.JobID)
+	dst = appendBytes(dst, s.Algorithm)
+	dst = appendBytes(dst, s.Trace)
+	dst = appendBytes(dst, s.Spec)
+	return appendBytes(dst, s.Init)
 }
 
-func decodeGob(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decoding %T: %w", v, err)
+// decodeSetup decodes a SETUP payload, copying everything it keeps.
+// hasShard reports the flag; the caller attaches the reader.
+func decodeSetup(payload []byte) (s *Setup, hasShard bool, err error) {
+	r := payloadReader{b: payload}
+	s = &Setup{
+		Rank:      int(r.uint32()),
+		Size:      int(r.uint32()),
+		TimeoutMS: r.int64(),
+	}
+	flags := r.byte()
+	s.JobID = string(r.bytes())
+	s.Algorithm = string(r.bytes())
+	s.Trace = string(r.bytes())
+	s.Spec = append([]byte(nil), r.bytes()...)
+	s.Init = append([]byte(nil), r.bytes()...)
+	if err := r.finish("setup"); err != nil {
+		return nil, false, err
+	}
+	return s, flags&setupHasShard != 0, nil
+}
+
+// appendResult encodes a RESULT payload:
+//
+//	rank[4] flags[1] locations[8] owned[8] memBytes[8] computeNS[8] commNS[8]
+//	sentBytes[8] sentMessages[8] | err | costs | tile
+//
+// err and tile are a uint32 length and that many bytes, costs a uint32
+// count and that many float64.
+func appendResult(dst []byte, res *RankResult) []byte {
+	dst = wire.AppendUint32(dst, uint32(res.Rank))
+	var flags byte
+	if res.Cancelled {
+		flags |= resultCancelled
+	}
+	dst = append(dst, flags)
+	for _, v := range [...]int64{int64(res.Locations), int64(res.Owned), res.MemBytes,
+		res.ComputeNS, res.CommNS, res.SentBytes, res.SentMessages} {
+		dst = wire.AppendInt64(dst, v)
+	}
+	dst = appendBytes(dst, res.Err)
+	dst = wire.AppendUint32(dst, uint32(len(res.CostHistory)))
+	dst = wire.AppendFloat64s(dst, res.CostHistory)
+	return appendBytes(dst, res.Tile)
+}
+
+// decodeResult decodes a RESULT payload, copying everything it keeps.
+func decodeResult(payload []byte) (*RankResult, error) {
+	r := payloadReader{b: payload}
+	res := &RankResult{Rank: int(r.uint32())}
+	res.Cancelled = r.byte()&resultCancelled != 0
+	res.Locations, res.Owned = int(r.int64()), int(r.int64())
+	res.MemBytes, res.ComputeNS, res.CommNS = r.int64(), r.int64(), r.int64()
+	res.SentBytes, res.SentMessages = r.int64(), r.int64()
+	res.Err = string(r.bytes())
+	if costs := r.take(8 * int64(r.uint32())); len(costs) > 0 {
+		res.CostHistory = make([]float64, len(costs)/8)
+		wire.Float64s(res.CostHistory, costs)
+	}
+	res.Tile = append([]byte(nil), r.bytes()...)
+	if err := r.finish("result"); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// appendBytes appends a uint32 length and the bytes of b.
+func appendBytes[T string | []byte](dst []byte, b T) []byte {
+	dst = wire.AppendUint32(dst, uint32(len(b)))
+	return append(dst, b...)
+}
+
+// payloadReader walks a hand-framed payload. Every length is checked
+// against what is left BEFORE anything is sliced or allocated; the
+// first short read latches bad and every later read returns zero, so
+// decoders read straight through and ask once at the end.
+type payloadReader struct {
+	b   []byte
+	bad bool
+}
+
+// take returns the next n bytes, aliasing the payload.
+func (r *payloadReader) take(n int64) []byte {
+	if r.bad || n > int64(len(r.b)) {
+		r.bad, r.b = true, nil
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *payloadReader) byte() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *payloadReader) uint32() uint32 {
+	if b := r.take(4); b != nil {
+		return wire.Uint32(b)
+	}
+	return 0
+}
+
+func (r *payloadReader) int64() int64 {
+	if b := r.take(8); b != nil {
+		return wire.Int64(b)
+	}
+	return 0
+}
+
+// bytes returns a uint32-length-prefixed field, aliasing the payload.
+func (r *payloadReader) bytes() []byte { return r.take(int64(r.uint32())) }
+
+// finish reports a payload that ended early or carries trailing bytes.
+func (r *payloadReader) finish(what string) error {
+	if r.bad || len(r.b) != 0 {
+		return fmt.Errorf("%w: malformed %s payload", ErrFrameCorrupt, what)
 	}
 	return nil
 }
