@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -25,19 +26,20 @@ const (
 	testTimeout = time.Minute
 )
 
-// n16Problem is a 4x4-scan, 16-pixel-window, 2-slice dataset: large
-// enough for a 2x2 mesh to satisfy the hve tile constraint.
-func n16Problem(t *testing.T) *solver.Problem {
+// problem is a 4x4-scan, n-pixel-window, 2-slice dataset: from n = 16
+// large enough for a 2x2 mesh to satisfy the hve tile constraint.
+func problem(t *testing.T, n int) *solver.Problem {
 	t.Helper()
+	radius := float64(n) / 2
 	pat, err := scan.Raster(scan.RasterConfig{
-		Cols: 4, Rows: 4, StepPix: scan.StepForOverlap(8, 0.7), RadiusPix: 8, MarginPix: 10,
+		Cols: 4, Rows: 4, StepPix: scan.StepForOverlap(radius, 0.7), RadiusPix: radius, MarginPix: radius + 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prob, err := solver.Simulate(solver.SimulateConfig{
 		Optics: physics.PaperOptics(), Pattern: pat,
-		Object: phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 5), WindowN: 16, Seed: 2,
+		Object: phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 5), WindowN: n, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +137,24 @@ func sameObject(t *testing.T, what string, got, want []*grid.Complex2D) {
 	}
 }
 
+// TestEngineMatrix runs every engine on a 16-pixel window and again,
+// as <engine>-n22, on a 22-pixel one: the Bluestein FFT, which no
+// benchmark workload and no CI smoke reaches.
 func TestEngineMatrix(t *testing.T) {
-	prob := n16Problem(t)
+	for _, n := range []int{16, 22} {
+		engineMatrix(t, n)
+	}
+}
+
+func engineMatrix(t *testing.T, n int) {
+	prob := problem(t, n)
 	vacuum := phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+		name := c.name
+		if n != 16 {
+			name = fmt.Sprintf("%s-n%d", name, n)
+		}
+		t.Run(name, func(t *testing.T) {
 			spec := c.spec
 			spec.Iterations, spec.StepSize, spec.Timeout = testIters, testStep, testTimeout
 
@@ -278,7 +293,7 @@ func TestEngineMatrix(t *testing.T) {
 // TestValidateRejectsWhatTheEngineWould pins the submissions that used
 // to be accepted and then die before iteration 0.
 func TestValidateRejectsWhatTheEngineWould(t *testing.T) {
-	prob := n16Problem(t)
+	prob := problem(t, 16)
 	ok := Spec{Algorithm: "gd", Iterations: 1, StepSize: testStep, MeshRows: 2, MeshCols: 2}
 	if err := ok.Validate(prob); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)

@@ -4,17 +4,21 @@
 // row/column passes with optional goroutine parallelism, and the
 // fftshift helpers used by diffraction physics.
 //
-// A plan runs one of three kernels, chosen from the length alone:
+// A plan runs one of two kernels, chosen from the length alone:
 //
-//   - radix-2: iterative in-place Cooley-Tukey, for powers of two;
 //   - mixed-radix: out-of-place Stockham autosort with radix-4, 2, 3
-//     and 5 butterflies (stockham.go), for every other length whose
-//     prime factors are all <= 5 (6, 12, 24, 48, 96, 100, 120, ...);
-//   - Bluestein: chirp-z convolution through a padded radix-2 plan, for
-//     lengths with a prime factor above 5 (7, 22, 34, 97, ...).
+//     and 5 butterflies (stockham.go), for every length whose prime
+//     factors are all <= 5 — powers of two included (1, 2, 16, 24, 32,
+//     48, 96, 100, 120, 256, ...);
+//   - Bluestein: chirp-z convolution through a padded power-of-two
+//     plan of the same mixed-radix kernel, for lengths with a prime
+//     factor above 5 (7, 22, 34, 97, ...).
 //
-// The first two cost about the same per point; Bluestein costs several
-// times more, so window sizes are best kept 2-3-5-smooth.
+// Bluestein costs several times more per point, so window sizes are
+// best kept 2-3-5-smooth.
+//
+// Both kernels only run forward; an inverse is conj(forward(conj x))/N,
+// with the two conjugation passes made once per 1-D or 2-D transform.
 //
 // Conventions: Forward computes X[k] = sum_n x[n] exp(-2*pi*i*n*k/N) with
 // no normalization; Inverse applies the +i kernel and divides by N, so
@@ -25,7 +29,6 @@ package fft
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 )
 
@@ -43,8 +46,7 @@ const (
 type kernel uint8
 
 const (
-	radix2Kernel    kernel = iota // n a power of two
-	mixedKernel                   // n = 2^a 3^b 5^c, not a power of two
+	mixedKernel     kernel = iota // n = 2^a 3^b 5^c
 	bluesteinKernel               // n has a prime factor above 5
 )
 
@@ -57,16 +59,15 @@ type Plan struct {
 	kind kernel
 	invN float64 // 1/n
 
-	// exp(-2*pi*i*k/n): k < n/2 for radix-2, k < n for mixed-radix.
-	twiddle []complex128
-	rev     []int // radix-2: bit-reversal permutation
-	radices []int // mixed-radix: one Stockham pass per entry, product n
+	// Mixed-radix state.
+	twiddle []complex128 // exp(-2*pi*i*k/n), k < n
+	radices []int        // one Stockham pass per entry, product n
 
 	// Bluestein state.
 	m     int          // padded power-of-2 length >= 2n-1
 	chirp []complex128 // exp(-i*pi*k^2/n), length n
-	bconj []complex128 // FFT of the conjugate chirp, length m
-	sub   *Plan        // radix-2 plan of length m
+	bconj []complex128 // FFT of the conjugate chirp over m, length m
+	sub   *Plan        // mixed-radix plan of length m
 
 	work sync.Pool // *[]complex128 of workLen(), for calls without a Scratch
 }
@@ -107,15 +108,9 @@ func buildPlan(n int) *Plan {
 		s := make([]complex128, p.workLen())
 		return &s
 	}
-	if n&(n-1) == 0 {
-		p.kind = radix2Kernel
-		p.twiddle = twiddleTable(n, n/2)
-		p.rev = bitRevTable(n)
-		return p
-	}
-	if radices := smoothRadices(n); radices != nil {
+	if radices, ok := smoothRadices(n); ok {
 		p.kind = mixedKernel
-		p.twiddle = twiddleTable(n, n)
+		p.twiddle = twiddleTable(n)
 		p.radices = radices
 		return p
 	}
@@ -134,22 +129,23 @@ func buildPlan(n int) *Plan {
 		p.chirp[k] = complex(c, s)
 	}
 	p.sub = NewPlan(m)
+	// The 1/m of the convolution's inverse transform is folded in here.
 	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
-		conj := complex(real(p.chirp[k]), -imag(p.chirp[k]))
+		conj := complex(real(p.chirp[k])/float64(m), -imag(p.chirp[k])/float64(m))
 		b[k] = conj
 		if k > 0 {
 			b[m-k] = conj
 		}
 	}
-	p.sub.forwardPow2(b)
+	p.sub.forward(b, make([]complex128, m))
 	p.bconj = b
 	return p
 }
 
-// twiddleTable returns exp(-2*pi*i*k/n) for k < count.
-func twiddleTable(n, count int) []complex128 {
-	tw := make([]complex128, count)
+// twiddleTable returns exp(-2*pi*i*k/n) for k < n.
+func twiddleTable(n int) []complex128 {
+	tw := make([]complex128, n)
 	for k := range tw {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		tw[k] = complex(c, s)
@@ -158,34 +154,22 @@ func twiddleTable(n, count int) []complex128 {
 }
 
 // workLen returns the length of the 1-D work buffer one transform
-// needs beside its input: none for radix-2 (in place), n for the
-// mixed-radix ping-pong, the padded length for Bluestein.
+// needs beside its input: n for the mixed-radix ping-pong, twice the
+// padded length (the convolution and its ping-pong) for Bluestein.
 func (p *Plan) workLen() int {
-	switch p.kind {
-	case mixedKernel:
-		return p.n
-	case bluesteinKernel:
-		return p.m
+	if p.kind == bluesteinKernel {
+		return 2 * p.m
 	}
-	return 0
-}
-
-func bitRevTable(n int) []int {
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	rev := make([]int, n)
-	for i := range rev {
-		rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
-	}
-	return rev
+	return p.n
 }
 
 // Len returns the transform length of the plan.
 func (p *Plan) Len() int { return p.n }
 
 // Transform applies the transform in place to x, which must have length
-// Len(). dir selects forward or inverse. Non-power-of-2 lengths draw
-// their work buffer from an internal sync.Pool; use TransformScratch
-// with a per-worker Scratch for a guaranteed allocation-free hot path.
+// Len(). dir selects forward or inverse. The work buffer comes from an
+// internal sync.Pool; use TransformScratch with a per-worker Scratch
+// for a guaranteed allocation-free hot path.
 func (p *Plan) Transform(x []complex128, dir Direction) {
 	p.TransformScratch(x, dir, nil)
 }
@@ -198,120 +182,88 @@ func (p *Plan) TransformScratch(x []complex128, dir Direction, s *Scratch) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: length mismatch: plan %d, data %d", p.n, len(x)))
 	}
-	switch {
-	case p.kind == radix2Kernel:
-		p.transform(x, dir, nil)
-	case s != nil:
+	if s != nil {
 		p.transform(x, dir, s.workBuf(p.workLen()))
-	default:
-		bufp := p.work.Get().(*[]complex128)
-		p.transform(x, dir, *bufp)
-		p.work.Put(bufp)
-	}
-}
-
-// transform runs the plan's kernel on x with work of length workLen().
-// A mixed-radix plan also takes len(x)/n interleaved sequences in x
-// (the 2-D column pass) with work as long as x. The radix-2 and
-// mixed-radix kernels only run forward; their inverse is
-// conj(forward(conj(x)))/n, element by element over all of x.
-func (p *Plan) transform(x []complex128, dir Direction, work []complex128) {
-	if p.kind == bluesteinKernel {
-		p.bluestein(x, dir, work)
 		return
 	}
+	bufp := p.work.Get().(*[]complex128)
+	p.transform(x, dir, *bufp)
+	p.work.Put(bufp)
+}
+
+// transform applies the transform in place to x with work of length
+// workLen().
+func (p *Plan) transform(x []complex128, dir Direction, work []complex128) {
 	if dir == Inverse {
 		conjAll(x)
 	}
-	if p.kind == radix2Kernel {
-		p.forwardPow2(x)
-	} else {
-		p.forwardMixed(x, work)
-	}
+	p.forward(x, work)
 	if dir == Inverse {
-		scale := complex(p.invN, 0)
-		for i := range x {
-			x[i] = complex(real(x[i]), -imag(x[i])) * scale
-		}
+		conjScale(x, x, p.invN)
 	}
 }
 
-// forwardPow2 runs the iterative radix-2 Cooley-Tukey kernel.
-func (p *Plan) forwardPow2(x []complex128) {
-	n := p.n
-	for i, j := range p.rev {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
+// forward runs the plan's kernel in place on x with work of length
+// workLen().
+func (p *Plan) forward(x, work []complex128) {
+	if p.kind == bluesteinKernel {
+		p.bluestein(x, x, 1, work)
+		return
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := p.twiddle[tw]
-				tw += step
-				a := x[k]
-				b := x[k+half] * w
-				x[k] = a + b
-				x[k+half] = a - b
-			}
-		}
+	if res, _ := p.passes(x, work); len(p.radices)%2 == 1 {
+		copy(x, res)
 	}
 }
 
-// bluestein evaluates an arbitrary-length DFT as a convolution using
-// the caller-provided workspace a, which must have length m.
-func (p *Plan) bluestein(x []complex128, dir Direction, a []complex128) {
+// forwardT forward-transforms the len(src)/n interleaved sequences of
+// src (element i of sequence c at src[i*batch+c]) and leaves them
+// transposed (at [c*n+i]) in res, which is src or dst; other is the
+// other one. work has length workLen().
+func (p *Plan) forwardT(src, dst, work []complex128) (res, other []complex128) {
+	if p.kind == mixedKernel {
+		return p.passes(src, dst)
+	}
+	batch := len(src) / p.n
+	for c := 0; c < batch; c++ {
+		p.bluestein(dst[c*p.n:(c+1)*p.n], src[c:], batch, work)
+	}
+	return dst, src
+}
+
+// bluestein evaluates an arbitrary-length forward DFT as a convolution
+// with the chirp, carried out over the padded length m in work. It
+// reads element k from src[k*stride] and writes it to dst[k]; dst may
+// be src when stride is 1.
+func (p *Plan) bluestein(dst, src []complex128, stride int, work []complex128) {
 	n, m := p.n, p.m
-	for i := range a {
-		a[i] = 0
+	a, b := work[:m], work[m:2*m]
+	for k, ch := range p.chirp {
+		a[k] = src[k*stride] * ch
 	}
-	if dir == Forward {
-		for k := 0; k < n; k++ {
-			a[k] = x[k] * p.chirp[k]
-		}
-	} else {
-		for k := 0; k < n; k++ {
-			// Inverse kernel: conjugate chirps.
-			ch := complex(real(p.chirp[k]), -imag(p.chirp[k]))
-			a[k] = x[k] * ch
-		}
+	clear(a[n:])
+	a, b = p.sub.passes(a, b)
+	// The inverse transform over m is conj(forward(conj)); bconj
+	// carries its 1/m.
+	for i, w := range p.bconj {
+		v := a[i] * w
+		a[i] = complex(real(v), -imag(v))
 	}
-	p.sub.forwardPow2(a)
-	if dir == Forward {
-		for i := 0; i < m; i++ {
-			a[i] *= p.bconj[i]
-		}
-	} else {
-		// FFT of the (non-conjugated) chirp is conj(bconj) because the
-		// chirp sequence is conjugate-symmetric; reuse it.
-		for i := 0; i < m; i++ {
-			a[i] *= complex(real(p.bconj[i]), -imag(p.bconj[i]))
-		}
-	}
-	// Inverse FFT of length m via conjugation trick.
-	conjAll(a)
-	p.sub.forwardPow2(a)
-	invM := complex(1/float64(m), 0)
-	if dir == Forward {
-		for k := 0; k < n; k++ {
-			v := complex(real(a[k]), -imag(a[k])) * invM
-			x[k] = v * p.chirp[k]
-		}
-	} else {
-		scale := complex(p.invN, 0)
-		for k := 0; k < n; k++ {
-			v := complex(real(a[k]), -imag(a[k])) * invM
-			ch := complex(real(p.chirp[k]), -imag(p.chirp[k]))
-			x[k] = v * ch * scale
-		}
+	a, _ = p.sub.passes(a, b)
+	for k, ch := range p.chirp {
+		dst[k] = complex(real(a[k]), -imag(a[k])) * ch
 	}
 }
 
 func conjAll(x []complex128) {
 	for i := range x {
 		x[i] = complex(real(x[i]), -imag(x[i]))
+	}
+}
+
+// conjScale sets dst = scale * conj(src), the closing pass of an
+// inverse transform; dst and src may be the same slice.
+func conjScale(dst, src []complex128, scale float64) {
+	for i, v := range src {
+		dst[i] = complex(scale*real(v), -scale*imag(v))
 	}
 }

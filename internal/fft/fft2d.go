@@ -16,7 +16,7 @@ type Plan2D struct {
 	rowPlan  *Plan
 	colPlan  *Plan
 	parallel bool
-	colBuf   sync.Pool
+	scratch  sync.Pool // *Scratch, for calls without one
 }
 
 // NewPlan2D returns a plan for w x h transforms. Set parallel to spread
@@ -30,21 +30,8 @@ func NewPlan2D(w, h int, parallel bool) *Plan2D {
 		colPlan:  NewPlan(h),
 		parallel: parallel,
 	}
-	p.colBuf.New = func() any {
-		s := make([]complex128, p.colLen())
-		return &s
-	}
+	p.scratch.New = func() any { return new(Scratch) }
 	return p
-}
-
-// colLen is the length of the column pass's buffer: one gathered
-// column, or the whole array when the column plan is mixed-radix and
-// transforms every column in one strided call.
-func (p *Plan2D) colLen() int {
-	if p.colPlan.kind == mixedKernel {
-		return p.w * p.h
-	}
-	return p.h
 }
 
 // W returns the plan width.
@@ -82,29 +69,60 @@ func (p *Plan2D) TransformScratch(a *grid.Complex2D, dir Direction, s *Scratch) 
 	p.transformSerial(a, dir, s)
 }
 
-// transformSerial is the closure-free single-goroutine row/column
-// sweep. With a non-nil arena it performs zero steady-state heap
-// allocations — the gradient hot path of every reconstruction engine.
+// transformSerial is the closure-free single-goroutine sweep. With a
+// non-nil arena it performs zero steady-state heap allocations — the
+// gradient hot path of every reconstruction engine.
+// The kernels only run forward, so an inverse conjugates the array
+// once on the way in and once, with the 1/(w*h), on the way out.
 func (p *Plan2D) transformSerial(a *grid.Complex2D, dir Direction, s *Scratch) {
+	pooled := s == nil
+	if pooled {
+		s = p.scratch.Get().(*Scratch)
+	}
 	data := a.Data
 	w, h := p.w, p.h
-	for y := 0; y < h; y++ {
-		p.rowPlan.TransformScratch(data[y*w:(y+1)*w], dir, s)
+	work := s.workBuf(max(p.rowPlan.workLen(), p.colPlan.workLen()))
+	if dir == Inverse {
+		conjAll(data)
 	}
-	var col []complex128
-	var pooled *[]complex128
-	if s != nil {
-		col = s.colBuf(p.colLen())
-	} else {
-		pooled = p.colBuf.Get().(*[]complex128)
-		col = *pooled
+	// The columns of the row-major array are w interleaved sequences;
+	// transformed and left transposed they make an h-wide array whose
+	// interleaved sequences are the rows, and the second call restores
+	// the layout. The two calls ping-pong between the array and buf.
+	res, other := p.colPlan.forwardT(data, s.colBuf(w*h), work)
+	res, _ = p.rowPlan.forwardT(res, other, work)
+	if dir == Inverse {
+		conjScale(data, res, p.rowPlan.invN*p.colPlan.invN)
+	} else if &res[0] != &data[0] {
+		copy(data, res)
 	}
-	if p.colPlan.kind == mixedKernel {
-		// The columns of a row-major array are w interleaved
-		// sequences, which the Stockham passes take in one call.
-		p.colPlan.transform(data, dir, col)
-	} else {
-		for x := 0; x < w; x++ {
+	if pooled {
+		p.scratch.Put(s)
+	}
+}
+
+func (p *Plan2D) rowsParallel(a *grid.Complex2D, dir Direction) {
+	data := a.Data
+	w := p.w
+	apply := func(y0, y1 int) {
+		s := p.scratch.Get().(*Scratch)
+		for y := y0; y < y1; y++ {
+			p.rowPlan.TransformScratch(data[y*w:(y+1)*w], dir, s)
+		}
+		p.scratch.Put(s)
+	}
+	p.split(p.h, apply)
+}
+
+// colsParallel gathers each column into a buffer of its own length:
+// the strided whole-array form would need a w x h buffer per goroutine.
+func (p *Plan2D) colsParallel(a *grid.Complex2D, dir Direction) {
+	data := a.Data
+	w, h := p.w, p.h
+	apply := func(x0, x1 int) {
+		s := p.scratch.Get().(*Scratch)
+		col := s.colBuf(h)
+		for x := x0; x < x1; x++ {
 			for y := 0; y < h; y++ {
 				col[y] = data[y*w+x]
 			}
@@ -113,39 +131,7 @@ func (p *Plan2D) transformSerial(a *grid.Complex2D, dir Direction, s *Scratch) {
 				data[y*w+x] = col[y]
 			}
 		}
-	}
-	if pooled != nil {
-		p.colBuf.Put(pooled)
-	}
-}
-
-func (p *Plan2D) rowsParallel(a *grid.Complex2D, dir Direction) {
-	data := a.Data
-	w := p.w
-	apply := func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			p.rowPlan.Transform(data[y*w:(y+1)*w], dir)
-		}
-	}
-	p.split(p.h, apply)
-}
-
-func (p *Plan2D) colsParallel(a *grid.Complex2D, dir Direction) {
-	data := a.Data
-	w, h := p.w, p.h
-	apply := func(x0, x1 int) {
-		bufp := p.colBuf.Get().(*[]complex128)
-		col := (*bufp)[:h]
-		for x := x0; x < x1; x++ {
-			for y := 0; y < h; y++ {
-				col[y] = data[y*w+x]
-			}
-			p.colPlan.Transform(col, dir)
-			for y := 0; y < h; y++ {
-				data[y*w+x] = col[y]
-			}
-		}
-		p.colBuf.Put(bufp)
+		p.scratch.Put(s)
 	}
 	p.split(w, apply)
 }

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -45,9 +46,11 @@ func naive2D(a *grid.Complex2D, dir Direction) *grid.Complex2D {
 
 func TestPlan2DMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// 24x24 and 12x20 run the strided mixed-radix column pass, 24x22
-	// and 22x24 pair it with Bluestein, 16x24 and 24x16 with radix-2.
-	for _, dims := range [][2]int{{4, 4}, {8, 4}, {3, 5}, {6, 8}, {16, 16}, {24, 24}, {12, 20}, {24, 22}, {22, 24}, {16, 24}, {24, 16}} {
+	// Every size but 22x22 runs the strided mixed-radix passes and
+	// their transposed last one on at least one axis, with an odd and
+	// an even count of passes (8 has two, 16 two, 24 three, 5 one) and
+	// none at all (1); 24x22 and 22x24 pair them with Bluestein.
+	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {4, 4}, {8, 4}, {3, 5}, {6, 8}, {16, 16}, {24, 24}, {12, 20}, {24, 22}, {22, 24}, {22, 22}, {16, 24}, {24, 16}} {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
 		for _, dir := range []Direction{Forward, Inverse} {
@@ -77,11 +80,11 @@ func TestPlan2DRoundTrip(t *testing.T) {
 }
 
 func TestPlan2DParallelMatchesSerial(t *testing.T) {
-	// The parallel column pass gathers one column at a time for every
-	// kernel, so 96x80 also checks the serial strided mixed-radix pass
-	// against plain 1-D transforms of the columns.
+	// The parallel passes transform one row and one gathered column at
+	// a time for every kernel, so these also check the serial strided,
+	// transposing passes against plain 1-D transforms.
 	rng := rand.New(rand.NewSource(3))
-	for _, dims := range [][2]int{{128, 128}, {96, 80}} {
+	for _, dims := range [][2]int{{128, 128}, {96, 80}, {68, 64}} {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
 		serial := a.Clone()
@@ -90,6 +93,21 @@ func TestPlan2DParallelMatchesSerial(t *testing.T) {
 		NewPlan2D(w, h, true).Transform(par, Forward)
 		if serial.MaxDiff(par) > 1e-10 {
 			t.Fatalf("%dx%d: parallel/serial mismatch: %g", w, h, serial.MaxDiff(par))
+		}
+	}
+}
+
+// TestParallelScratchIsOneColumn pins what a parallel plan pools per
+// goroutine: a column and a 1-D work buffer, not the w x h ping-pong
+// of the serial sweep (1 MB against 4 KB at 256x256).
+func TestParallelScratchIsOneColumn(t *testing.T) {
+	const w, h = 256, 128
+	p := NewPlan2D(w, h, true)
+	p.Transform(randArray(rand.New(rand.NewSource(6)), w, h), Forward)
+	for i := 0; i < 8; i++ {
+		s := p.scratch.Get().(*Scratch)
+		if cap(s.col) > h || cap(s.work) > w {
+			t.Fatalf("pooled scratch holds col %d, work %d; want at most %d, %d", cap(s.col), cap(s.work), h, w)
 		}
 	}
 }
@@ -213,5 +231,24 @@ func BenchmarkFFT2D256Parallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Transform(a, Forward)
+	}
+}
+
+// BenchmarkFFT2DWindow times the transform the gradient kernel makes:
+// one window through a per-worker arena, forward then inverse, at a
+// Bluestein, a mixed-radix and a power-of-two window size.
+func BenchmarkFFT2DWindow(b *testing.B) {
+	for _, n := range []int{22, 24, 32} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			p := NewPlan2D(n, n, false)
+			a := randArray(rand.New(rand.NewSource(1)), n, n)
+			var s Scratch
+			s.Warm(p)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.TransformScratch(a, Forward, &s)
+				p.TransformScratch(a, Inverse, &s)
+			}
+		})
 	}
 }

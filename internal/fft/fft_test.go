@@ -16,11 +16,14 @@ func naiveDFT(x []complex128, dir Direction) []complex128 {
 	if dir == Inverse {
 		sign = 1.0
 	}
+	root := make([]complex128, n) // the n-th roots of unity, computed once
+	for i := range root {
+		root[i] = cmplx.Exp(complex(0, sign*2*math.Pi*float64(i)/float64(n)))
+	}
 	for k := 0; k < n; k++ {
 		var s complex128
 		for j := 0; j < n; j++ {
-			ang := sign * 2 * math.Pi * float64(j) * float64(k) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, ang))
+			s += x[j] * root[j*k%n]
 		}
 		out[k] = s
 	}
@@ -51,7 +54,7 @@ func maxErr(a, b []complex128) float64 {
 }
 
 // TestMatchesNaiveDFT checks every length from 1 to 128, which covers
-// all three kernels and every radix combination the mixed-radix kernel
+// both kernels and every radix combination the mixed-radix kernel
 // meets below 128, in both directions.
 func TestMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -74,14 +77,37 @@ func TestKernelChoice(t *testing.T) {
 		kind kernel
 		ns   []int
 	}{
-		{radix2Kernel, []int{1, 2, 16, 32, 64}},
-		{mixedKernel, []int{3, 5, 6, 12, 15, 20, 24, 45, 48, 60, 96, 100, 120}},
+		{mixedKernel, []int{1, 2, 3, 5, 6, 12, 15, 16, 20, 24, 32, 45, 48, 60, 64, 96, 100, 120, 4096}},
 		{bluesteinKernel, []int{7, 11, 22, 34, 97, 101}},
 	} {
 		for _, n := range tc.ns {
 			if got := NewPlan(n).kind; got != tc.kind {
 				t.Errorf("n=%d: kernel %d, want %d", n, got, tc.kind)
 			}
+		}
+	}
+}
+
+// TestPowersOfTwo checks every power of two from 1 to 4096 — radix-4
+// passes with and without the closing radix-2, and the n = 1 plan
+// with no pass at all — against the naive DFT and round trip.
+func TestPowersOfTwo(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 1; n <= 4096; n *= 2 {
+		x := randVec(rng, n)
+		p := NewPlan(n)
+		for _, dir := range []Direction{Forward, Inverse} {
+			got := append([]complex128(nil), x...)
+			p.Transform(got, dir)
+			if e := maxErr(got, naiveDFT(x, dir)); e > 1e-12*float64(n) {
+				t.Errorf("n=%d dir=%d: error %g", n, dir, e)
+			}
+		}
+		y := append([]complex128(nil), x...)
+		p.Transform(y, Forward)
+		p.Transform(y, Inverse)
+		if e := maxErr(x, y); e > 1e-13*math.Log2(float64(2*n)) {
+			t.Errorf("n=%d: round-trip error %g", n, e)
 		}
 	}
 }

@@ -12,8 +12,8 @@ package fft
 // each own their own arena; sharing one between goroutines corrupts
 // in-flight transforms.
 type Scratch struct {
-	col  []complex128 // 2-D column pass: one gathered column, or the whole-array ping-pong
-	work []complex128 // 1-D work buffer: mixed-radix ping-pong or Bluestein convolution
+	col  []complex128 // 2-D transform: the other half of the whole-array ping-pong; parallel path: one gathered column
+	work []complex128 // 1-D work buffer: mixed-radix ping-pong, or Bluestein convolution and its ping-pong
 }
 
 // colBuf returns the column buffer grown to at least n elements.
@@ -37,6 +37,6 @@ func (s *Scratch) workBuf(n int) []complex128 {
 // with any plan the arena will later serve; the arena keeps the
 // largest size seen.
 func (s *Scratch) Warm(p *Plan2D) {
-	s.colBuf(p.colLen())
+	s.colBuf(p.w * p.h)
 	s.workBuf(max(p.rowPlan.workLen(), p.colPlan.workLen()))
 }

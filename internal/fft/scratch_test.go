@@ -7,7 +7,7 @@ import (
 )
 
 // TestTransformScratchMatchesTransform checks bit-identical output of
-// the arena path against the pooled path for all three kernels and both
+// the arena path against the pooled path for both kernels and both
 // directions — where the work buffer lives does not change the math.
 func TestTransformScratchMatchesTransform(t *testing.T) {
 	var s Scratch
@@ -56,10 +56,12 @@ func TestTransformScratch2DMatches(t *testing.T) {
 
 // TestTransformScratchAllocationFree guards the arena invariant: once
 // warmed, transforms through a Scratch never touch the heap — for the
-// Bluestein, mixed-radix and radix-2 kernels, and the 2-D sweep.
+// mixed-radix kernel and for Bluestein, whose work buffer holds the
+// padded convolution and its ping-pong (34 pads to 128), and the 2-D
+// sweep; each size starts from an empty arena.
 func TestTransformScratchAllocationFree(t *testing.T) {
-	var s Scratch
-	for _, n := range []int{22, 24, 32} {
+	for _, n := range []int{34, 32, 24, 22} {
+		var s Scratch
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		p.TransformScratch(x, Forward, &s)

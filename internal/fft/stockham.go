@@ -1,12 +1,13 @@
 package fft
 
 // The mixed-radix kernel: an out-of-place Stockham autosort transform
-// for lengths n = 2^a * 3^b * 5^c that are not powers of two. One pass
-// per radix r reads r inputs n/r apart, applies the r-point butterfly
-// and the inter-stage twiddles, and writes r adjacent blocks of the
-// other buffer; the data leaves the last pass in natural order, so
-// there is no digit-reversal permutation. Passes ping-pong between the
-// caller's array and a work buffer of the same length.
+// for lengths n = 2^a * 3^b * 5^c. One pass per radix r reads r inputs
+// n/r apart, applies the r-point butterfly and the inter-stage
+// twiddles, and writes r adjacent blocks of the other buffer; the data
+// leaves the last pass in natural order, so there is no digit-reversal
+// permutation. Passes ping-pong between two buffers of the same
+// length, and a caller that can read its result from either (the 2-D
+// transform, Bluestein) needs no copy back after an odd number of them.
 //
 // In the pass for radix r, with t the product of the radices already
 // applied and m = n/(t*r), butterfly (p, q) for p < m, q < t reads
@@ -16,13 +17,15 @@ package fft
 // loop is contiguous in both buffers. For the same reason b interleaved
 // sequences (element i of sequence c at x[i*b+c], as the columns of a
 // row-major array are) transform together when q runs to s = t*b
-// instead: the 2-D column pass is one call whose inner loops are at
-// least a row long.
+// instead: every inner loop is at least b long. The last pass (m = 1,
+// no twiddles) writes sequence c contiguously from c*n instead — the
+// array transposed — so the other axis of a 2-D array is interleaved
+// in turn, and no axis is ever transformed one short row at a time.
 
 // smoothRadices factors n into the pass radices of the mixed-radix
-// kernel — 4s first, then at most one 2, then 3s and 5s — or returns
-// nil when n has a prime factor above 5.
-func smoothRadices(n int) []int {
+// kernel — 4s first, then at most one 2, then 3s and 5s (none for
+// n = 1) — and reports whether n has no prime factor above 5.
+func smoothRadices(n int) ([]int, bool) {
 	var radices []int
 	for _, r := range []int{4, 2, 3, 5} {
 		for n%r == 0 {
@@ -30,37 +33,42 @@ func smoothRadices(n int) []int {
 			n /= r
 		}
 	}
-	if n != 1 {
-		return nil
-	}
-	return radices
+	return radices, n == 1
 }
 
-// forwardMixed applies the forward transform in place to the len(x)/n
-// interleaved sequences in x, using work (same length as x) as the
-// other half of the ping-pong.
-func (p *Plan) forwardMixed(x, work []complex128) {
-	src, dst := x, work
-	batch := len(x) / p.n
+// passes runs the forward transform of the len(src)/n interleaved
+// sequences in src, ping-ponging between src and dst (same length),
+// and leaves the sequences transposed, element i of sequence c at
+// index c*n+i; a single sequence comes out as it is. It returns the
+// buffer the last pass wrote — src itself for an even number of
+// passes — and the other one.
+func (p *Plan) passes(src, dst []complex128) (res, other []complex128) {
+	batch := len(src) / p.n
 	m, t := p.n, 1
 	for _, r := range p.radices {
 		m /= r
-		switch r {
-		case 4:
+		switch {
+		case r == 4 && m > 1:
 			stockham4(src, dst, p.twiddle, m, t*batch, t)
-		case 2:
+		case r == 4:
+			stockham4T(src, dst, t, batch)
+		case r == 2 && m > 1:
 			stockham2(src, dst, p.twiddle, m, t*batch, t)
-		case 3:
+		case r == 2:
+			stockham2T(src, dst, t, batch)
+		case r == 3 && m > 1:
 			stockham3(src, dst, p.twiddle, m, t*batch, t)
-		case 5:
+		case r == 3:
+			stockham3T(src, dst, t, batch)
+		case r == 5 && m > 1:
 			stockham5(src, dst, p.twiddle, m, t*batch, t)
+		case r == 5:
+			stockham5T(src, dst, t, batch)
 		}
 		t *= r
 		src, dst = dst, src
 	}
-	if len(p.radices)%2 == 1 {
-		copy(x, work)
-	}
+	return src, dst
 }
 
 // mulNegI returns -i*z.
@@ -171,6 +179,57 @@ func stockham5(src, dst, tw []complex128, m, s, t int) {
 		for q := range x0 {
 			b0, b1, b2, b3, b4 := butterfly5(x0[q], x1[q], x2[q], x3[q], x4[q])
 			y0[q], y1[q], y2[q], y3[q], y4[q] = b0, b1*w1, b2*w2, b3*w3, b4*w4
+		}
+	}
+}
+
+// stockham2T, 3T, 4T and 5T each run the last pass of their radix —
+// one group of t*batch butterflies, no twiddles — and write sequence c
+// contiguously from dst[r*t*c].
+func stockham2T(src, dst []complex128, t, batch int) {
+	s := t * batch
+	x0, x1 := src[:s], src[s:][:s]
+	for c := 0; c < batch; c++ {
+		y0, y1 := dst[2*t*c:][:t], dst[2*t*c+t:][:t]
+		for i := range y0 {
+			q := i*batch + c
+			y0[i], y1[i] = x0[q]+x1[q], x0[q]-x1[q]
+		}
+	}
+}
+
+func stockham3T(src, dst []complex128, t, batch int) {
+	s := t * batch
+	x0, x1, x2 := src[:s], src[s:][:s], src[2*s:][:s]
+	for c := 0; c < batch; c++ {
+		y0, y1, y2 := dst[3*t*c:][:t], dst[3*t*c+t:][:t], dst[3*t*c+2*t:][:t]
+		for i := range y0 {
+			q := i*batch + c
+			y0[i], y1[i], y2[i] = butterfly3(x0[q], x1[q], x2[q])
+		}
+	}
+}
+
+func stockham4T(src, dst []complex128, t, batch int) {
+	s := t * batch
+	x0, x1, x2, x3 := src[:s], src[s:][:s], src[2*s:][:s], src[3*s:][:s]
+	for c := 0; c < batch; c++ {
+		y0, y1, y2, y3 := dst[4*t*c:][:t], dst[4*t*c+t:][:t], dst[4*t*c+2*t:][:t], dst[4*t*c+3*t:][:t]
+		for i := range y0 {
+			q := i*batch + c
+			y0[i], y1[i], y2[i], y3[i] = butterfly4(x0[q], x1[q], x2[q], x3[q])
+		}
+	}
+}
+
+func stockham5T(src, dst []complex128, t, batch int) {
+	s := t * batch
+	x0, x1, x2, x3, x4 := src[:s], src[s:][:s], src[2*s:][:s], src[3*s:][:s], src[4*s:][:s]
+	for c := 0; c < batch; c++ {
+		y0, y1, y2, y3, y4 := dst[5*t*c:][:t], dst[5*t*c+t:][:t], dst[5*t*c+2*t:][:t], dst[5*t*c+3*t:][:t], dst[5*t*c+4*t:][:t]
+		for i := range y0 {
+			q := i*batch + c
+			y0[i], y1[i], y2[i], y3[i], y4[i] = butterfly5(x0[q], x1[q], x2[q], x3[q], x4[q])
 		}
 	}
 }

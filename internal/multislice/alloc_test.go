@@ -32,9 +32,9 @@ func benchEngine(n int) (*Engine, []*grid.Complex2D, []*grid.Complex2D, *grid.Fl
 
 // BenchmarkGradientKernel measures the per-probe-location gradient
 // kernel shared by all three reconstruction engines — the hot path the
-// paper's memory-efficiency argument rests on. Covers all three FFT
-// kernels: n=22 Bluestein, n=24 mixed-radix (the 2-3-5-smooth window
-// the quickstart and examples use), n=32 radix-2.
+// paper's memory-efficiency argument rests on. Covers both FFT
+// kernels: n=22 Bluestein, and the mixed-radix one at n=24 (the window
+// the quickstart and examples use) and at a power of two, n=32.
 func BenchmarkGradientKernel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -54,8 +54,8 @@ func BenchmarkGradientKernel(b *testing.B) {
 
 // TestLossGradAllocationFree guards the tentpole invariant: after the
 // engine's scratch arena has warmed up, evaluating a probe location's
-// loss+gradient performs zero heap allocations, for all three FFT
-// kernels and for the probe-gradient variant used by joint refinement.
+// loss+gradient performs zero heap allocations, for both FFT kernels
+// and for the probe-gradient variant used by joint refinement.
 func TestLossGradAllocationFree(t *testing.T) {
 	for _, n := range []int{22, 24, 32} {
 		e, slices, grads, y, win := benchEngine(n)

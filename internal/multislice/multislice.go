@@ -12,12 +12,25 @@
 // gradient contributions outside the bounds are discarded; this makes
 // edge probe locations well defined for both the serial solver and the
 // tile-decomposed parallel algorithms.
+//
+// Dark pixels: the residual chi = (|D| - |y|) D/|D| has no direction
+// where the far field D vanishes, and where D is analytically zero its
+// computed value is rounding noise whose phase means nothing. Such
+// pixels — |D| below 1e-12 of the vacuum far field's RMS, which by
+// Parseval is the probe's 2-norm, fixed per engine when the probe is
+// set — contribute their loss but no gradient, so a reconstruction's
+// trace does not depend on the rounding of the FFT arithmetic.
+//
+// The adjoint runs on forward transforms only. F^H chi = N F^-1 chi is
+// conj(F(conj chi)), so the backward pass carries the conjugate of the
+// back-propagated wave: the loop that writes chi writes it conjugated,
+// the loops that read the wave conjugate what they accumulate, and the
+// conjugated multiplies by conj(h) and conj(t) become plain ones.
 package multislice
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"ptychopath/internal/fft"
 	"ptychopath/internal/grid"
@@ -25,9 +38,9 @@ import (
 
 // Engine evaluates the forward model and gradients for a fixed probe,
 // propagator and window size. An Engine is the wavefield half of the
-// per-worker scratch arena: it owns the exit-wave stack, the residual
-// (chi) buffer, the window-extraction buffer and an fft.Scratch, so
-// steady-state Loss/LossGrad calls perform zero heap allocations. It is
+// per-worker scratch arena: it owns the exit-wave stack, the far-field
+// and residual (chi) buffers and an fft.Scratch, so steady-state
+// Loss/LossGrad calls perform zero heap allocations. It is
 // NOT safe for concurrent use; parallel workers each construct their
 // own (construction is cheap — FFT plans are cached globally).
 type Engine struct {
@@ -36,13 +49,13 @@ type Engine struct {
 	h     *grid.Complex2D // Fresnel kernel, n x n, read-only; nil = no propagation
 	plan  *fft.Plan2D
 	scr   fft.Scratch // per-engine FFT workspace arena
+	dark  float64     // |D| below this is a dark pixel: no gradient
 
 	// Scratch: per-slice wavefronts psi[0..S] kept from the last forward
 	// evaluation for use by the backward pass.
 	psi   []*grid.Complex2D
 	fwork *grid.Complex2D // far-field / residual workspace
 	bwork *grid.Complex2D // backward wave workspace
-	twin  *grid.Complex2D // window extraction of the current slice
 }
 
 // NewEngine builds an engine for the given probe and propagation kernel.
@@ -59,17 +72,15 @@ func NewEngine(probe, h *grid.Complex2D) *Engine {
 	// Always copy: the engine's probe is mutable via SetProbe and must
 	// never alias the caller's array (problems share one probe across
 	// many engines).
-	p := probe.Clone()
-	p.Bounds = grid.RectWH(0, 0, n, n)
 	e := &Engine{
 		n:     n,
-		probe: p,
+		probe: grid.NewComplex2DSize(n, n),
 		h:     h,
 		plan:  fft.NewPlan2D(n, n, false),
 		fwork: grid.NewComplex2DSize(n, n),
 		bwork: grid.NewComplex2DSize(n, n),
-		twin:  grid.NewComplex2DSize(n, n),
 	}
+	e.SetProbe(probe)
 	e.scr.Warm(e.plan)
 	return e
 }
@@ -87,6 +98,11 @@ func (e *Engine) SetProbe(p *grid.Complex2D) {
 		panic(fmt.Sprintf("multislice: probe must be %dx%d, got %dx%d", e.n, e.n, p.W(), p.H()))
 	}
 	copy(e.probe.Data, p.Data)
+	var energy float64
+	for _, v := range p.Data {
+		energy += real(v)*real(v) + imag(v)*imag(v)
+	}
+	e.dark = 1e-12 * math.Sqrt(energy)
 }
 
 // ensurePsi sizes the wavefront stack for S slices.
@@ -96,21 +112,17 @@ func (e *Engine) ensurePsi(s int) {
 	}
 }
 
-// extractWindow copies the window region win of slice into dst (n x n at
-// origin), padding out-of-bounds texels with vacuum (1).
-func extractWindow(dst *grid.Complex2D, slice *grid.Complex2D, win grid.Rect) {
-	dst.Fill(1)
+// mulWindow multiplies the n x n wave b in place by the window win of
+// slice, read where it lies; outside the slice's bounds is vacuum
+// (t = 1) and b stays as it is.
+func mulWindow(b []complex128, n int, slice *grid.Complex2D, win grid.Rect) {
 	inter := win.Intersect(slice.Bounds)
-	if inter.Empty() {
-		return
-	}
-	n := dst.W()
 	for y := inter.Y0; y < inter.Y1; y++ {
-		srcRow := slice.Row(y)
-		dy := y - win.Y0
-		dx0 := inter.X0 - win.X0
-		sx0 := inter.X0 - slice.Bounds.X0
-		copy(dst.Data[dy*n+dx0:dy*n+dx0+inter.W()], srcRow[sx0:sx0+inter.W()])
+		t := slice.Row(y)[inter.X0-slice.Bounds.X0:][:inter.W()]
+		row := b[(y-win.Y0)*n+inter.X0-win.X0:][:len(t)]
+		for x, v := range t {
+			row[x] *= v
+		}
 	}
 }
 
@@ -124,15 +136,13 @@ func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2
 	e.ensurePsi(s)
 	copy(e.psi[0].Data, e.probe.Data)
 	for i, sl := range slices {
-		extractWindow(e.twin, sl, win)
-		cur, next := e.psi[i], e.psi[i+1]
-		for j := range cur.Data {
-			next.Data[j] = cur.Data[j] * e.twin.Data[j]
-		}
+		next := e.psi[i+1]
+		copy(next.Data, e.psi[i].Data)
+		mulWindow(next.Data, e.n, sl, win)
 		if e.h != nil && i < len(slices)-1 {
 			e.plan.TransformScratch(next, fft.Forward, &e.scr)
-			for j := range next.Data {
-				next.Data[j] *= e.h.Data[j]
+			for j, hj := range e.h.Data {
+				next.Data[j] *= hj
 			}
 			e.plan.TransformScratch(next, fft.Inverse, &e.scr)
 		}
@@ -148,9 +158,16 @@ func (e *Engine) Simulate(slices []*grid.Complex2D, win grid.Rect) *grid.Float2D
 	d := e.forward(slices, win)
 	out := grid.NewFloat2DSize(e.n, e.n)
 	for i, v := range d.Data {
-		out.Data[i] = cmplx.Abs(v)
+		out.Data[i] = amplitude(v)
 	}
 	return out
+}
+
+// amplitude is |v| without cmplx.Abs's guard against overflow of the
+// squares, which no far field comes near; a |v| small enough for them
+// to underflow is a dark pixel either way.
+func amplitude(v complex128) float64 {
+	return math.Sqrt(real(v)*real(v) + imag(v)*imag(v))
 }
 
 // Loss computes f_i = sum_q (|y(q)| - |D(q)|)^2 for the window win
@@ -163,7 +180,7 @@ func (e *Engine) Loss(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2
 func amplitudeLoss(d *grid.Complex2D, yAmp *grid.Float2D) float64 {
 	var f float64
 	for i, v := range d.Data {
-		r := yAmp.Data[i] - cmplx.Abs(v)
+		r := yAmp.Data[i] - amplitude(v)
 		f += r * r
 	}
 	return f
@@ -198,64 +215,76 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 		panic(fmt.Sprintf("multislice: %d gradient arrays for %d slices", len(grads), len(slices)))
 	}
 	s := len(slices)
+	n := e.n
 	d := e.forward(slices, win)
-	f := amplitudeLoss(d, yAmp)
 
-	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|.
-	chi := e.bwork
+	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|, zero on dark pixels,
+	// written conjugated into b; one |D| serves the loss and chi.
+	b := e.bwork.Data
+	var f float64
 	for i, v := range d.Data {
-		m := cmplx.Abs(v)
-		if m < 1e-300 {
-			chi.Data[i] = 0
+		m := amplitude(v)
+		r := m - yAmp.Data[i]
+		f += r * r
+		if m < e.dark {
+			b[i] = 0
 			continue
 		}
-		chi.Data[i] = v * complex((m-yAmp.Data[i])/m, 0)
+		k := r / m
+		b[i] = complex(k*real(v), -k*imag(v))
 	}
-	// psi_bar_S = F^H chi = N * F^-1 chi.
-	e.plan.TransformScratch(chi, fft.Inverse, &e.scr)
-	scale := complex(float64(e.n*e.n), 0)
-	for i := range chi.Data {
-		chi.Data[i] *= scale
-	}
+	// psi_bar_S = F^H chi; b = conj(psi_bar_S) = F(conj chi).
+	e.plan.TransformScratch(e.bwork, fft.Forward, &e.scr)
 
-	// Backward slice loop: chi currently holds psi_bar after slice s.
+	// Backward slice loop: b holds conj(psi_bar) after slice i.
+	invN2 := 1 / float64(n*n)
 	for i := s - 1; i >= 0; i-- {
 		if e.h != nil && i < s-1 {
-			// Adjoint of the propagation applied after slice i.
-			e.plan.TransformScratch(chi, fft.Forward, &e.scr)
-			for j := range chi.Data {
-				chi.Data[j] *= cmplx.Conj(e.h.Data[j])
+			// Adjoint of the propagation applied after slice i,
+			// psi_bar' = F^-1 conj(h) F psi_bar. On the conjugate that
+			// is b' = F(h F^-1 b) with F^-1 b = conj(F(conj b))/N; the
+			// step below left b conjugated for the first transform.
+			e.plan.TransformScratch(e.bwork, fft.Forward, &e.scr)
+			for j, hj := range e.h.Data {
+				b[j] = hj * complex(invN2*real(b[j]), -invN2*imag(b[j]))
 			}
-			e.plan.TransformScratch(chi, fft.Inverse, &e.scr)
+			e.plan.TransformScratch(e.bwork, fft.Forward, &e.scr)
 		}
-		// g_t(i) = conj(psi_i) * psi_bar'  (psi_i = wave entering slice i).
-		extractWindow(e.twin, slices[i], win)
+		// g_t(i) = conj(psi_i) * psi_bar' = conj(psi_i * b)  (psi_i =
+		// wave entering slice i).
 		g := grads[i]
 		inter := win.Intersect(g.Bounds)
 		for y := inter.Y0; y < inter.Y1; y++ {
-			gRow := g.Row(y)
-			wy := y - win.Y0
-			for x := inter.X0; x < inter.X1; x++ {
-				wx := x - win.X0
-				idx := wy*e.n + wx
-				gRow[x-g.Bounds.X0] += cmplx.Conj(e.psi[i].Data[idx]) * chi.Data[idx]
+			gRow := g.Row(y)[inter.X0-g.Bounds.X0:][:inter.W()]
+			off := (y-win.Y0)*n + inter.X0 - win.X0
+			psi, bRow := e.psi[i].Data[off:][:len(gRow)], b[off:][:len(gRow)]
+			for x, v := range bRow {
+				v *= psi[x]
+				gRow[x] += complex(real(v), -imag(v))
 			}
 		}
-		// psi_bar_{i-1} = conj(t_i) * psi_bar'.
+		// psi_bar_{i-1} = conj(t_i) * psi_bar', so b *= t_i.
 		if i > 0 || probeGrad != nil {
-			for j := range chi.Data {
-				chi.Data[j] *= cmplx.Conj(e.twin.Data[j])
-			}
+			mulWindow(b, n, slices[i], win)
+		}
+		if e.h != nil && i > 0 {
+			conjAll(b)
 		}
 	}
-	// After the i == 0 step, chi = conj(t_0) * psi_bar'_0 = dF/d(conj
+	// After the i == 0 step, conj(b) = conj(t_0) * psi_bar'_0 = dF/d(conj
 	// psi_0) = dF/d(conj p) since psi_0 is the probe itself.
 	if probeGrad != nil {
-		for j := range chi.Data {
-			probeGrad.Data[j] += chi.Data[j]
+		for j, v := range b {
+			probeGrad.Data[j] += complex(real(v), -imag(v))
 		}
 	}
 	return f
+}
+
+func conjAll(x []complex128) {
+	for i, v := range x {
+		x[i] = complex(real(v), -imag(v))
+	}
 }
 
 // FlopsPerLocation estimates the floating-point operations to evaluate

@@ -114,20 +114,23 @@ func Reconstruct(prob *Problem, init []*grid.Complex2D, opt Options) (*Result, e
 		}
 		return eng.LossGrad(slices, win, prob.Meas[i], grads)
 	}
-	// The probe step is auto-scaled once, from the first gradient: the
-	// first update moves the probe peak by ProbeStepSize x its own
-	// magnitude, and subsequent updates use the same fixed scale so the
-	// step decays with the gradient (plain GD semantics, calibrated
-	// units). Without this the raw probe gradient (which carries an N^2
-	// detector-plane factor) needs ~1e-6 steps.
+	// The probe step is auto-scaled from the largest gradient met so
+	// far: that update moves the probe peak by ProbeStepSize x its own
+	// magnitude, and later updates use the same scale so the step
+	// decays with the gradient (plain GD semantics, calibrated units).
+	// Without this the raw probe gradient (which carries an N^2
+	// detector-plane factor) needs ~1e-6 steps. The first gradient
+	// alone will not do: from a vacuum start it holds bright-field
+	// residuals only (the dark field is dark, see multislice) and the
+	// second is many times larger.
 	probeScale := complex(0, 0)
 	applyProbe := func() {
 		if !refineProbe {
 			return
 		}
-		if probeScale == 0 {
-			if gMax := probeGrad.MaxAbs(); gMax > 0 {
-				probeScale = probeStep * complex(probe.MaxAbs()/gMax, 0)
+		if gMax := probeGrad.MaxAbs(); gMax > 0 {
+			if s := probeStep * complex(probe.MaxAbs()/gMax, 0); probeScale == 0 || real(s) < real(probeScale) {
+				probeScale = s
 			}
 		}
 		probe.AddScaled(probeGrad, -probeScale)
