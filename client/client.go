@@ -194,9 +194,6 @@ func decodeError(resp *http.Response) *Error {
 	if json.Unmarshal(raw, &p) == nil && p.Code != "" {
 		e.Code = p.Code
 		e.Detail = p.Detail
-		if e.Detail == "" {
-			e.Detail = p.LegacyError
-		}
 		if e.RetryAfter == 0 && p.RetryAfterMS > 0 {
 			e.RetryAfter = time.Duration(p.RetryAfterMS) * time.Millisecond
 		}

@@ -384,8 +384,8 @@ func TestClientRetryQueueFull(t *testing.T) {
 	}
 	// Exactly 3 jobs ever existed: blocker, queued, and ONE from the
 	// retried submission.
-	if n := len(svc.List()); n != 3 {
-		t.Fatalf("registry holds %d jobs, want 3 (idempotent retries)", n)
+	if page, _, _ := svc.ListPage(jobs.ListOptions{}); len(page) != 3 {
+		t.Fatalf("registry holds %d jobs, want 3 (idempotent retries)", len(page))
 	}
 	c.Cancel(ctx, j.ID)
 }
@@ -476,8 +476,8 @@ func TestClientIdempotencyKeyExplicit(t *testing.T) {
 	if a.ID != b.ID {
 		t.Fatalf("same key produced %s and %s", a.ID, b.ID)
 	}
-	if n := len(svc.List()); n != 1 {
-		t.Fatalf("registry holds %d jobs, want 1", n)
+	if page, _, _ := svc.ListPage(jobs.ListOptions{}); len(page) != 1 {
+		t.Fatalf("registry holds %d jobs, want 1", len(page))
 	}
 }
 

@@ -65,10 +65,6 @@ type Problem struct {
 	// RetryAfterMS mirrors the Retry-After header in milliseconds on
 	// backpressure responses (queue_full, ingest_full); 0 otherwise.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-	// LegacyError duplicates Detail under the pre-/v1 key so consumers
-	// of the old {"error": "..."} blob keep working. Deprecated: read
-	// Detail (and Code) instead.
-	LegacyError string `json:"error,omitempty"`
 }
 
 // ProblemType returns the "type" URI of a code.

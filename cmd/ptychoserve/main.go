@@ -51,12 +51,12 @@
 //
 // The public HTTP surface is versioned under /v1 (problem-envelope
 // errors, multipart submission, cursor pagination, idempotent submits);
-// the pre-/v1 routes remain as deprecated aliases for one release. Go
-// programs should use the typed SDK in the top-level client package.
+// only /metrics and /healthz live outside it. Go programs should use
+// the typed SDK in the top-level client package.
 //
 // With -grid, the server additionally runs the worker-grid coordinator:
 // ptychoworker processes dial ADDR over the CRC-framed TCP transport,
-// and jobs submitted with ?grid=1 run their parallel engine across
+// and jobs submitted with "grid": true run their parallel engine across
 // those processes — one rank per mesh tile — with the same checkpoint,
 // preview, cancel and resume behavior as local jobs.
 //

@@ -3,7 +3,9 @@ package dataio
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 
 	"ptychopath/internal/grid"
@@ -38,36 +40,13 @@ func conformanceProblem() *solver.Problem {
 	return &solver.Problem{Pattern: pat, Meas: meas, Probe: probe, WindowN: n, Slices: 1}
 }
 
-// legacyStreamBytes encodes prob the way the pre-Castagnoli writer
-// did: PTYCHSv1 magic and IEEE chunk CRCs. Built independently of the
-// production encoder so the differential test below actually compares
-// two implementations rather than one with itself.
-func legacyStreamBytes(t testing.TB, prob *solver.Problem, chunkSize int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteStreamHeader(&buf, HeaderFromProblem(prob)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	copy(out[:8], streamMagicV1[:])
-	frames := FramesFromProblem(prob)
-	for lo := 0; lo < len(frames); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(frames) {
-			hi = len(frames)
-		}
-		var p []byte
-		p = wire.AppendInt64(p, int64(hi-lo))
-		for _, fr := range frames[lo:hi] {
-			p = wire.AppendInt64(p, int64(fr.Loc.Index))
-			p = wire.AppendFloat64(p, fr.Loc.X)
-			p = wire.AppendFloat64(p, fr.Loc.Y)
-			p = wire.AppendFloat64(p, fr.Loc.Radius)
-			p = wire.AppendFloat64s(p, fr.Meas.Data)
-		}
-		out = wire.AppendChunk(out, chunkFrames, p, wire.GenIEEE)
-	}
-	return wire.AppendChunk(out, chunkEOF, nil, wire.GenIEEE)
+// legacyStream returns the frozen fixture of a stream as the
+// pre-Castagnoli writer framed it — conformanceProblem in 2-frame
+// chunks under the PTYCHSv1 magic with IEEE chunk CRCs — and the offset
+// of its first chunk.
+func legacyStream(t testing.TB) (raw []byte, firstChunk int) {
+	const n = 4 // conformanceProblem's window; one slice, so no propagator
+	return wiretest.Frozen(t, "ptychs_v1_ieee.golden"), 8 + 8*8 + 2*8*n*n
 }
 
 // TestGoldenDataset pins the PTYCHOv1 batch format to committed bytes
@@ -122,7 +101,7 @@ func TestGoldenObject(t *testing.T) {
 	}
 }
 
-// TestGoldenStream pins the current PTYCHSv2 (Castagnoli) stream
+// TestGoldenStream pins the PTYCHSv2 (Castagnoli) stream
 // encoding and proves replay→re-encode is bit-identical.
 func TestGoldenStream(t *testing.T) {
 	prob := conformanceProblem()
@@ -145,33 +124,32 @@ func TestGoldenStream(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamLegacy pins the old IEEE-framed PTYCHSv1 encoding
-// and runs the differential check: the current reader must replay the
-// legacy bytes to the exact state the current writer would produce —
-// so upgrading the checksum generation changed nothing but the frame.
+// TestGoldenStreamLegacy: the old IEEE-framed PTYCHSv1 encoding must be
+// rejected, by its magic and — with the current magic spliced over it —
+// by the checksum of its first chunk. The fixture is otherwise the very
+// stream TestGoldenStream pins, so nothing but the polynomial is what
+// the reader refuses.
 func TestGoldenStreamLegacy(t *testing.T) {
-	prob := conformanceProblem()
-	legacy := legacyStreamBytes(t, prob, 2)
-	wiretest.Golden(t, "ptychs_v1_ieee.golden", legacy)
-
-	var current bytes.Buffer
-	if err := WriteStream(&current, prob, 2); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(legacy, current.Bytes()) {
-		t.Fatal("legacy and current streams should differ (magic and CRCs)")
+	legacy, firstChunk := legacyStream(t)
+	current := wiretest.Frozen(t, "ptychs_v2.golden")
+	payload := legacy[firstChunk+9 : firstChunk+9+int(wire.Int64(legacy[firstChunk+1:]))]
+	sum := wire.Uint32(legacy[firstChunk+9+len(payload):])
+	if sum != crc32.ChecksumIEEE(payload) || !bytes.Equal(legacy[8:firstChunk+9+len(payload)], current[8:firstChunk+9+len(payload)]) {
+		t.Fatal("fixture is not the golden stream under the v1 magic with an IEEE chunk checksum")
 	}
 
-	replayed, err := ReadStream(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("current reader rejected legacy PTYCHSv1 stream: %v", err)
+	if _, err := ReadStream(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("PTYCHSv1 stream: %v, want a bad-magic error", err)
 	}
-	var reenc bytes.Buffer
-	if err := WriteStream(&reenc, replayed, 2); err != nil {
-		t.Fatal(err)
+	if _, err := ReadStreamHeader(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("PTYCHSv1 opening: %v, want a bad-magic error", err)
 	}
-	if !bytes.Equal(reenc.Bytes(), current.Bytes()) {
-		t.Fatal("legacy replay diverges from a current-generation encode of the same problem")
+	spliced := append(append([]byte(nil), streamMagic[:]...), legacy[8:]...)
+	if _, err := ReadStream(bytes.NewReader(spliced)); !errors.Is(err, ErrChunkCorrupt) {
+		t.Fatalf("IEEE-checksummed chunks under the v2 magic: %v, want ErrChunkCorrupt", err)
+	}
+	if _, _, _, err := DecodeChunk(spliced[firstChunk:], 4); !errors.Is(err, ErrChunkCorrupt) {
+		t.Fatalf("DecodeChunk of an IEEE-checksummed chunk: %v, want ErrChunkCorrupt", err)
 	}
 }
 

@@ -123,7 +123,7 @@ func FuzzReadObject(f *testing.F) {
 	})
 }
 
-// FuzzReadStream hammers the PTYCHSv1 replay path: header decoding,
+// FuzzReadStream hammers the PTYCHSv2 replay path: header decoding,
 // chunk framing, CRC verification, and the append loop must never
 // panic and never return a problem that fails validation. Seeds cover
 // a valid stream, truncations at every structural boundary, CRC and
@@ -169,12 +169,12 @@ func FuzzReadStream(f *testing.F) {
 	for _, m := range wiretest.Mutations(valid, headerEnd+1) {
 		f.Add(m)
 	}
-	// A legacy IEEE-framed stream must replay; with a flipped payload
-	// bit it must be rejected by the old-generation CRC, not accepted.
-	legacy := legacyStreamBytes(f, prob, 2)
+	// The frozen IEEE-framed PTYCHSv1 fixture and its mutations, as is
+	// and under the current magic: every one must be rejected.
+	legacy, firstChunk := legacyStream(f)
 	f.Add(legacy)
-	for _, m := range wiretest.Mutations(legacy, headerEnd+1) {
-		f.Add(m)
+	for _, m := range wiretest.Mutations(legacy, firstChunk+1) {
+		f.Add(append(append([]byte(nil), streamMagic[:]...), m[8:]...))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -28,7 +28,7 @@ import (
 //
 // Layout (all integers little-endian):
 //
-//	magic   [8]byte  "PTYCHSv2" ("PTYCHSv1" accepted on read)
+//	magic   [8]byte  "PTYCHSv2"
 //	header  8 x int64: windowN, slices, imageW, imageH, hasProp (0/1),
 //	                   stepPix*1e6, radiusPix*1e6, reserved
 //	probe   2*windowN^2 float64 (re, im interleaved)
@@ -37,23 +37,19 @@ import (
 //	        kind    [1]byte: 'F' (frames) or 'E' (end of stream)
 //	        length  int64: payload byte count
 //	        payload length bytes
-//	        crc     uint32: CRC-32 of the payload
+//	        crc     uint32: CRC-32 (Castagnoli) of the payload
 //
 // An 'F' payload is int64 count followed by count frames, each
 // int64 index, float64 x, y, radius, then windowN^2 float64
 // amplitudes. An 'E' payload is empty; it marks a cleanly closed
 // acquisition. Chunks after 'E' are an error.
 //
-// Version 2 differs from version 1 only in checksum generation: v2
-// chunks carry Castagnoli CRC-32 (hardware-accelerated), v1 chunks
-// IEEE. The decoder accepts either generation per chunk regardless of
-// the magic, so a v1 spool appended by a v2 writer still replays.
+// The version in the magic names the chunk checksum: a "PTYCHSv1"
+// stream (IEEE CRC-32) is a bad magic, and an IEEE-checksummed chunk
+// under any magic is a corrupt chunk.
 // Full byte-level spec with worked offsets: docs/FORMATS.md.
 
-var (
-	streamMagic   = [8]byte{'P', 'T', 'Y', 'C', 'H', 'S', 'v', '2'}
-	streamMagicV1 = [8]byte{'P', 'T', 'Y', 'C', 'H', 'S', 'v', '1'}
-)
+var streamMagic = [8]byte{'P', 'T', 'Y', 'C', 'H', 'S', 'v', '2'}
 
 // Chunk kind bytes.
 const (
@@ -178,8 +174,8 @@ func readStreamHeader(br *bufio.Reader) (*StreamHeader, error) {
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("dataio: reading stream magic: %w", err)
 	}
-	if m != streamMagic && m != streamMagicV1 {
-		return nil, fmt.Errorf("dataio: bad magic %q (not a PTYCHSv1/v2 stream)", m)
+	if m != streamMagic {
+		return nil, fmt.Errorf("dataio: bad magic %q (not a PTYCHSv2 stream)", m)
 	}
 	header := make([]int64, 8)
 	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
@@ -248,7 +244,7 @@ func (e *ChunkEncoder) WriteFrameChunk(w io.Writer, windowN int, frames []Frame)
 		buf = wire.AppendFloat64(buf, f.Loc.Radius)
 		buf = wire.AppendFloat64s(buf, f.Meas.Data)
 	}
-	buf = wire.EndChunk(buf, start, wire.GenCurrent)
+	buf = wire.EndChunk(buf, start)
 	e.buf = buf
 	_, err := w.Write(buf)
 	return err
@@ -268,7 +264,7 @@ func WriteFrameChunk(w io.Writer, windowN int, frames []Frame) error {
 // WriteEOFChunk appends the end-of-stream marker to w.
 func WriteEOFChunk(w io.Writer) error {
 	var arr [wire.ChunkOverhead]byte
-	buf := wire.AppendChunk(arr[:0], chunkEOF, nil, wire.GenCurrent)
+	buf := wire.AppendChunk(arr[:0], chunkEOF, nil)
 	_, err := w.Write(buf)
 	return err
 }
@@ -291,8 +287,7 @@ type ChunkDecoder struct {
 // for an 'E' chunk, and io.EOF when r is exhausted before a chunk
 // starts. CRC or length mismatches return ErrChunkCorrupt; implausible
 // frame counts return ErrHeaderBounds — both before the payload is
-// interpreted. Either checksum generation (Castagnoli or legacy IEEE)
-// is accepted per chunk.
+// interpreted.
 func (d *ChunkDecoder) ReadChunk(r io.Reader, windowN int) (frames []Frame, eof bool, err error) {
 	if windowN <= 0 || windowN > maxWindowN {
 		return nil, false, fmt.Errorf("%w: window %d", ErrHeaderBounds, windowN)
@@ -321,7 +316,7 @@ func (d *ChunkDecoder) ReadChunk(r io.Reader, windowN int) (frames []Frame, eof 
 		if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
 			return nil, false, fmt.Errorf("dataio: reading chunk crc: %w", err)
 		}
-		// Both generations checksum the empty payload to 0.
+		// The empty payload checksums to 0.
 		if sum := wire.Uint32(crcBuf[:]); sum != 0 {
 			return nil, false, fmt.Errorf("%w: EOF chunk crc %08x", ErrChunkCorrupt, sum)
 		}
@@ -375,7 +370,7 @@ func ReadChunk(r io.Reader, windowN int) (frames []Frame, eof bool, err error) {
 // batch buffer): the chunk at the front of buf is validated and
 // decoded in place — no intermediate payload copy — and n reports the
 // bytes consumed so callers can walk a concatenation. Validation, caps
-// and dual-generation CRC acceptance match ReadChunk exactly; an empty
+// and CRC verification match ReadChunk exactly; an empty
 // buf returns io.EOF and a buffer ending mid-chunk returns
 // io.ErrUnexpectedEOF, mirroring the reader's truncation taxonomy.
 func DecodeChunk(buf []byte, windowN int) (frames []Frame, eof bool, n int, err error) {
@@ -495,7 +490,7 @@ func WriteStream(w io.Writer, prob *solver.Problem, chunkSize int) error {
 	return WriteEOFChunk(w)
 }
 
-// ReadStream replays a complete PTYCHSv1/v2 stream from r into a
+// ReadStream replays a complete PTYCHSv2 stream from r into a
 // canonical problem: header, every frame chunk in order, until the EOF
 // marker (or the end of r, for a stream whose acquisition was cut
 // short). This is the bridge back to the batch world — the returned
@@ -535,7 +530,7 @@ func ReadStream(r io.Reader) (*solver.Problem, error) {
 	return prob, nil
 }
 
-// ReadStreamFile replays a PTYCHSv1/v2 stream from the named file.
+// ReadStreamFile replays a PTYCHSv2 stream from the named file.
 func ReadStreamFile(path string) (*solver.Problem, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -48,3 +48,31 @@ func TestEngineIsTheOnlyDispatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClientImportsStandardLibraryOnly keeps package client what the
+// service's own types can be aliases of and what a program outside this
+// module can vendor: the one declaration of the /v1 schema, importing
+// nothing from this module (an import of internal/jobs would also be a
+// cycle) and nothing third-party.
+func TestClientImportsStandardLibraryOnly(t *testing.T) {
+	files, err := filepath.Glob("../../client/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files in package client (%v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if first, _, _ := strings.Cut(p, "/"); strings.Contains(first, ".") || first == "ptychopath" {
+				t.Errorf("%s imports %s: package client is standard library only", filepath.Base(path), p)
+			}
+		}
+	}
+}

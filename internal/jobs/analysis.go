@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/cluster"
 	"ptychopath/internal/engine"
 	"ptychopath/internal/obs"
@@ -34,20 +35,10 @@ import (
 )
 
 // Prediction is the perfmodel-derived runtime estimate published on the
-// job wire object at submission.
-type Prediction struct {
-	// Seconds is the predicted wall-clock runtime of the job's
-	// iterations; Compute/Wait/CommSeconds split it per Fig 7b.
-	Seconds        float64 `json:"seconds"`
-	ComputeSeconds float64 `json:"compute_seconds"`
-	WaitSeconds    float64 `json:"wait_seconds"`
-	CommSeconds    float64 `json:"comm_seconds"`
-	// Source is "model" (paper's Summit calibration, no local data yet)
-	// or "calibrated" (live throughput EWMA from observed iterations).
-	Source string `json:"source"`
-	// Ranks is the decomposition width the prediction assumed.
-	Ranks int `json:"ranks"`
-}
+// job object at submission: total seconds and its compute/wait/comm
+// split per Fig 7b, from the paper's Summit calibration ("model") or
+// the live throughput EWMA ("calibrated").
+type Prediction = client.Prediction
 
 // ewmaAlpha is the smoothing factor of the service's live estimates:
 // heavy enough smoothing to ride out checkpoint iterations, light
@@ -446,61 +437,14 @@ func (s *Service) analyze(j *Job) {
 	}
 }
 
-// Status is the fleet-health roll-up served at GET /v1/status.
-type Status struct {
-	Time          time.Time `json:"time"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
-	// Pool occupancy and backlog.
-	Workers     int            `json:"workers"`
-	WorkersIdle int            `json:"workers_idle"`
-	QueueDepth  int            `json:"queue_depth"`
-	Jobs        map[string]int `json:"jobs"`
-	// Grid is nil when the service runs without a worker grid.
-	Grid *GridSummary `json:"grid,omitempty"`
-	// WAL is nil when the service runs on the in-memory store.
-	WAL        *WALSummary       `json:"wal,omitempty"`
-	Prediction PredictionSummary `json:"prediction"`
-	// SchedPolicy is the active queue policy ("fifo" or "wfq");
-	// Tenants is the per-tenant fairness rollup (nil until the first
-	// submission creates a tenant).
-	SchedPolicy string         `json:"sched_policy"`
-	Tenants     []TenantStatus `json:"tenants,omitempty"`
-}
-
-// GridSummary is the worker-fleet block of Status.
-type GridSummary struct {
-	Addr        string           `json:"addr"`
-	Workers     []GridWorkerInfo `json:"workers"`
-	Busy        int              `json:"busy"`
-	Sessions    int64            `json:"sessions_total"`
-	BytesRouted int64            `json:"bytes_routed_total"`
-}
-
-// WALSummary is the durability block of Status.
-type WALSummary struct {
-	Records       int64 `json:"records_total"`
-	Syncs         int64 `json:"syncs_total"`
-	Compactions   int64 `json:"compactions_total"`
-	Bytes         int64 `json:"bytes"`
-	Errors        int64 `json:"errors_total"`
-	ReplayRecords int   `json:"replay_records"`
-	ReplayTorn    int   `json:"replay_torn"`
-}
-
-// PredictionSummary reports how the runtime predictor is doing.
-type PredictionSummary struct {
-	// Jobs is how many finished jobs were scored against a prediction.
-	Jobs int `json:"jobs"`
-	// MeanAbsErrorPct is the mean |actual/predicted - 1| in percent.
-	MeanAbsErrorPct float64 `json:"mean_abs_error_pct"`
-	// LastErrorRatio is the most recent actual/predicted ratio.
-	LastErrorRatio float64 `json:"last_error_ratio,omitempty"`
-	// CalibratedFlops is the live per-rank throughput EWMA (0 until the
-	// first observed iteration); CalibrationIters how many iterations
-	// fed it.
-	CalibratedFlops  float64 `json:"calibrated_flops,omitempty"`
-	CalibrationIters int     `json:"calibration_iters,omitempty"`
-}
+// Status is the fleet-health roll-up served at GET /v1/status, with its
+// grid, durability and prediction-accuracy blocks.
+type (
+	Status            = client.Status
+	GridSummary       = client.GridSummary
+	WALSummary        = client.WALSummary
+	PredictionSummary = client.PredictionSummary
+)
 
 // Status snapshots the service's fleet health: queue depth, pool and
 // grid occupancy, job-state census, WAL counters and the prediction-
@@ -539,7 +483,7 @@ func (s *Service) Status() Status {
 		Tenants:       tenants,
 	}
 	if s.grid != nil {
-		workers := s.grid.Workers()
+		workers := s.GridWorkers()
 		busy := 0
 		for _, w := range workers {
 			if w.Busy {

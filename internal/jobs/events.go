@@ -3,11 +3,12 @@ package jobs
 import (
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/obs/flight"
 )
 
 // Event is one entry of a job's live feed — what the SSE endpoint
-// (GET /jobs/{id}/events) streams to a beamline GUI so it can follow a
+// (GET /v1/jobs/{id}/events) streams to a beamline GUI so it can follow a
 // reconstruction without polling.
 //
 // Types:
@@ -19,15 +20,7 @@ import (
 //	eof        the producer closed the stream
 //	snapshot   a preview/checkpoint was published; Iter is its
 //	           completed-iteration count
-type Event struct {
-	Type   string    `json:"type"`
-	Job    string    `json:"job"`
-	State  string    `json:"state,omitempty"`
-	Iter   int       `json:"iter,omitempty"`
-	Cost   float64   `json:"cost,omitempty"`
-	Frames int       `json:"frames,omitempty"`
-	Time   time.Time `json:"time"`
-}
+type Event = client.Event
 
 // Subscribe registers a listener for the job's events. The returned
 // channel is buffered (buffer entries; 64 when <= 0) and NEVER blocks

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/collective"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
@@ -53,15 +54,18 @@ func (s *Service) GridAddr() string {
 	return s.grid.Addr().String()
 }
 
-// GridWorkerInfo describes one registered grid worker endpoint.
-type GridWorkerInfo = transport.WorkerInfo
-
-// GridWorkers lists the registered grid workers.
-func (s *Service) GridWorkers() []transport.WorkerInfo {
-	if s.grid == nil {
-		return nil
+// GridWorkers lists the registered grid workers as GET /v1/grid serves
+// them: empty, never nil, without a grid.
+func (s *Service) GridWorkers() []client.GridWorker {
+	var ws []transport.WorkerInfo
+	if s.grid != nil {
+		ws = s.grid.Workers()
 	}
-	return s.grid.Workers()
+	out := make([]client.GridWorker, len(ws))
+	for i, w := range ws {
+		out[i] = client.GridWorker(w)
+	}
+	return out
 }
 
 // shardChunkBytes is the target size of one chunk of a shard stream:

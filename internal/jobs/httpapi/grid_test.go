@@ -3,21 +3,21 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/gridworker"
 	"ptychopath/internal/jobs"
 )
 
 // TestGridEndpointAndSubmit exercises the distributed path end to end
-// over HTTP: GET /grid reports the registered workers, POST
-// /jobs?alg=gd&grid=1 runs the reconstruction across them, and the job
+// over HTTP: GET /v1/grid reports the registered workers, a submission
+// with "grid": true runs the reconstruction across them, and the job
 // completes with the same observable lifecycle as a local one.
 func TestGridEndpointAndSubmit(t *testing.T) {
 	svc, err := jobs.NewService(jobs.Config{
@@ -33,14 +33,9 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 		svc.Close()
 	})
 
-	// No workers yet: /grid reports an enabled, empty pool.
-	var grid struct {
-		Enabled bool                  `json:"enabled"`
-		Addr    string                `json:"addr"`
-		Workers []jobs.GridWorkerInfo `json:"workers"`
-		Idle    int                   `json:"idle"`
-	}
-	getJSON(t, ts.URL+"/grid", &grid)
+	// No workers yet: /v1/grid reports an enabled, empty pool.
+	var grid client.GridStatus
+	getJSON(t, ts.URL+"/v1/grid", &grid)
 	if !grid.Enabled || grid.Addr == "" || len(grid.Workers) != 0 {
 		t.Fatalf("empty grid: %+v", grid)
 	}
@@ -52,7 +47,7 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		getJSON(t, ts.URL+"/grid", &grid)
+		getJSON(t, ts.URL+"/v1/grid", &grid)
 		if grid.Idle == 4 {
 			break
 		}
@@ -66,16 +61,9 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	if err := dataio.Write(&buf, testProblem(t)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/jobs?alg=gd&grid=1&iters=4&mesh=2x2&checkpoint-every=2",
-		"application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var info jobs.Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp := postSubmit(t, ts.URL+"/v1/jobs",
+		`{"algorithm":"gd","grid":true,"iterations":4,"mesh_rows":2,"mesh_cols":2,"checkpoint_every":2}`, buf.Bytes(), &info)
 	if resp.StatusCode != http.StatusAccepted || !info.Grid {
 		t.Fatalf("submit: status %d, info %+v", resp.StatusCode, info)
 	}
@@ -83,7 +71,7 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	deadline = time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && info.State != "done" && info.State != "failed" {
 		time.Sleep(10 * time.Millisecond)
-		getJSON(t, ts.URL+"/jobs/"+info.ID, &info)
+		getJSON(t, ts.URL+"/v1/jobs/"+info.ID, &info)
 	}
 	if info.State != "done" {
 		t.Fatalf("grid job ended %q (error %q)", info.State, info.Error)
@@ -93,17 +81,16 @@ func TestGridEndpointAndSubmit(t *testing.T) {
 	}
 
 	// The hub's routing shows up in /metrics.
-	resp, err = http.Get(ts.URL + "/metrics")
+	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	defer mresp.Body.Close()
 	var metrics bytes.Buffer
-	metrics.ReadFrom(resp.Body)
+	metrics.ReadFrom(mresp.Body)
 	for _, want := range []string{"ptychoserve_grid_workers 4", "ptychoserve_grid_sessions_total 1"} {
 		if !bytes.Contains(metrics.Bytes(), []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics.String())
 		}
 	}
 }
-

@@ -56,10 +56,12 @@
 // timeline, its structured log lines, and the PTGW SETUP frame sent to
 // grid workers (see obs.go).
 //
-// The pre-/v1 routes (POST /jobs with query-string parameters, GET
-// /jobs returning the unpaged array, …) remain mounted as thin aliases
-// for one release; they answer with a Deprecation header pointing at
-// /v1 and will be removed next release.
+// Nothing but /metrics and /healthz is served outside /v1. The job,
+// status, event and grid objects are the structs package client
+// declares; internal/jobs fills those same types (its Info, Status, …
+// are aliases), so what a handler gets from the service is what it
+// encodes — only Params, which is also the WAL record and carries
+// server-assigned fields, is mapped (paramsFromRequest).
 //
 // The complete reference with copy-pasteable curl examples (smoke-run
 // by CI) lives in docs/HTTP_API.md.
@@ -74,7 +76,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"ptychopath"
@@ -83,6 +84,7 @@ import (
 	"ptychopath/internal/grid"
 	"ptychopath/internal/jobs"
 	"ptychopath/internal/obs"
+	"ptychopath/internal/obs/flight"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/stream"
 )
@@ -96,11 +98,6 @@ const (
 	defaultPageLimit = 100
 	maxPageLimit     = 1000
 )
-
-// legacyDeprecation is the Deprecation header (RFC 9745) served on the
-// pre-/v1 alias routes: the @unix-time this API generation was
-// deprecated in favor of /v1.
-const legacyDeprecation = "@1785110400" // 2026-07-27
 
 // Server adapts a jobs.Service to HTTP.
 type Server struct {
@@ -152,43 +149,26 @@ func New(svc *jobs.Service, opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the route mux: the /v1 surface, the deprecated
-// unversioned aliases, and the unversioned infrastructure endpoints.
+// Handler returns the route mux: the /v1 surface and the unversioned
+// infrastructure endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmitV1)
-	mux.HandleFunc("POST /v1/jobs/stream", s.handleSubmitStreamV1)
-	mux.HandleFunc("GET /v1/jobs", s.handleListV1)
-	// /v1-only (no legacy alias): the span timeline, debug bundle and
-	// status rollup did not exist before the versioned surface.
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /v1/jobs/stream", s.handleSubmitStream)
+	mux.HandleFunc("GET /v1/jobs", s.handleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
+	mux.HandleFunc("POST /v1/jobs/{id}/frames", s.handleFrames)
+	mux.HandleFunc("POST /v1/jobs/{id}/eof", s.handleEOF)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("POST /v1/jobs/{id}/resume", s.handleResume)
+	mux.HandleFunc("GET /v1/jobs/{id}/preview.png", s.handlePreview)
+	mux.HandleFunc("GET /v1/jobs/{id}/object", s.handleObject)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/jobs/{id}/debug", s.handleDebug)
+	mux.HandleFunc("GET /v1/grid", s.handleGrid)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-
-	// Routes identical across generations: register under /v1 and as a
-	// deprecated alias.
-	shared := map[string]http.HandlerFunc{
-		"GET /jobs/{id}":             s.handleGet,
-		"POST /jobs/{id}/frames":     s.handleFrames,
-		"POST /jobs/{id}/eof":        s.handleEOF,
-		"GET /jobs/{id}/events":      s.handleEvents,
-		"POST /jobs/{id}/cancel":     s.handleCancel,
-		"POST /jobs/{id}/resume":     s.handleResume,
-		"GET /jobs/{id}/preview.png": s.handlePreview,
-		"GET /jobs/{id}/object":      s.handleObject,
-		"GET /grid":                  s.handleGrid,
-	}
-	for pattern, h := range shared {
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, deprecated(h))
-	}
-	// Legacy submit and list keep their historical request shapes
-	// (query-string parameters, raw dataset body, unpaged array).
-	mux.HandleFunc("POST /jobs", deprecated(s.handleSubmitLegacy))
-	mux.HandleFunc("POST /jobs/stream", deprecated(s.handleSubmitStreamLegacy))
-	mux.HandleFunc("GET /jobs", deprecated(s.handleListLegacy))
 
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -196,16 +176,6 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return s.observe(mux)
-}
-
-// deprecated marks a legacy alias response: RFC 9745 Deprecation plus
-// a pointer at the successor surface.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", legacyDeprecation)
-		w.Header().Set("Link", `</v1>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // httpError carries a status and problem code decided at the call
@@ -316,7 +286,6 @@ func problemFor(err error) client.Problem {
 		Code:         code,
 		Detail:       err.Error(),
 		RetryAfterMS: retryMS,
-		LegacyError:  err.Error(),
 	}
 }
 
@@ -336,82 +305,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// wireJob converts the service's job summary to the public wire schema.
-// Everything the API serves funnels through this enumeration, so a
-// field added to jobs.Info cannot reach (or silently miss) the wire
-// without a matching client.Job change — the contract genuinely lives
-// in the client package.
-func wireJob(info jobs.Info) client.Job {
-	return client.Job{
-		ID:             info.ID,
-		RequestID:      info.RequestID,
-		State:          info.State,
-		Algorithm:      info.Algorithm,
-		Grid:           info.Grid,
-		Iter:           info.Iter,
-		TotalIters:     info.TotalIters,
-		Cost:           info.Cost,
-		CostHistory:    info.CostHistory,
-		CheckpointIter: info.CheckpointIter,
-		Checkpoint:     info.Checkpoint,
-		ResumedFrom:    info.ResumedFrom,
-		RecoveredFrom:  info.RecoveredFrom,
-		Tenant:         info.Tenant,
-		Priority:       info.Priority,
-		PreemptedCount: info.PreemptedCount,
-		Error:          info.Error,
-		Created:        info.Created,
-		Started:        info.Started,
-		Finished:       info.Finished,
-		Streaming:      info.Streaming,
-		Frames:         info.Frames,
-		ActiveFrames:   info.ActiveFrames,
-		Folds:          info.Folds,
-		EOF:            info.EOF,
-
-		Prediction:           wirePrediction(info.Prediction),
-		ActualSeconds:        info.ActualSeconds,
-		PredictionErrorRatio: info.PredictionErrorRatio,
-		StragglerRanks:       info.StragglerRanks,
-		ImbalanceRatio:       info.ImbalanceRatio,
-	}
-}
-
-func wirePrediction(p *jobs.Prediction) *client.Prediction {
-	if p == nil {
-		return nil
-	}
-	return &client.Prediction{
-		Seconds:        p.Seconds,
-		ComputeSeconds: p.ComputeSeconds,
-		WaitSeconds:    p.WaitSeconds,
-		CommSeconds:    p.CommSeconds,
-		Source:         p.Source,
-		Ranks:          p.Ranks,
-	}
-}
-
-func wireJobs(infos []jobs.Info) []client.Job {
-	out := make([]client.Job, len(infos))
-	for i, info := range infos {
-		out[i] = wireJob(info)
-	}
-	return out
-}
-
-// wireEvent is wireJob for the SSE feed.
-func wireEvent(e jobs.Event) client.Event {
-	return client.Event{
-		Type:   e.Type,
-		Job:    e.Job,
-		State:  e.State,
-		Iter:   e.Iter,
-		Cost:   e.Cost,
-		Frames: e.Frames,
-		Time:   e.Time,
-	}
-}
-
 // queryInt parses an optional integer query parameter.
 func queryInt(r *http.Request, key string, def int) (int, error) {
 	v := r.URL.Query().Get(key)
@@ -425,21 +318,11 @@ func queryInt(r *http.Request, key string, def int) (int, error) {
 	return n, nil
 }
 
-func queryFloat(r *http.Request, key string, def float64) (float64, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, badParams("parameter %s: %v", key, err)
-	}
-	return f, nil
-}
-
 // paramsFromRequest maps the wire-contract SubmitRequest onto the
 // service's Params. Semantic validation (ranges, algorithm names,
-// mesh/grid consistency) stays in jobs — this is a pure rename.
+// mesh/grid consistency) stays in jobs — this is a pure rename, kept
+// because Params is also the WAL record and carries fields a client
+// must not set (StartIter, RequestID, Tenant).
 func paramsFromRequest(req client.SubmitRequest) jobs.Params {
 	return jobs.Params{
 		Algorithm:          req.Algorithm,
@@ -501,10 +384,10 @@ func (s *Server) readSubmitParts(w http.ResponseWriter, r *http.Request, decodeD
 	return req, nil
 }
 
-// handleSubmitV1 accepts the versioned multipart submission and
+// handleSubmit accepts the multipart submission and
 // enqueues a batch job, idempotently when the request carries an
 // Idempotency-Key.
-func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var prob *solver.Problem
 	req, err := s.readSubmitParts(w, r, func(body io.Reader) error {
 		var derr error
@@ -526,12 +409,12 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) {
 	if !created {
 		w.Header().Set("Idempotency-Replayed", "true")
 	}
-	writeJSON(w, http.StatusAccepted, wireJob(j.Info(0)))
+	writeJSON(w, http.StatusAccepted, j.Info(0))
 }
 
-// handleSubmitStreamV1 opens a streaming job from a multipart body
+// handleSubmitStream opens a streaming job from a multipart body
 // whose dataset part is a PTYCHS opening.
-func (s *Server) handleSubmitStreamV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 	var hdr *dataio.StreamHeader
 	req, err := s.readSubmitParts(w, r, func(body io.Reader) error {
 		var derr error
@@ -553,12 +436,12 @@ func (s *Server) handleSubmitStreamV1(w http.ResponseWriter, r *http.Request) {
 	if !created {
 		w.Header().Set("Idempotency-Replayed", "true")
 	}
-	writeJSON(w, http.StatusAccepted, wireJob(j.Info(0)))
+	writeJSON(w, http.StatusAccepted, j.Info(0))
 }
 
-// handleListV1 serves one page of jobs: deterministic submit-time
+// handleList serves one page of jobs: deterministic submit-time
 // order, optional status filter, cursor pagination.
-func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	limit, err := queryInt(r, "limit", defaultPageLimit)
 	if err != nil {
 		writeErr(w, err)
@@ -577,111 +460,8 @@ func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.JobPage{Jobs: wireJobs(infos), NextCursor: next})
+	writeJSON(w, http.StatusOK, client.JobPage{Jobs: infos, NextCursor: next})
 }
-
-// --- legacy (pre-/v1) submission and listing -------------------------
-
-func parseParams(r *http.Request) (jobs.Params, error) {
-	var p jobs.Params
-	var err error
-	p.Algorithm = r.URL.Query().Get("alg")
-	if p.Iterations, err = queryInt(r, "iters", 0); err != nil {
-		return p, err
-	}
-	if p.StepSize, err = queryFloat(r, "step", 0); err != nil {
-		return p, err
-	}
-	if p.RoundsPerIteration, err = queryInt(r, "rounds", 0); err != nil {
-		return p, err
-	}
-	if p.IntraWorkers, err = queryInt(r, "workers", 0); err != nil {
-		return p, err
-	}
-	if p.CheckpointEvery, err = queryInt(r, "checkpoint-every", 0); err != nil {
-		return p, err
-	}
-	if g := r.URL.Query().Get("grid"); g != "" {
-		on, err := strconv.ParseBool(g)
-		if err != nil {
-			return p, badParams("parameter grid: %v", err)
-		}
-		p.Grid = on
-	}
-	if mesh := r.URL.Query().Get("mesh"); mesh != "" {
-		rows, cols, ok := strings.Cut(strings.ToLower(mesh), "x")
-		if !ok {
-			return p, badParams("parameter mesh %q: want ROWSxCOLS", mesh)
-		}
-		if p.MeshRows, err = strconv.Atoi(rows); err != nil {
-			return p, badParams("parameter mesh %q: %v", mesh, err)
-		}
-		if p.MeshCols, err = strconv.Atoi(cols); err != nil {
-			return p, badParams("parameter mesh %q: %v", mesh, err)
-		}
-	}
-	return p, nil
-}
-
-func (s *Server) handleSubmitLegacy(w http.ResponseWriter, r *http.Request) {
-	params, err := parseParams(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	prob, err := dataio.Read(http.MaxBytesReader(w, r.Body, s.maxUpload))
-	if err != nil {
-		writeErr(w, badParams("decoding PTYCHOv1 body: %w", err))
-		return
-	}
-	params.RequestID = requestIDFrom(r.Context())
-	params.Tenant = tenantFrom(r)
-	j, err := s.svc.Submit(prob, params)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, wireJob(j.Info(0)))
-}
-
-func (s *Server) handleSubmitStreamLegacy(w http.ResponseWriter, r *http.Request) {
-	params, err := parseParams(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if params.FoldEvery, err = queryInt(r, "fold-every", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if params.MaxIterations, err = queryInt(r, "max-iters", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if params.IngestCapacity, err = queryInt(r, "ingest", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
-	hdr, err := dataio.ReadStreamHeader(http.MaxBytesReader(w, r.Body, s.maxUpload))
-	if err != nil {
-		writeErr(w, badParams("decoding PTYCHS opening: %w", err))
-		return
-	}
-	params.RequestID = requestIDFrom(r.Context())
-	params.Tenant = tenantFrom(r)
-	j, err := s.svc.SubmitStreaming(hdr, params)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, wireJob(j.Info(0)))
-}
-
-func (s *Server) handleListLegacy(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, wireJobs(s.svc.List()))
-}
-
-// --- shared handlers -------------------------------------------------
 
 // handleFrames ingests one PTYCHS chunk. An 'F' chunk appends
 // frames (429 ingest_full when the bounded ingest is full — retry the
@@ -728,7 +508,7 @@ func (s *Server) handleEOF(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireJob(j.Info(0)))
+	writeJSON(w, http.StatusOK, j.Info(0))
 }
 
 // handleEvents streams the job's live feed as Server-Sent Events: an
@@ -775,7 +555,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	ch, cancel := j.Subscribe(256)
 	defer cancel()
-	if !send("info", wireJob(j.Info(0))) {
+	if !send("info", j.Info(0)) {
 		return
 	}
 	for {
@@ -784,7 +564,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			if !send(e.Type, wireEvent(e)) {
+			if !send(e.Type, e) {
 				return
 			}
 		case <-r.Context().Done():
@@ -823,7 +603,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, wireJob(j.Info(tail)))
+	writeJSON(w, http.StatusOK, j.Info(tail))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -836,7 +616,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireJob(j.Info(0)))
+	writeJSON(w, http.StatusOK, j.Info(0))
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
@@ -850,7 +630,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, wireJob(resumed.Info(0)))
+	writeJSON(w, http.StatusAccepted, resumed.Info(0))
 }
 
 // handlePreview renders the latest snapshot as a grayscale PNG — the
@@ -899,15 +679,17 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap, iter := j.Snapshot()
-	if snap == nil {
+	if path, ck := j.CheckpointPath(); snap == nil && path != "" {
 		// A job restored from the WAL after a restart has no in-memory
 		// snapshot, but its OBJCKv1 checkpoint file survived — serve
-		// that, so /object keeps working across crashes.
-		if path, ck := j.CheckpointPath(); path != "" {
-			if slices, err := dataio.ReadObjectFile(path); err == nil {
-				snap, iter = slices, ck
-			}
+		// that, so /object keeps working across crashes. The log says
+		// the file was written: failing to read it back is the server's
+		// fault, not "no snapshot yet".
+		if snap, err = dataio.ReadObjectFile(path); err != nil {
+			writeErr(w, fmt.Errorf("reading the iteration-%d checkpoint of %s: %w", ck, j.ID(), err))
+			return
 		}
+		iter = ck
 	}
 	if snap == nil {
 		writeErr(w, &httpError{status: http.StatusNotFound, code: client.CodeNoSnapshot,
@@ -933,75 +715,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, client.GridStatus{
 		Enabled: s.svc.GridEnabled(),
 		Addr:    s.svc.GridAddr(),
-		Workers: wireGridWorkers(workers),
+		Workers: workers,
 		Idle:    idle,
 	})
-}
-
-func wireGridWorkers(workers []jobs.GridWorkerInfo) []client.GridWorker {
-	gw := make([]client.GridWorker, len(workers))
-	for i, wk := range workers {
-		gw[i] = client.GridWorker{
-			ID: wk.ID, Name: wk.Name, Busy: wk.Busy,
-			LastSeen: wk.LastSeen,
-			BytesIn:  wk.BytesIn, BytesOut: wk.BytesOut,
-			Messages: wk.Messages, Sessions: wk.Sessions,
-		}
-	}
-	return gw
 }
 
 // handleStatus serves the fleet-health rollup: one JSON object a
 // dashboard (cmd/ptychotop) or a probe polls instead of stitching
 // /metrics, /v1/grid and the job list together.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Status()
-	out := client.Status{
-		Time:          st.Time,
-		UptimeSeconds: st.UptimeSeconds,
-		Workers:       st.Workers,
-		WorkersIdle:   st.WorkersIdle,
-		QueueDepth:    st.QueueDepth,
-		Jobs:          st.Jobs,
-		SchedPolicy:   st.SchedPolicy,
-		Prediction: client.PredictionSummary{
-			Jobs:             st.Prediction.Jobs,
-			MeanAbsErrorPct:  st.Prediction.MeanAbsErrorPct,
-			LastErrorRatio:   st.Prediction.LastErrorRatio,
-			CalibratedFlops:  st.Prediction.CalibratedFlops,
-			CalibrationIters: st.Prediction.CalibrationIters,
-		},
-	}
-	if st.Grid != nil {
-		out.Grid = &client.GridSummary{
-			Addr:        st.Grid.Addr,
-			Workers:     wireGridWorkers(st.Grid.Workers),
-			Busy:        st.Grid.Busy,
-			Sessions:    st.Grid.Sessions,
-			BytesRouted: st.Grid.BytesRouted,
-		}
-	}
-	if st.WAL != nil {
-		out.WAL = &client.WALSummary{
-			Records:       st.WAL.Records,
-			Syncs:         st.WAL.Syncs,
-			Compactions:   st.WAL.Compactions,
-			Bytes:         st.WAL.Bytes,
-			Errors:        st.WAL.Errors,
-			ReplayRecords: st.WAL.ReplayRecords,
-			ReplayTorn:    st.WAL.ReplayTorn,
-		}
-	}
-	for _, ts := range st.Tenants {
-		out.Tenants = append(out.Tenants, client.TenantStatus{
-			Name: ts.Name, Weight: ts.Weight, Active: ts.Active,
-			MaxActive: ts.MaxActive, IngestQuotaBytes: ts.IngestQuotaBytes,
-			IngestBytes: ts.IngestBytes, Submitted: ts.Submitted,
-			Preempted: ts.Preempted, QuotaRejections: ts.QuotaRejections,
-			CompletedCostSeconds: ts.CompletedCostSeconds, Share: ts.Share,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.svc.Status())
 }
 
 // handleDebug serves a job's failure dossier in one response: the
@@ -1014,20 +737,15 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	events := j.FlightEvents()
+	writeJSON(w, http.StatusOK, debugBundle(j.Info(-1), j.Params(), j.Trace().Spans(), j.FlightEvents()))
+}
+
+func debugBundle(info client.Job, p jobs.Params, spans []obs.Span, events []flight.Event) client.DebugBundle {
 	fe := make([]client.FlightEvent, len(events))
 	for i, e := range events {
-		fe[i] = client.FlightEvent{
-			Time: e.Time, Kind: e.Kind, State: e.State,
-			Iter: e.Iter, Cost: e.Cost, Frames: e.Frames, Detail: e.Detail,
-		}
+		fe[i] = client.FlightEvent(e)
 	}
-	writeJSON(w, http.StatusOK, client.DebugBundle{
-		Job:    wireJob(j.Info(-1)),
-		Params: requestFromParams(j.Params()),
-		Spans:  wireSpans(j.Trace().Spans()),
-		Events: fe,
-	})
+	return client.DebugBundle{Job: info, Params: requestFromParams(p), Spans: wireSpans(spans), Events: fe}
 }
 
 // requestFromParams is paramsFromRequest in reverse: the job's

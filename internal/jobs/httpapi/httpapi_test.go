@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/jobs"
 	"ptychopath/internal/phantom"
@@ -50,7 +51,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Service) {
 	ts := httptest.NewServer(New(svc).Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		for _, info := range svc.List() {
+		for _, info := range allJobs(t, svc) {
 			if info.State == "queued" || info.State == "running" {
 				svc.Cancel(info.ID)
 			}
@@ -58,6 +59,16 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Service) {
 		svc.Close()
 	})
 	return ts, svc
+}
+
+// allJobs is the whole registry, through the one listing the service has.
+func allJobs(t *testing.T, svc *jobs.Service) []jobs.Info {
+	t.Helper()
+	infos, _, err := svc.ListPage(jobs.ListOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infos
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -107,15 +118,14 @@ func TestEndToEndCancelResume(t *testing.T) {
 	const step = 0.01
 
 	var info jobs.Info
-	status := postJSON(t, fmt.Sprintf("%s/jobs?alg=serial&iters=%d&step=%g&checkpoint-every=2", ts.URL, total, step),
-		bytes.NewReader(upload.Bytes()), &info)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: status %d", status)
+	params := fmt.Sprintf(`{"algorithm":"serial","iterations":%d,"step_size":%g,"checkpoint_every":2}`, total, step)
+	if resp := postSubmit(t, ts.URL+"/v1/jobs", params, upload.Bytes(), &info); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 	if info.State != "queued" && info.State != "running" {
 		t.Fatalf("submitted job state %q", info.State)
 	}
-	jobURL := ts.URL + "/jobs/" + info.ID
+	jobURL := ts.URL + "/v1/jobs/" + info.ID
 
 	// Poll until mid-run, asserting the iteration counter is monotone.
 	last := -1
@@ -185,7 +195,7 @@ func TestEndToEndCancelResume(t *testing.T) {
 	if resumed.ResumedFrom != info.ID {
 		t.Fatalf("resumed_from %q, want %q", resumed.ResumedFrom, info.ID)
 	}
-	resumedURL := ts.URL + "/jobs/" + resumed.ID
+	resumedURL := ts.URL + "/v1/jobs/" + resumed.ID
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("resumed job never finished")
@@ -253,39 +263,37 @@ func TestEndToEndCancelResume(t *testing.T) {
 // TestHTTPValidation covers the API's error paths.
 func TestHTTPValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
-
-	// Garbage upload is a 400.
-	if st := postJSON(t, ts.URL+"/jobs", strings.NewReader("not a dataset"), nil); st != http.StatusBadRequest {
-		t.Errorf("garbage upload: status %d, want 400", st)
-	}
-	// Unknown job is a 404 everywhere.
-	for _, url := range []string{"/jobs/job-9999", "/jobs/job-9999/preview.png", "/jobs/job-9999/object"} {
-		if st := getJSON(t, ts.URL+url, nil); st != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404", url, st)
-		}
-	}
-	if st := postJSON(t, ts.URL+"/jobs/job-9999/cancel", nil, nil); st != http.StatusNotFound {
-		t.Errorf("cancel unknown: status %d, want 404", st)
-	}
-	// Bad parameters are 400s.
 	prob := testProblem(t)
 	var upload bytes.Buffer
 	if err := dataio.Write(&upload, prob); err != nil {
 		t.Fatal(err)
 	}
-	if st := postJSON(t, ts.URL+"/jobs?iters=abc", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("iters=abc: status %d, want 400", st)
+
+	// Unknown job is a 404 everywhere.
+	for _, url := range []string{"/v1/jobs/job-9999", "/v1/jobs/job-9999/preview.png", "/v1/jobs/job-9999/object"} {
+		if st := getJSON(t, ts.URL+url, nil); st != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", url, st)
+		}
 	}
-	if st := postJSON(t, ts.URL+"/jobs?mesh=2by2", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("mesh=2by2: status %d, want 400", st)
+	if st := postJSON(t, ts.URL+"/v1/jobs/job-9999/cancel", nil, nil); st != http.StatusNotFound {
+		t.Errorf("cancel unknown: status %d, want 404", st)
 	}
-	// Semantically invalid parameters (parse fine, fail validation) are
-	// client errors too, not 500s.
-	if st := postJSON(t, ts.URL+"/jobs?alg=foo", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("alg=foo: status %d, want 400", st)
-	}
-	if st := postJSON(t, ts.URL+"/jobs?iters=-5", bytes.NewReader(upload.Bytes()), nil); st != http.StatusBadRequest {
-		t.Errorf("iters=-5: status %d, want 400", st)
+	// The 400 table: a garbage dataset, parameters that do not parse, and
+	// parameters that parse fine but fail validation are all client
+	// errors, never 500s.
+	for _, tc := range []struct {
+		name, params string
+		dataset      []byte
+	}{
+		{"garbage upload", `{"algorithm":"serial"}`, []byte("not a dataset")},
+		{"iterations not a number", `{"iterations":"abc"}`, upload.Bytes()},
+		{"mesh not a number", `{"mesh_rows":"2by2"}`, upload.Bytes()},
+		{"unknown algorithm", `{"algorithm":"foo"}`, upload.Bytes()},
+		{"negative iterations", `{"iterations":-5}`, upload.Bytes()},
+	} {
+		if resp := postSubmit(t, ts.URL+"/v1/jobs", tc.params, tc.dataset, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
 	}
 	// A healthy server says so.
 	if st := getJSON(t, ts.URL+"/healthz", nil); st != http.StatusOK {
@@ -294,30 +302,14 @@ func TestHTTPValidation(t *testing.T) {
 
 	// A real submission with a gd mesh runs to completion.
 	var info jobs.Info
-	if st := postJSON(t, ts.URL+"/jobs?alg=gd&iters=3&mesh=2x2", bytes.NewReader(upload.Bytes()), &info); st != http.StatusAccepted {
-		t.Fatalf("gd submit: status %d", st)
+	if resp := postSubmit(t, ts.URL+"/v1/jobs", `{"algorithm":"gd","iterations":3,"mesh_rows":2,"mesh_cols":2}`, upload.Bytes(), &info); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("gd submit: status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("gd job never finished")
-		}
-		var cur jobs.Info
-		getJSON(t, ts.URL+"/jobs/"+info.ID, &cur)
-		if cur.State == "done" {
-			break
-		}
-		if cur.State == "failed" {
-			t.Fatalf("gd job failed: %s", cur.Error)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// List shows both jobs.
-	var list []jobs.Info
-	if st := getJSON(t, ts.URL+"/jobs", &list); st != http.StatusOK || len(list) != 1 {
-		// one job: the garbage/param failures never got registered
-		if len(list) != 1 {
-			t.Errorf("list has %d jobs, want 1", len(list))
-		}
+	pollInfo(t, ts.URL+"/v1/jobs/"+info.ID, "gd job done", func(i jobs.Info) bool { return i.State == "done" })
+	// The list shows that one job: the rejected submissions never got
+	// registered.
+	var page client.JobPage
+	if st := getJSON(t, ts.URL+"/v1/jobs", &page); st != http.StatusOK || len(page.Jobs) != 1 {
+		t.Errorf("list: status %d with %d jobs, want 200 with 1", st, len(page.Jobs))
 	}
 }

@@ -159,7 +159,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK, client.JobTrace{
-			Job:   wireJob(info),
+			Job:   info,
 			Spans: wireSpans(spans),
 		})
 	case "chrome":

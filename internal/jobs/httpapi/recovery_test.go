@@ -10,9 +10,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"ptychopath/client"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/jobs"
 	"ptychopath/internal/jobs/store"
@@ -126,7 +129,7 @@ func TestV1IdempotencyAcrossRestart(t *testing.T) {
 	if second.RecoveredFrom == "" {
 		t.Error("recovered job missing recovered_from on the wire")
 	}
-	if n := len(svc2.List()); n != 1 {
+	if n := len(allJobs(t, svc2)); n != 1 {
 		t.Fatalf("registry holds %d jobs after the retry, want 1", n)
 	}
 
@@ -145,5 +148,55 @@ func TestV1IdempotencyAcrossRestart(t *testing.T) {
 	}
 	if _, err := dataio.ReadObject(resp.Body); err != nil {
 		t.Fatalf("decoding recovered object: %v", err)
+	}
+}
+
+// TestObjectOfRecoveredJobWithDamagedCheckpoint: a job recovered from
+// the state directory serves /object from its checkpoint file. When the
+// log says a checkpoint was written and the file no longer reads back,
+// that is a server fault naming the checkpoint — not the "no snapshot
+// yet" a job before its first checkpoint answers.
+func TestObjectOfRecoveredJobWithDamagedCheckpoint(t *testing.T) {
+	var upload bytes.Buffer
+	if err := dataio.Write(&upload, testProblem(t)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+
+	ts1, _, crash1 := durableServer(t, dir)
+	var job jobs.Info
+	if resp := postSubmit(t, ts1.URL+"/v1/jobs", `{"algorithm":"serial","iterations":4}`, upload.Bytes(), &job); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	job = pollInfo(t, ts1.URL+"/v1/jobs/"+job.ID, "job done", func(i jobs.Info) bool { return i.State == "done" })
+	crash1()
+
+	getObject := func(base string) *http.Response {
+		resp, err := http.Get(base + "/v1/jobs/" + job.ID + "/object")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	ts2, _, crash2 := durableServer(t, dir)
+	resp := getObject(ts2.URL)
+	if _, err := dataio.ReadObject(resp.Body); err != nil || resp.Header.Get("X-Ptycho-Iterations") != "4" {
+		t.Fatalf("intact checkpoint of the recovered job: status %d, iterations %q, %v",
+			resp.StatusCode, resp.Header.Get("X-Ptycho-Iterations"), err)
+	}
+	resp.Body.Close()
+	crash2()
+
+	if err := os.Truncate(job.Checkpoint, 40); err != nil {
+		t.Fatal(err)
+	}
+	ts3, _, _ := durableServer(t, dir)
+	resp = getObject(ts3.URL)
+	p := decodeProblem(t, resp)
+	if resp.StatusCode != http.StatusInternalServerError || p.Code != client.CodeInternal {
+		t.Fatalf("truncated checkpoint: %d/%s, want 500/%s", resp.StatusCode, p.Code, client.CodeInternal)
+	}
+	if !strings.Contains(p.Detail, "iteration-4 checkpoint") || !strings.Contains(p.Detail, io.ErrUnexpectedEOF.Error()) {
+		t.Fatalf("detail %q names neither the checkpoint iteration nor the read error", p.Detail)
 	}
 }

@@ -75,27 +75,21 @@ func TestQueueFullSurfacesAs429(t *testing.T) {
 	if err := dataio.Write(&upload, prob); err != nil {
 		t.Fatal(err)
 	}
-	submit := func() *http.Response {
-		resp, err := http.Post(ts.URL+"/jobs?alg=serial&iters=1000000",
-			"application/octet-stream", bytes.NewReader(upload.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+	submit := func(iters int, v any) *http.Response {
+		return postSubmit(t, ts.URL+"/v1/jobs", fmt.Sprintf(`{"algorithm":"serial","iterations":%d}`, iters), upload.Bytes(), v)
 	}
 	// First job occupies the worker, second fills the depth-1 queue.
 	var running, queued jobs.Info
-	if st := postJSON(t, ts.URL+"/jobs?alg=serial&iters=1000000", bytes.NewReader(upload.Bytes()), &running); st != http.StatusAccepted {
-		t.Fatalf("first submit: %d", st)
+	if resp := submit(1000000, &running); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: %d", resp.StatusCode)
 	}
-	pollInfo(t, ts.URL+"/jobs/"+running.ID, "worker busy", func(i jobs.Info) bool { return i.State == "running" })
-	if st := postJSON(t, ts.URL+"/jobs?alg=serial&iters=5", bytes.NewReader(upload.Bytes()), &queued); st != http.StatusAccepted {
-		t.Fatalf("second submit: %d", st)
+	pollInfo(t, ts.URL+"/v1/jobs/"+running.ID, "worker busy", func(i jobs.Info) bool { return i.State == "running" })
+	if resp := submit(5, &queued); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("second submit: %d", resp.StatusCode)
 	}
 
 	// Overflow: 429 with a Retry-After hint.
-	resp := submit()
-	defer resp.Body.Close()
+	resp := submit(1000000, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: status %d, want 429", resp.StatusCode)
 	}
@@ -104,15 +98,15 @@ func TestQueueFullSurfacesAs429(t *testing.T) {
 	}
 
 	// Free the queue slot and retry: accepted.
-	if st := postJSON(t, ts.URL+"/jobs/"+queued.ID+"/cancel", nil, nil); st != http.StatusOK {
+	if st := postJSON(t, ts.URL+"/v1/jobs/"+queued.ID+"/cancel", nil, nil); st != http.StatusOK {
 		t.Fatalf("cancel queued: %d", st)
 	}
 	var retried jobs.Info
-	if st := postJSON(t, ts.URL+"/jobs?alg=serial&iters=5", bytes.NewReader(upload.Bytes()), &retried); st != http.StatusAccepted {
-		t.Fatalf("retry after Retry-After: status %d, want 202", st)
+	if resp := submit(5, &retried); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("retry after Retry-After: status %d, want 202", resp.StatusCode)
 	}
 	for _, id := range []string{running.ID, retried.ID} {
-		postJSON(t, ts.URL+"/jobs/"+id+"/cancel", nil, nil)
+		postJSON(t, ts.URL+"/v1/jobs/"+id+"/cancel", nil, nil)
 	}
 }
 
@@ -131,15 +125,14 @@ func TestStreamingEndToEnd(t *testing.T) {
 	frames := dataio.FramesFromProblem(prob)
 
 	var info jobs.Info
-	st := postJSON(t, ts.URL+"/jobs/stream?alg=serial&iters=5&step=0.01&checkpoint-every=1",
-		bytes.NewReader(opening.Bytes()), &info)
-	if st != http.StatusAccepted {
-		t.Fatalf("open stream: status %d", st)
+	if resp := postSubmit(t, ts.URL+"/v1/jobs/stream",
+		`{"algorithm":"serial","iterations":5,"step_size":0.01,"checkpoint_every":1}`, opening.Bytes(), &info); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("open stream: status %d", resp.StatusCode)
 	}
 	if !info.Streaming {
 		t.Fatalf("job not marked streaming: %+v", info)
 	}
-	jobURL := ts.URL + "/jobs/" + info.ID
+	jobURL := ts.URL + "/v1/jobs/" + info.ID
 
 	// Follow the SSE feed concurrently, collecting event types.
 	var evMu sync.Mutex
@@ -238,10 +231,10 @@ func TestStreamingEndToEnd(t *testing.T) {
 	if err := dataio.Write(&upload, prob); err != nil {
 		t.Fatal(err)
 	}
-	if st := postJSON(t, ts.URL+"/jobs?alg=serial&iters=3", bytes.NewReader(upload.Bytes()), &batchInfo); st != http.StatusAccepted {
-		t.Fatalf("batch submit: %d", st)
+	if resp := postSubmit(t, ts.URL+"/v1/jobs", `{"algorithm":"serial","iterations":3}`, upload.Bytes(), &batchInfo); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch submit: %d", resp.StatusCode)
 	}
-	resp2, err := http.Post(ts.URL+"/jobs/"+batchInfo.ID+"/frames", "application/octet-stream",
+	resp2, err := http.Post(ts.URL+"/v1/jobs/"+batchInfo.ID+"/frames", "application/octet-stream",
 		chunkBody(t, prob.WindowN, frames[:1]))
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +243,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 	if resp2.StatusCode != http.StatusConflict {
 		t.Errorf("frames to batch job: status %d, want 409", resp2.StatusCode)
 	}
-	if st := postJSON(t, ts.URL+"/jobs/job-9999/eof", nil, nil); st != http.StatusNotFound {
+	if st := postJSON(t, ts.URL+"/v1/jobs/job-9999/eof", nil, nil); st != http.StatusNotFound {
 		t.Errorf("eof to unknown job: status %d, want 404", st)
 	}
 }
@@ -274,20 +267,20 @@ func TestIngestFullSurfacesAs429(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blocker jobs.Info
-	if st := postJSON(t, ts.URL+"/jobs?alg=serial&iters=1000000", bytes.NewReader(upload.Bytes()), &blocker); st != http.StatusAccepted {
-		t.Fatalf("blocker: %d", st)
+	if resp := postSubmit(t, ts.URL+"/v1/jobs", `{"algorithm":"serial","iterations":1000000}`, upload.Bytes(), &blocker); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker: %d", resp.StatusCode)
 	}
-	pollInfo(t, ts.URL+"/jobs/"+blocker.ID, "blocker running", func(i jobs.Info) bool { return i.State == "running" })
+	pollInfo(t, ts.URL+"/v1/jobs/"+blocker.ID, "blocker running", func(i jobs.Info) bool { return i.State == "running" })
 
 	var opening bytes.Buffer
 	if err := dataio.WriteStreamHeader(&opening, dataio.HeaderFromProblem(prob)); err != nil {
 		t.Fatal(err)
 	}
 	var info jobs.Info
-	if st := postJSON(t, ts.URL+"/jobs/stream?alg=serial&iters=3&ingest=4", bytes.NewReader(opening.Bytes()), &info); st != http.StatusAccepted {
-		t.Fatalf("open stream: %d", st)
+	if resp := postSubmit(t, ts.URL+"/v1/jobs/stream", `{"algorithm":"serial","iterations":3,"ingest_capacity":4}`, opening.Bytes(), &info); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("open stream: %d", resp.StatusCode)
 	}
-	jobURL := ts.URL + "/jobs/" + info.ID
+	jobURL := ts.URL + "/v1/jobs/" + info.ID
 	frames := dataio.FramesFromProblem(prob)
 
 	post := func(lo, hi int) *http.Response {
@@ -317,7 +310,7 @@ func TestIngestFullSurfacesAs429(t *testing.T) {
 
 	// Free the worker; the streaming job folds the backlog and the
 	// retried chunk goes through.
-	if st := postJSON(t, ts.URL+"/jobs/"+blocker.ID+"/cancel", nil, nil); st != http.StatusOK {
+	if st := postJSON(t, ts.URL+"/v1/jobs/"+blocker.ID+"/cancel", nil, nil); st != http.StatusOK {
 		t.Fatalf("cancel blocker: %d", st)
 	}
 	deadline := time.Now().Add(30 * time.Second)

@@ -69,8 +69,8 @@ func TestProblemForTable(t *testing.T) {
 			if p.Title == "" {
 				t.Fatalf("code %s has no title", p.Code)
 			}
-			if p.Detail == "" || p.LegacyError != p.Detail {
-				t.Fatalf("detail %q / legacy error %q must both carry the message", p.Detail, p.LegacyError)
+			if p.Detail == "" {
+				t.Fatal("detail must carry the message")
 			}
 		})
 	}
@@ -99,6 +99,27 @@ func multipartSubmit(t *testing.T, params string, dataset []byte) (io.Reader, st
 		t.Fatal(err)
 	}
 	return &buf, mw.FormDataContentType()
+}
+
+// postSubmit POSTs a multipart submission (a params JSON part, a
+// dataset part) to a /v1 submit URL and decodes a 2xx body into v —
+// the one way these tests submit. The response comes back with its
+// body consumed, for the status and headers.
+func postSubmit(t *testing.T, url, params string, dataset []byte, v any) *http.Response {
+	t.Helper()
+	body, ct := multipartSubmit(t, params, dataset)
+	resp, err := http.Post(url, ct, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if v != nil && resp.StatusCode < 300 {
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("decoding %s (%s): %v", url, raw, err)
+		}
+	}
+	return resp
 }
 
 // decodeProblem asserts resp is a problem envelope and returns it.
@@ -271,7 +292,7 @@ func TestV1EnvelopeOverTheWire(t *testing.T) {
 
 // TestV1MaxUploadPayloadTooLarge: a body beyond WithMaxUpload answers
 // 413 with the payload_too_large code instead of resetting the
-// connection, on both submission generations.
+// connection, for batch submissions and stream openings alike.
 func TestV1MaxUploadPayloadTooLarge(t *testing.T) {
 	svc, err := jobs.NewService(jobs.Config{Workers: 1, QueueDepth: 4, SpoolDir: t.TempDir()})
 	if err != nil {
@@ -300,13 +321,23 @@ func TestV1MaxUploadPayloadTooLarge(t *testing.T) {
 		t.Fatalf("v1 oversized submit: %d/%s, want 413/%s", resp.StatusCode, p.Code, client.CodePayloadTooLarge)
 	}
 
-	resp, err = http.Post(ts.URL+"/jobs", "application/octet-stream", bytes.NewReader(big))
+	// The same bound guards a stream opening (the probe alone is over
+	// the cap).
+	var opening bytes.Buffer
+	if err := dataio.WriteStreamHeader(&opening, dataio.HeaderFromProblem(testProblem(t))); err != nil {
+		t.Fatal(err)
+	}
+	if opening.Len() <= 1024 {
+		t.Fatalf("test opening only %d bytes, not over the 1024 cap", opening.Len())
+	}
+	body, ct = multipartSubmit(t, `{"algorithm":"serial"}`, opening.Bytes())
+	resp, err = http.Post(ts.URL+"/v1/jobs/stream", ct, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p = decodeProblem(t, resp)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || p.Code != client.CodePayloadTooLarge {
-		t.Fatalf("legacy oversized submit: %d/%s, want 413/%s", resp.StatusCode, p.Code, client.CodePayloadTooLarge)
+		t.Fatalf("oversized stream opening: %d/%s, want 413/%s", resp.StatusCode, p.Code, client.CodePayloadTooLarge)
 	}
 }
 
@@ -499,41 +530,60 @@ func TestV1IdempotentSubmitRace(t *testing.T) {
 	if fresh != 1 {
 		t.Fatalf("%d responses claim a fresh enqueue, want exactly 1", fresh)
 	}
-	if n := len(svc.List()); n != 1 {
+	if n := len(allJobs(t, svc)); n != 1 {
 		t.Fatalf("registry holds %d jobs, want 1", n)
 	}
 }
 
-// TestLegacyAliasDeprecation: the pre-/v1 routes still serve, but are
-// marked deprecated; the /v1 routes are not.
-func TestLegacyAliasDeprecation(t *testing.T) {
+// TestUnversionedRoutesGone: there is one HTTP generation. Every route
+// that used to be mounted without the /v1 prefix answers 404 — also for
+// a job that exists — and only the infrastructure endpoints live outside
+// /v1.
+func TestUnversionedRoutesGone(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/jobs")
-	if err != nil {
+	var upload bytes.Buffer
+	if err := dataio.Write(&upload, testProblem(t)); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy list: status %d", resp.StatusCode)
+	var info jobs.Info
+	if resp := postSubmit(t, ts.URL+"/v1/jobs", `{"algorithm":"serial","iterations":1}`, upload.Bytes(), &info); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("legacy route without a Deprecation header")
+	id := info.ID
+	for _, route := range []struct{ method, path string }{
+		{"POST", "/jobs"},
+		{"POST", "/jobs?alg=serial&iters=1"},
+		{"POST", "/jobs/stream"},
+		{"GET", "/jobs"},
+		{"GET", "/jobs/" + id},
+		{"POST", "/jobs/" + id + "/frames"},
+		{"POST", "/jobs/" + id + "/eof"},
+		{"GET", "/jobs/" + id + "/events"},
+		{"POST", "/jobs/" + id + "/cancel"},
+		{"POST", "/jobs/" + id + "/resume"},
+		{"GET", "/jobs/" + id + "/preview.png"},
+		{"GET", "/jobs/" + id + "/object"},
+		{"GET", "/grid"},
+	} {
+		req, err := http.NewRequest(route.method, ts.URL+route.path, bytes.NewReader(upload.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", route.method, route.path, resp.StatusCode)
+		}
+		if resp.Header.Get("Deprecation") != "" {
+			t.Errorf("%s %s still answers with a Deprecation header", route.method, route.path)
+		}
 	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy route Link %q does not point at the successor version", link)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 list: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
+	for _, path := range []string{"/metrics", "/healthz", "/v1/jobs", "/v1/jobs/" + id, "/v1/grid"} {
+		if st := getJSON(t, ts.URL+path, nil); st != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, st)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
@@ -433,68 +434,10 @@ func (j *Job) CheckpointPath() (string, int) {
 	return j.checkpointPath, j.checkpointIter
 }
 
-// Info is a point-in-time summary of a job, JSON-ready for the HTTP
-// API.
-type Info struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Algorithm string `json:"algorithm"`
-	// Grid marks a job running on the distributed worker grid.
-	Grid bool `json:"grid,omitempty"`
-	Iter int  `json:"iter"`
-	// TotalIters is the planned iteration count of a batch job. For a
-	// streaming job it is 0 while the stream is open (the total is
-	// unknowable until EOF).
-	TotalIters     int       `json:"total_iters,omitempty"`
-	Cost           float64   `json:"cost"`
-	CostHistory    []float64 `json:"cost_history,omitempty"`
-	CheckpointIter int       `json:"checkpoint_iter,omitempty"`
-	Checkpoint     string    `json:"checkpoint,omitempty"`
-	ResumedFrom    string    `json:"resumed_from,omitempty"`
-	// RecoveredFrom marks a job revived by crash recovery and says
-	// where its work restarted: "checkpoint@k" (warm start from the
-	// OBJCKv1 checkpoint at iteration k), "scratch" (no checkpoint had
-	// been written), or "stream" (refolded from the spooled frame
-	// journal).
-	RecoveredFrom string `json:"recovered_from,omitempty"`
-	// RequestID is the job's trace context (the X-Request-ID of its
-	// submission); empty when it was submitted without one.
-	RequestID string `json:"request_id,omitempty"`
-	// Tenant is the fair-share principal the job is accounted to and
-	// Priority its scheduling class ("bulk" or "interactive").
-	Tenant   string `json:"tenant,omitempty"`
-	Priority string `json:"priority,omitempty"`
-	// PreemptedCount is how many times an interactive job displaced
-	// this one at an iteration boundary; each preemption is lossless
-	// (the job requeues warm from the boundary checkpoint — see
-	// RecoveredFrom for the checkpoint it restarted from).
-	PreemptedCount int       `json:"preempted_count,omitempty"`
-	Error          string    `json:"error,omitempty"`
-	Created        time.Time `json:"created"`
-	Started        time.Time `json:"started,omitzero"`
-	Finished       time.Time `json:"finished,omitzero"`
-
-	// Analysis (see analysis.go). Prediction is the perfmodel runtime
-	// estimate made at submission (nil for streaming jobs and empty
-	// datasets); ActualSeconds and PredictionErrorRatio land when the
-	// job finishes. StragglerRanks lists ranks persistently slower than
-	// the per-iteration mean; ImbalanceRatio is the mean max/mean
-	// per-rank compute ratio across complete iteration rows.
-	Prediction           *Prediction `json:"prediction,omitempty"`
-	ActualSeconds        float64     `json:"actual_seconds,omitempty"`
-	PredictionErrorRatio float64     `json:"prediction_error_ratio,omitempty"`
-	StragglerRanks       []int       `json:"straggler_ranks,omitempty"`
-	ImbalanceRatio       float64     `json:"imbalance_ratio,omitempty"`
-
-	// Streaming progress (omitted for batch jobs): frames accepted by
-	// the ingest, frames folded into the active set, fold (epoch)
-	// count, and whether the producer has closed the stream.
-	Streaming    bool `json:"streaming,omitempty"`
-	Frames       int  `json:"frames,omitempty"`
-	ActiveFrames int  `json:"active_frames,omitempty"`
-	Folds        int  `json:"folds,omitempty"`
-	EOF          bool `json:"eof,omitempty"`
-}
+// Info is a point-in-time summary of a job. It IS the /v1 job object:
+// package client declares the schema, the HTTP layer serves the value
+// as it stands.
+type Info = client.Job
 
 // Info snapshots the job. historyTail bounds the cost history included:
 // 0 omits it (list endpoints), n > 0 includes the last n entries, and a

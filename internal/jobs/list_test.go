@@ -103,7 +103,7 @@ func TestListPagePagination(t *testing.T) {
 		t.Fatalf("done filter: %d jobs, next %q; want none", len(page), next)
 	}
 
-	// Unfiltered, unbounded: identical to List.
+	// Unfiltered, unbounded: the whole registry in submit order.
 	all, next, err := s.ListPage(ListOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +111,24 @@ func TestListPagePagination(t *testing.T) {
 	if next != "" {
 		t.Fatalf("unbounded page still has a cursor %q", next)
 	}
-	if len(all) != len(s.List()) {
-		t.Fatalf("ListPage returned %d, List %d", len(all), len(s.List()))
+	if len(all) != len(ids) {
+		t.Fatalf("unbounded ListPage returned %d jobs, want %d", len(all), len(ids))
 	}
+	for i, info := range all {
+		if info.ID != ids[i] {
+			t.Fatalf("unbounded ListPage[%d] = %s, want %s", i, info.ID, ids[i])
+		}
+	}
+}
+
+// allJobs is the whole registry, through the one listing the service has.
+func allJobs(t *testing.T, s *Service) []Info {
+	t.Helper()
+	infos, _, err := s.ListPage(ListOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infos
 }
 
 // TestSubmitIdempotentRace: two goroutines race the same
@@ -156,7 +171,7 @@ func TestSubmitIdempotentRace(t *testing.T) {
 	if creations != 1 {
 		t.Fatalf("%d submissions claim to have created the job, want exactly 1", creations)
 	}
-	if n := len(s.List()); n != 1 {
+	if n := len(allJobs(t, s)); n != 1 {
 		t.Fatalf("registry holds %d jobs, want 1", n)
 	}
 
@@ -200,7 +215,7 @@ func TestSubmitIdempotentKeyFreeOnReject(t *testing.T) {
 	}
 
 	// Free the queue slot, retry the same key: it must enqueue.
-	for _, info := range s.List() {
+	for _, info := range allJobs(t, s) {
 		s.Cancel(info.ID)
 	}
 	j, created, err := s.SubmitWithKey(prob, Params{Algorithm: "serial", Iterations: 1}, "key-after-full")

@@ -562,7 +562,7 @@ func TestIdempotencyAfterCrash(t *testing.T) {
 			t.Fatalf("replayed submit returned %s, want original %s", got, id)
 		}
 	}
-	if n := len(l2.svc.List()); n != 1 {
+	if n := len(allJobs(t, l2.svc)); n != 1 {
 		t.Fatalf("registry holds %d jobs after replayed retries, want 1", n)
 	}
 	// A different key is a different acquisition: it enqueues.

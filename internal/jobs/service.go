@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
@@ -589,17 +590,10 @@ func (s *Service) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// ListOptions selects a page of the job registry.
-type ListOptions struct {
-	// Status keeps only jobs in the named lifecycle state ("queued",
-	// "running", "done", "failed", "cancelled"); empty keeps all.
-	Status string
-	// Cursor resumes a listing: the ID of the last job of the previous
-	// page (its NextCursor). Empty starts from the oldest job.
-	Cursor string
-	// Limit bounds the page size; 0 or negative means no bound.
-	Limit int
-}
+// ListOptions selects a page of the job registry. Here a Limit of 0 or
+// less means no bound; the server default it selects over HTTP is the
+// HTTP layer's.
+type ListOptions = client.ListOptions
 
 // ListPage returns one page of job summaries in deterministic
 // submit-time order (the order Submit assigned IDs), optionally
@@ -657,22 +651,6 @@ func (s *Service) ListPage(opts ListOptions) ([]Info, string, error) {
 		page = append(page, info)
 	}
 	return page, next, nil
-}
-
-// List returns a summary of every job in submission order.
-func (s *Service) List() []Info {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, len(ids))
-	for i, id := range ids {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	out := make([]Info, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Info(0)
-	}
-	return out
 }
 
 // Cancel cancels a job: a queued job transitions to Cancelled

@@ -2,7 +2,8 @@ package store
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
+	"hash/crc32"
 	"testing"
 
 	"ptychopath/internal/wire"
@@ -28,60 +29,49 @@ func conformanceRecords() []struct {
 	}
 }
 
-// conformanceWAL encodes the fixture lifecycle under the given magic
-// and checksum generation — GenCurrent reproduces what the production
-// writer emits, GenIEEE what the pre-Castagnoli writer emitted.
-func conformanceWAL(magic [8]byte, g wire.Gen) []byte {
-	buf := append([]byte(nil), magic[:]...)
-	for _, r := range conformanceRecords() {
-		buf = wire.AppendChunk(buf, r.kind, []byte(r.payload), g)
-	}
-	return buf
-}
+// legacyWAL returns the frozen fixture of the lifecycle as the
+// pre-Castagnoli writer logged it: PTYWALv1 magic, IEEE record CRCs.
+func legacyWAL(t testing.TB) []byte { return wiretest.Frozen(t, "wal_v1_ieee.golden") }
 
-// TestGoldenWAL pins both WAL encodings to committed bytes, proves the
-// production appendFrame reproduces the current golden, and runs the
-// differential replay: legacy and current logs must recover to deeply
-// equal state.
+// TestGoldenWAL pins the WAL encoding to committed bytes through the
+// production appendFrame, replays it, and requires the legacy encoding
+// of the same lifecycle to be refused: by its magic as not a WAL, and —
+// with the current magic spliced over it — by its first record's
+// checksum as a torn log from which nothing is applied.
 func TestGoldenWAL(t *testing.T) {
-	current := conformanceWAL(walMagic, wire.GenCurrent)
-	legacy := conformanceWAL(walMagicV1, wire.GenIEEE)
-	wiretest.Golden(t, "wal_v2_castagnoli.golden", current)
-	wiretest.Golden(t, "wal_v1_ieee.golden", legacy)
-
-	reenc := append([]byte(nil), walMagic[:]...)
+	current := append([]byte(nil), walMagic[:]...)
 	for _, r := range conformanceRecords() {
-		reenc = appendFrame(reenc, r.kind, []byte(r.payload))
+		current = appendFrame(current, r.kind, []byte(r.payload))
 	}
-	if !bytes.Equal(reenc, current) {
-		t.Fatal("production appendFrame diverges from the golden encoding")
-	}
+	wiretest.Golden(t, "wal_v2_castagnoli.golden", current)
 
-	recCur, offCur, err := ReplayWAL(bytes.NewReader(current))
+	rec, off, err := ReplayWAL(bytes.NewReader(current))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recOld, offOld, err := ReplayWAL(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("replaying legacy IEEE-framed WAL: %v", err)
+	if off != int64(len(current)) || rec.Torn != 0 {
+		t.Fatalf("replay stopped at %d/%d bytes, %d torn", off, len(current), rec.Torn)
 	}
-	if offCur != int64(len(current)) || offOld != int64(len(legacy)) {
-		t.Fatalf("replay stopped early: %d/%d and %d/%d bytes", offCur, len(current), offOld, len(legacy))
-	}
-	if !reflect.DeepEqual(recCur, recOld) {
-		t.Fatal("legacy and current WALs recover to different state")
-	}
-	if len(recCur.Jobs) != 1 || recCur.Jobs[0].ID != "job-0001" {
-		t.Fatalf("recovered %+v, want the one fixture job", recCur.Jobs)
+	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "job-0001" {
+		t.Fatalf("recovered %+v, want the one fixture job", rec.Jobs)
 	}
 
-	// Mixed-generation log: a v1 file reopened by the current writer
-	// gets Castagnoli records appended after its IEEE ones. Per-record
-	// dual-accept must replay it all.
-	mixed := append([]byte(nil), legacy...)
-	mixed = appendFrame(mixed, recIteration, []byte(`{"id":"job-0001","iter":2,"cost":0.25}`))
-	if _, off, err := ReplayWAL(bytes.NewReader(mixed)); err != nil || off != int64(len(mixed)) {
-		t.Fatalf("mixed-generation replay: offset %d/%d, err %v", off, len(mixed), err)
+	legacy := legacyWAL(t)
+	first := []byte(conformanceRecords()[0].payload)
+	if len(legacy) != len(current) || !bytes.Equal(legacy[8:17+len(first)], current[8:17+len(first)]) ||
+		wire.Uint32(legacy[17+len(first):]) != crc32.ChecksumIEEE(first) {
+		t.Fatal("fixture is not the golden lifecycle under the v1 magic with IEEE record checksums")
+	}
+	if _, _, err := ReplayWAL(bytes.NewReader(legacy)); !errors.Is(err, ErrNotWAL) {
+		t.Fatalf("PTYWALv1 log: %v, want ErrNotWAL", err)
+	}
+	spliced := append(append([]byte(nil), walMagic[:]...), legacy[8:]...)
+	if _, _, err := ReadRecord(bytes.NewReader(spliced[8:])); !errors.Is(err, ErrTornRecord) {
+		t.Fatalf("IEEE-checksummed record: %v, want ErrTornRecord", err)
+	}
+	rec, off, err = ReplayWAL(bytes.NewReader(spliced))
+	if err != nil || off != 8 || rec.Torn != 1 || rec.Records != 0 || len(rec.Jobs) != 0 {
+		t.Fatalf("IEEE-checksummed records under the v2 magic: offset %d, %+v, err %v; want a torn log with nothing applied", off, rec, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"testing"
 
-	"ptychopath/internal/wire"
 	"ptychopath/internal/wire/wiretest"
 )
 
@@ -77,13 +76,13 @@ func FuzzReadWAL(f *testing.F) {
 	for _, m := range wiretest.Mutations(valid, 9) {
 		f.Add(m)
 	}
-	// Legacy generation: a v1-magic, IEEE-framed log and its mutations
-	// must replay or fail typed exactly like the current generation.
-	legacy := append([]byte(nil), walMagicV1[:]...)
-	for _, r := range conformanceRecords() {
-		legacy = wire.AppendChunk(legacy, r.kind, []byte(r.payload), wire.GenIEEE)
-	}
-	for _, m := range wiretest.Mutations(legacy, 9) {
+	// The frozen v1-magic, IEEE-framed fixture must fail typed as not a
+	// WAL; its mutations, under the current magic, as torn at the first
+	// record.
+	for i, m := range wiretest.Mutations(legacyWAL(f), 9) {
+		if i > 0 {
+			copy(m, walMagic[:])
+		}
 		f.Add(m)
 	}
 

@@ -25,17 +25,16 @@ import (
 // length-prefixed records in the house framing style of PTYCHS
 // chunks and PTGW wire frames:
 //
-//	magic   [8]byte  "PTYWALv2" ("PTYWALv1" accepted on replay)
+//	magic   [8]byte  "PTYWALv2"
 //	records any number of:
 //	        kind    [1]byte (see record kinds below)
 //	        length  int64: payload byte count
 //	        payload length bytes of JSON (walRecord)
-//	        crc     uint32: CRC-32 of the payload
+//	        crc     uint32: CRC-32 (Castagnoli) of the payload
 //
-// Version 2 switched the record CRC to the Castagnoli generation
-// (internal/wire); replay accepts either generation per record, so a
-// v1 log — even one this version has since appended v2 records to —
-// recovers exactly as before.
+// The version in the magic names the record checksum: a PTYWALv1 log
+// or PTYSNPv1 snapshot (IEEE CRC-32) is not a WAL (ErrNotWAL), and an
+// IEEE-checksummed record under the v2 magic is a torn record.
 //
 // Appends are atomic at record granularity: a reader accepts a record
 // only after its CRC verifies, so a crash mid-append leaves a torn
@@ -53,10 +52,8 @@ import (
 // spec: docs/FORMATS.md.
 
 var (
-	walMagic    = [8]byte{'P', 'T', 'Y', 'W', 'A', 'L', 'v', '2'}
-	walMagicV1  = [8]byte{'P', 'T', 'Y', 'W', 'A', 'L', 'v', '1'}
-	snapMagic   = [8]byte{'P', 'T', 'Y', 'S', 'N', 'P', 'v', '2'}
-	snapMagicV1 = [8]byte{'P', 'T', 'Y', 'S', 'N', 'P', 'v', '1'}
+	walMagic  = [8]byte{'P', 'T', 'Y', 'W', 'A', 'L', 'v', '2'}
+	snapMagic = [8]byte{'P', 'T', 'Y', 'S', 'N', 'P', 'v', '2'}
 )
 
 // Record kinds.
@@ -292,10 +289,10 @@ func sortedHistory(m map[int]float64) []IterCost {
 
 // --- record framing --------------------------------------------------
 
-// appendFrame encodes one framed record onto buf (current checksum
-// generation; zero allocations once buf has capacity).
+// appendFrame encodes one framed record onto buf (zero allocations
+// once buf has capacity).
 func appendFrame(buf []byte, kind byte, payload []byte) []byte {
-	return wire.AppendChunk(buf, kind, payload, wire.GenCurrent)
+	return wire.AppendChunk(buf, kind, payload)
 }
 
 // ReadRecord reads one framed record from r. It returns io.EOF when r
@@ -340,7 +337,6 @@ func ReadRecord(r io.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: crc truncated: %v", ErrTornRecord, err)
 	}
 	sum := binary.LittleEndian.Uint32(crcBuf[:])
-	// Either checksum generation verifies — v1 logs keep replaying.
 	if want, ok := wire.Verify(sum, payload); !ok {
 		return 0, nil, fmt.Errorf("%w: crc %08x != %08x", ErrTornRecord, sum, want)
 	}
@@ -350,7 +346,7 @@ func ReadRecord(r io.Reader) (kind byte, payload []byte, err error) {
 // frameSize is the on-disk size of a record with the given payload.
 func frameSize(payload int) int64 { return 1 + 8 + int64(payload) + 4 }
 
-// ReplayWAL decodes a complete PTYWALv2 (or legacy v1) log from r into
+// ReplayWAL decodes a complete PTYWALv2 log from r into
 // the recovered state. A torn tail is dropped: the returned Recovery
 // holds everything up to the last intact record, Recovery.Torn counts
 // the drop, and the error is nil — a crash-torn log is an EXPECTED
@@ -360,7 +356,7 @@ func frameSize(payload int) int64 { return 1 + 8 + int64(payload) + 4 }
 func ReplayWAL(r io.Reader) (*Recovery, int64, error) {
 	st := newReplayState()
 	rec := &Recovery{}
-	offset, err := replayInto(r, st, rec, walMagic, walMagicV1)
+	offset, err := replayInto(r, st, rec, walMagic)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -369,10 +365,10 @@ func ReplayWAL(r io.Reader) (*Recovery, int64, error) {
 	return out, offset, nil
 }
 
-// replayInto applies records from r (which must open with the current
-// magic or its legacy variant) to st, counting into rec. Returns the
-// offset past the last intact record.
-func replayInto(r io.Reader, st *replayState, rec *Recovery, magic, legacy [8]byte) (int64, error) {
+// replayInto applies records from r (which must open with magic) to
+// st, counting into rec. Returns the offset past the last intact
+// record.
+func replayInto(r io.Reader, st *replayState, rec *Recovery, magic [8]byte) (int64, error) {
 	br := bufio.NewReader(r)
 	var m [8]byte
 	if n, err := io.ReadFull(br, m[:]); err != nil {
@@ -384,7 +380,7 @@ func replayInto(r io.Reader, st *replayState, rec *Recovery, magic, legacy [8]by
 		rec.Torn++
 		return 0, nil
 	}
-	if m != magic && m != legacy {
+	if m != magic {
 		return 0, fmt.Errorf("%w: magic %q", ErrNotWAL, m)
 	}
 	offset := int64(8)
@@ -492,7 +488,7 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 
 	// Snapshot first: it is the compacted prefix of the log.
 	if f, err := fs.Open(w.snapPath()); err == nil {
-		_, rerr := replayInto(f, w.state, rec, snapMagic, snapMagicV1)
+		_, rerr := replayInto(f, w.state, rec, snapMagic)
 		f.Close()
 		if rerr != nil {
 			return nil, fmt.Errorf("store: reading snapshot: %w", rerr)
@@ -505,7 +501,7 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	fresh := true
 	if f, err := fs.Open(w.walPath()); err == nil {
 		fresh = false
-		offset, err = replayInto(f, w.state, rec, walMagic, walMagicV1)
+		offset, err = replayInto(f, w.state, rec, walMagic)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("store: replaying WAL: %w", err)

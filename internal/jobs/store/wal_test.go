@@ -373,12 +373,28 @@ func TestWALSyncFailureSurfaces(t *testing.T) {
 // TestWALForeignFileRefused: a state file with the wrong magic is a
 // configuration error, not a torn tail.
 func TestWALForeignFileRefused(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), []byte("OBJCKv1\x00 definitely not a WAL"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWAL(WALConfig{Dir: dir}); !errors.Is(err, ErrNotWAL) {
-		t.Fatalf("err = %v, want ErrNotWAL", err)
+	// A PTYWALv1 log or PTYSNPv1 snapshot is as foreign as any other
+	// file: the store refuses to open, and leaves the file as it found it.
+	legacySnap := append([]byte("PTYSNPv1"), legacyWAL(t)[8:]...)
+	for _, tc := range []struct {
+		file    string
+		content []byte
+	}{
+		{"jobs.wal", []byte("OBJCKv1\x00 definitely not a WAL")},
+		{"jobs.wal", legacyWAL(t)},
+		{"jobs.snap", legacySnap},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, tc.content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenWAL(WALConfig{Dir: dir}); !errors.Is(err, ErrNotWAL) {
+			t.Fatalf("%s = %q…: err = %v, want ErrNotWAL", tc.file, tc.content[:8], err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, tc.content) {
+			t.Fatalf("%s was modified by the refused open (%v)", tc.file, err)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	"ptychopath/client"
 	"ptychopath/internal/jobs/sched"
 )
 
@@ -331,25 +332,7 @@ func floorRetry(d time.Duration) time.Duration {
 }
 
 // TenantStatus is one tenant's row in the /v1/status fairness rollup.
-type TenantStatus struct {
-	Name   string  `json:"name"`
-	Weight float64 `json:"weight"`
-	// Active is the tenant's in-flight (queued + running) jobs;
-	// MaxActive and IngestQuotaBytes echo its configured caps (0 =
-	// unlimited).
-	Active           int   `json:"active"`
-	MaxActive        int   `json:"max_active,omitempty"`
-	IngestQuotaBytes int64 `json:"ingest_quota_bytes,omitempty"`
-	IngestBytes      int64 `json:"ingest_bytes,omitempty"`
-	Submitted        int64 `json:"submitted_total"`
-	Preempted        int64 `json:"preempted_total,omitempty"`
-	QuotaRejections  int64 `json:"quota_rejections_total,omitempty"`
-	// CompletedCostSeconds is the tenant's finished wall-clock work;
-	// Share is its fraction of all tenants' finished work — the number
-	// that converges to the configured weight ratio under wfq.
-	CompletedCostSeconds float64 `json:"completed_cost_seconds"`
-	Share                float64 `json:"share,omitempty"`
-}
+type TenantStatus = client.TenantStatus
 
 // tenantStatusLocked snapshots the fairness rollup. Requires s.mu.
 func (s *Service) tenantStatusLocked() []TenantStatus {

@@ -3,8 +3,6 @@ package transport
 import (
 	"bytes"
 	"testing"
-
-	"ptychopath/internal/wire"
 )
 
 // benchFrame is a routed-data frame with a 512 KiB payload — the
@@ -21,7 +19,7 @@ func benchFrame() frame {
 // batch buffer — the per-frame cost of Client.send.
 func BenchmarkFrameEncode(b *testing.B) {
 	f := benchFrame()
-	buf, err := appendFrame(nil, f, wire.GenCurrent)
+	buf, err := appendFrame(nil, f)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = appendFrame(buf[:0], f, wire.GenCurrent)
+		buf, err = appendFrame(buf[:0], f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +38,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 // warm frameReader — the per-frame cost of the hub and client read
 // loops.
 func BenchmarkFrameDecode(b *testing.B) {
-	raw, err := appendFrame(nil, benchFrame(), wire.GenCurrent)
+	raw, err := appendFrame(nil, benchFrame())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -103,10 +101,8 @@ func newClient(conn net.Conn, opts DialOptions) (*Client, error) {
 		signal:  make(chan struct{}, 1),
 	}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	// HELLO is always legacy-framed so a hub of any generation can
-	// parse it and refuse with a proper version error.
-	hello := append(uint32le(ProtoVersion), []byte(opts.Name)...)
-	if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
+	hello := append(wire.AppendUint32(nil, ProtoVersion), opts.Name...)
+	if err := writeFrame(conn, frame{typ: frameHello, dst: hubRank, payload: hello}); err != nil {
 		return nil, fmt.Errorf("transport: handshake send: %w", err)
 	}
 	fr, err := readFrame(conn)
@@ -118,11 +114,11 @@ func newClient(conn net.Conn, opts DialOptions) (*Client, error) {
 		if len(fr.payload) < 8 {
 			return nil, fmt.Errorf("%w: short welcome", ErrFrameCorrupt)
 		}
-		v := le32(fr.payload)
-		if v < MinProtoVersion || v > ProtoVersion {
+		v := wire.Uint32(fr.payload)
+		if v != ProtoVersion {
 			return nil, fmt.Errorf("%w: hub speaks v%d, client v%d", ErrVersionMismatch, v, ProtoVersion)
 		}
-		c.id = int(int32(le32(fr.payload[4:])))
+		c.id = int(int32(wire.Uint32(fr.payload[4:])))
 	case frameError:
 		return nil, decodeError(fr.payload)
 	default:
@@ -275,11 +271,12 @@ func (c *Client) readLoop() {
 				shard = nil
 			}
 		case frameData:
-			data, err := bytesToComplex(fr.payload)
-			if err != nil {
-				c.setFatal(err)
+			if len(fr.payload)%16 != 0 {
+				c.setFatal(fmt.Errorf("%w: data payload %d bytes is not a complex128 array", ErrFrameCorrupt, len(fr.payload)))
 				return
 			}
+			data := make([]complex128, len(fr.payload)/16)
+			wire.Complex128s(data, fr.payload)
 			c.mu.Lock()
 			c.inbox = append(c.inbox, message{src: int(fr.src), tag: int(fr.tag), data: data})
 			c.mu.Unlock()
@@ -295,7 +292,7 @@ func (c *Client) readLoop() {
 				return
 			}
 			c.mu.Lock()
-			c.reduces = append(c.reduces, float64FromLE(fr.payload))
+			c.reduces = append(c.reduces, wire.Float64(fr.payload))
 			c.mu.Unlock()
 			c.pulse()
 		case frameSnapshotOK:
@@ -460,7 +457,7 @@ const flushThreshold = 64 << 10
 // contract).
 func (c *Client) send(f frame) {
 	c.wmu.Lock()
-	buf, err := appendFrame(c.wbuf, f, wire.GenCurrent)
+	buf, err := appendFrame(c.wbuf, f)
 	c.wbuf = buf
 	if err == nil && len(c.wbuf) >= flushThreshold {
 		err = c.flushLocked()
@@ -506,7 +503,7 @@ func (c *Client) Send(dst, tag int, data []complex128) {
 		panic(fmt.Sprintf("transport: send to invalid rank %d (size %d)", dst, c.size))
 	}
 	c.send(frame{typ: frameData, src: int32(c.rank), dst: int32(dst), tag: int32(tag),
-		payload: complexToBytes(data)})
+		payload: wire.AppendComplex128s(make([]byte, 0, 16*len(data)), data)})
 	c.mu.Lock()
 	c.sentBytes += int64(16 * len(data))
 	c.sentMsgs++
@@ -580,7 +577,7 @@ func (c *Client) Barrier() error {
 // accumulates contributions in rank order, so the result is bit-for-bit
 // deterministic and identical to the in-process world's.
 func (c *Client) AllreduceSum(x float64) (float64, error) {
-	c.send(frame{typ: frameReduce, src: int32(c.rank), dst: hubRank, payload: float64le(x)})
+	c.send(frame{typ: frameReduce, src: int32(c.rank), dst: hubRank, payload: wire.AppendFloat64(nil, x)})
 	var sum float64
 	err := c.await(func() bool {
 		if len(c.reduces) > 0 {
@@ -610,7 +607,7 @@ func (c *Client) SentMessages() int64 {
 // SendIteration reports rank 0's per-iteration progress to the
 // coordinator (fire-and-forget; drives job progress and SSE events).
 func (c *Client) SendIteration(iter int, cost float64) {
-	payload := append(int64le(int64(iter)), float64le(cost)...)
+	payload := wire.AppendFloat64(wire.AppendInt64(nil, int64(iter)), cost)
 	c.send(frame{typ: frameIter, src: int32(c.rank), dst: hubRank, payload: payload})
 }
 
@@ -620,8 +617,7 @@ func (c *Client) SendIteration(iter int, cost float64) {
 // the 24-byte stats payload from the 16-byte progress payload by
 // length.
 func (c *Client) SendIterStats(iter int, computeNS, commNS int64) {
-	payload := append(int64le(int64(iter)), int64le(computeNS)...)
-	payload = append(payload, int64le(commNS)...)
+	payload := wire.AppendInt64(wire.AppendInt64(wire.AppendInt64(nil, int64(iter)), computeNS), commNS)
 	c.send(frame{typ: frameIter, src: int32(c.rank), dst: hubRank, payload: payload})
 }
 
@@ -632,7 +628,7 @@ func (c *Client) SendIterStats(iter int, computeNS, commNS int64) {
 // snapshot returns the coordinator's error, aborting the run on every
 // rank through the engines' collective verdict.
 func (c *Client) SendSnapshot(iter int, object []byte) error {
-	payload := append(int64le(int64(iter)), object...)
+	payload := append(wire.AppendInt64(nil, int64(iter)), object...)
 	c.send(frame{typ: frameSnapshot, src: int32(c.rank), dst: hubRank, payload: payload})
 	var ack error
 	err := c.await(func() bool {
@@ -654,7 +650,7 @@ func (c *Client) SendSnapshot(iter int, object []byte) error {
 func (c *Client) SendResult(res *RankResult) error {
 	c.wmu.Lock()
 	buf, start := beginFrame(c.wbuf, frameResult, int32(c.rank), hubRank, 0)
-	buf, err := endFrame(appendResult(buf, res), start, wire.GenCurrent)
+	buf, err := endFrame(appendResult(buf, res), start)
 	c.wbuf = buf
 	c.wmu.Unlock()
 	if err != nil {
@@ -677,25 +673,11 @@ func (c *Client) Err() error {
 // connection closes. Safe to call more than once.
 func (c *Client) Close() error {
 	c.wmu.Lock()
-	if buf, err := appendFrame(c.wbuf, frame{typ: frameGoodbye, dst: hubRank}, wire.GenCurrent); err == nil {
+	if buf, err := appendFrame(c.wbuf, frame{typ: frameGoodbye, dst: hubRank}); err == nil {
 		c.wbuf = buf
 	}
 	c.flushLocked()
 	c.wmu.Unlock()
 	c.setFatal(ErrClosed)
 	return c.conn.Close()
-}
-
-// Little-endian scalar helpers.
-func uint32le(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
-func le32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
-func int64le(v int64) []byte   { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
-func int64FromLE(b []byte) int64 {
-	return int64(binary.LittleEndian.Uint64(b))
-}
-func float64le(v float64) []byte {
-	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
-}
-func float64FromLE(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }

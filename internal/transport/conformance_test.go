@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -23,44 +25,40 @@ func conformanceFrame() frame {
 	}
 }
 
-// TestGoldenFrame pins the PTGW encoding under both checksum
-// generations, proves re-encode is bit-identical, and runs the
-// differential check: the one reader accepts both generations and
-// decodes them to the same frame.
+// legacyFrame returns the frozen fixture of conformanceFrame as pre-v5
+// peers framed their handshakes: the same bytes with the IEEE CRC-32
+// in the trailer.
+func legacyFrame(t testing.TB) []byte { return wiretest.Frozen(t, "frame_ieee.golden") }
+
+// TestGoldenFrame pins the PTGW encoding, proves re-encode is
+// bit-identical, and requires the same frame under the IEEE checksum
+// to be rejected as corrupt.
 func TestGoldenFrame(t *testing.T) {
 	f := conformanceFrame()
-	current, err := appendFrame(nil, f, wire.GenCurrent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := appendFrame(nil, f, wire.GenIEEE)
+	current, err := appendFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wiretest.Golden(t, "frame_castagnoli.golden", current)
-	wiretest.Golden(t, "frame_ieee.golden", legacy)
-	if bytes.Equal(current, legacy) {
-		t.Fatal("generations should differ in the trailing CRC")
+
+	got, err := readFrame(bytes.NewReader(current))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(current[:len(current)-4], legacy[:len(legacy)-4]) {
-		t.Fatal("generations should differ only in the trailing CRC")
+	if got.typ != f.typ || got.src != f.src || got.dst != f.dst || got.tag != f.tag || !bytes.Equal(got.payload, f.payload) {
+		t.Fatalf("decoded frame differs: %+v", got)
+	}
+	if reenc, err := appendFrame(nil, got); err != nil || !bytes.Equal(reenc, current) {
+		t.Fatalf("re-encode is not bit-identical (%v)", err)
 	}
 
-	for name, raw := range map[string][]byte{"castagnoli": current, "ieee": legacy} {
-		got, err := readFrame(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.typ != f.typ || got.src != f.src || got.dst != f.dst || got.tag != f.tag || !bytes.Equal(got.payload, f.payload) {
-			t.Fatalf("%s: decoded frame differs: %+v", name, got)
-		}
-		reenc, err := appendFrame(nil, got, wire.GenCurrent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(reenc, current) {
-			t.Fatalf("%s: re-encode is not bit-identical to the current generation", name)
-		}
+	legacy := legacyFrame(t)
+	body := len(legacy) - 4
+	if !bytes.Equal(legacy[:body], current[:body]) || wire.Uint32(legacy[body:]) != crc32.ChecksumIEEE(legacy[4:body]) {
+		t.Fatal("fixture is not the golden frame with an IEEE checksum in the trailer")
+	}
+	if _, err := readFrame(bytes.NewReader(legacy)); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("IEEE-checksummed frame: %v, want ErrFrameCorrupt", err)
 	}
 }
 
@@ -70,14 +68,14 @@ func TestGoldenFrame(t *testing.T) {
 // header it hands back.
 func TestFrameCodecAllocs(t *testing.T) {
 	f := conformanceFrame()
-	buf, err := appendFrame(nil, f, wire.GenCurrent)
+	buf, err := appendFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := append([]byte(nil), buf...)
 
 	encAllocs := testing.AllocsPerRun(100, func() {
-		buf, err = appendFrame(buf[:0], f, wire.GenCurrent)
+		buf, err = appendFrame(buf[:0], f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,48 +100,51 @@ func TestFrameCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestV3WorkerRefused: there is one protocol generation. A worker of
-// the previous one (v3 could not parse a v4 SETUP) is turned away at
-// the handshake with a typed version error — and that refusal is
-// legacy-framed (IEEE CRC), so a reader of any generation can verify it.
+// TestV3WorkerRefused: there is one protocol generation. A worker
+// announcing any other version number — older or newer — is turned away
+// at the handshake with a typed version error. A pre-v5 worker does not
+// get that far: its HELLO carries the IEEE checksum, which is a corrupt
+// frame, and the hub hangs up without a word.
 func TestV3WorkerRefused(t *testing.T) {
 	h := startHub(t)
-	conn, err := net.Dial("tcp", h.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	hello := func(t *testing.T, version uint32, ieee bool) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", h.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		raw, err := appendFrame(nil, frame{typ: frameHello, dst: hubRank,
+			payload: append(wire.AppendUint32(nil, version), "other-worker"...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := len(raw) - 4; ieee {
+			binary.LittleEndian.PutUint32(raw[body:], crc32.ChecksumIEEE(raw[4:body]))
+		}
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		return conn
 	}
-	defer conn.Close()
-	hello := append(uint32le(3), []byte("v3-worker")...)
-	if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
-		t.Fatal(err)
+	for _, v := range []uint32{3, 4, 6} {
+		conn := hello(t, v, false)
+		fr, err := readFrame(conn)
+		if err != nil || fr.typ != frameError {
+			t.Fatalf("v%d HELLO: frame %+v, err %v; want an ERROR frame", v, fr, err)
+		}
+		if err := decodeError(fr.payload); !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), fmt.Sprintf("worker sent v%d", v)) {
+			t.Fatalf("refusal decodes to %v, want ErrVersionMismatch naming v%d", err, v)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("hub kept the connection open after refusing v%d: %v", v, err)
+		}
 	}
-
-	// Read the reply raw so the trailing CRC's generation is visible.
-	var hdr [4 + frameHeaderLen]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[17:])
-	body := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		t.Fatal(err)
-	}
-	payload, crc := body[:n], binary.LittleEndian.Uint32(body[n:])
-	covered := append(append([]byte(nil), hdr[4:]...), payload...)
-	if hdr[4] != frameError {
-		t.Fatalf("frame type 0x%02x, want frameError", hdr[4])
-	}
-	if err := decodeError(payload); !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "worker sent v3") {
-		t.Fatalf("refusal decodes to %v, want ErrVersionMismatch naming v3", err)
-	}
-	if crc != wire.Checksum(wire.GenIEEE, covered) {
-		t.Fatal("the version refusal is not legacy-framed")
-	}
-	if crc == wire.Checksum(wire.GenCastagnoli, covered) {
-		t.Fatal("CRC ambiguously matches both generations; fixture needs new bytes")
-	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("hub kept the connection open after refusing: %v", err)
+	for _, v := range []uint32{4, ProtoVersion} {
+		conn := hello(t, v, true)
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Fatalf("IEEE-framed v%d HELLO: read %d bytes, err %v; want a hang-up", v, n, err)
+		}
 	}
 	if len(h.Workers()) != 0 {
 		t.Fatal("refused worker was registered")
@@ -157,11 +158,7 @@ func TestV3WorkerRefused(t *testing.T) {
 // unbounded allocation.
 func FuzzReadFrame(f *testing.F) {
 	fr := conformanceFrame()
-	current, err := appendFrame(nil, fr, wire.GenCurrent)
-	if err != nil {
-		f.Fatal(err)
-	}
-	legacy, err := appendFrame(nil, fr, wire.GenIEEE)
+	current, err := appendFrame(nil, fr)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -171,7 +168,8 @@ func FuzzReadFrame(f *testing.F) {
 	for _, m := range wiretest.Mutations(current, 17) {
 		f.Add(m)
 	}
-	for _, m := range wiretest.Mutations(legacy, 17) {
+	// The frozen IEEE-checksummed frame and its mutations: all corrupt.
+	for _, m := range wiretest.Mutations(legacyFrame(f), 17) {
 		f.Add(m)
 	}
 	// The v4 frames: a SETUP header and a RESULT (whose hand-framed
@@ -183,7 +181,7 @@ func FuzzReadFrame(f *testing.F) {
 		{typ: frameShard, src: hubRank, dst: 2, payload: []byte("PTYCHSv2 bytes, opaque to the transport")},
 		{typ: frameResult, src: 3, dst: hubRank, payload: appendResult(nil, conformanceResult())},
 	} {
-		raw, err := appendFrame(nil, v4, wire.GenCurrent)
+		raw, err := appendFrame(nil, v4)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -234,7 +232,7 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			// A frame the reader accepts must survive re-encode →
 			// re-read unchanged.
-			reenc, err := appendFrame(nil, got, wire.GenCurrent)
+			reenc, err := appendFrame(nil, got)
 			if err != nil {
 				t.Fatalf("accepted frame fails re-encode: %v", err)
 			}

@@ -128,12 +128,11 @@ func (h *Hub) serveConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	v := le32(fr.payload)
-	if v < MinProtoVersion || v > ProtoVersion {
-		// Version mismatch: tell the client precisely why, then hang
-		// up — legacy-framed, so a worker of any generation parses it.
-		writeFrameGen(conn, frame{typ: frameError, src: hubRank,
-			payload: errorPayload(codeVersion, fmt.Sprintf("hub speaks v%d-v%d, worker sent v%d", MinProtoVersion, ProtoVersion, v))}, wire.GenIEEE)
+	v := wire.Uint32(fr.payload)
+	if v != ProtoVersion {
+		// Version mismatch: tell the client precisely why, then hang up.
+		writeFrame(conn, frame{typ: frameError, src: hubRank,
+			payload: errorPayload(codeVersion, fmt.Sprintf("hub speaks v%d, worker sent v%d", ProtoVersion, v))})
 		conn.Close()
 		return
 	}
@@ -152,7 +151,7 @@ func (h *Hub) serveConn(conn net.Conn) {
 	// WELCOME must be on the wire before the worker becomes leasable:
 	// registering first would let a concurrent StartSession write its
 	// SETUP ahead of the handshake reply.
-	welcome := append(uint32le(v), uint32le(uint32(w.id))...)
+	welcome := wire.AppendUint32(wire.AppendUint32(nil, v), uint32(w.id))
 	if err := w.write(frame{typ: frameWelcome, src: hubRank, payload: welcome}); err != nil {
 		conn.Close()
 		return
@@ -215,7 +214,7 @@ func (w *hubConn) write(f frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	w.bytesOut.Add(int64(len(f.payload)))
-	buf, err := appendFrame(w.wbuf[:0], f, wire.GenCurrent)
+	buf, err := appendFrame(w.wbuf[:0], f)
 	w.wbuf = buf
 	if err != nil {
 		return err
@@ -397,7 +396,7 @@ func (h *Hub) StartSession(setups []*Setup, cb SessionCallbacks) (*Session, erro
 		w, setup := s.members[sent], setups[sent]
 		setup.Rank, setup.Size = sent, size
 		buf, start := beginFrame(w.wbuf[:0], frameSetup, hubRank, int32(sent), 0)
-		if buf, err = endFrame(appendSetup(buf, setup), start, wire.GenCurrent); err == nil {
+		if buf, err = endFrame(appendSetup(buf, setup), start); err == nil {
 			w.bytesOut.Add(int64(len(buf) - frameOverhead))
 			err = w.writeBy(buf, writeTimeout(setup))
 		}
@@ -482,7 +481,7 @@ func (s *Session) writeShard(w *hubConn, rank int, payload []byte, timeout time.
 		w.wmu.Unlock()
 		return false
 	}
-	buf, err := appendFrame(w.wbuf[:0], frame{typ: frameShard, src: hubRank, dst: int32(rank), payload: payload}, wire.GenCurrent)
+	buf, err := appendFrame(w.wbuf[:0], frame{typ: frameShard, src: hubRank, dst: int32(rank), payload: payload})
 	w.wbuf = buf
 	if err == nil {
 		w.bytesOut.Add(int64(len(payload)))
@@ -622,7 +621,7 @@ func (s *Session) handle(w *hubConn, fr frame) {
 			return
 		}
 		s.reduceSeen[rank] = true
-		s.reduceVals[rank] = float64FromLE(fr.payload)
+		s.reduceVals[rank] = wire.Float64(fr.payload)
 		s.reduceCnt++
 		complete := s.reduceCnt == s.size
 		var sum float64
@@ -640,7 +639,7 @@ func (s *Session) handle(w *hubConn, fr frame) {
 		}
 		s.mu.Unlock()
 		if complete {
-			s.broadcast(frame{typ: frameReduceOK, src: hubRank, payload: float64le(sum)})
+			s.broadcast(frame{typ: frameReduceOK, src: hubRank, payload: wire.AppendFloat64(nil, sum)})
 		}
 	case frameSnapshot:
 		if len(fr.payload) < 8 {
@@ -652,7 +651,7 @@ func (s *Session) handle(w *hubConn, fr frame) {
 			// The payload aliases the connection's read scratch; the
 			// callback gets its own copy so it may outlive this frame.
 			obj := append([]byte(nil), fr.payload[8:]...)
-			cbErr = s.cb.OnSnapshot(int(int64FromLE(fr.payload)), obj)
+			cbErr = s.cb.OnSnapshot(int(wire.Int64(fr.payload)), obj)
 		}
 		ack := []byte{0}
 		if cbErr != nil {
@@ -667,13 +666,13 @@ func (s *Session) handle(w *hubConn, fr frame) {
 			// Extended stats payload: any rank's per-iteration
 			// compute/comm split.
 			if s.cb.OnRankTiming != nil {
-				s.cb.OnRankTiming(int(fr.src), int(int64FromLE(fr.payload)),
-					int64FromLE(fr.payload[8:]), int64FromLE(fr.payload[16:]))
+				s.cb.OnRankTiming(int(fr.src), int(wire.Int64(fr.payload)),
+					wire.Int64(fr.payload[8:]), wire.Int64(fr.payload[16:]))
 			}
 		case len(fr.payload) >= 16:
 			// Progress payload: rank 0's iteration index and cost.
 			if s.cb.OnIteration != nil {
-				s.cb.OnIteration(int(int64FromLE(fr.payload)), float64FromLE(fr.payload[8:]))
+				s.cb.OnIteration(int(wire.Int64(fr.payload)), wire.Float64(fr.payload[8:]))
 			}
 		}
 	case frameResult:

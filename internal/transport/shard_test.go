@@ -107,7 +107,7 @@ func readShardThenFinish(c *Client) error {
 		if err != nil {
 			res.Err = err.Error()
 		}
-		res.CostHistory = []float64{float64(len(got)), float64(wire.Checksum(wire.GenCurrent, got))}
+		res.CostHistory = []float64{float64(len(got)), float64(wire.Checksum(got))}
 	}
 	return c.SendResult(res)
 }
@@ -150,7 +150,7 @@ func TestShardStreaming(t *testing.T) {
 
 	before := h.Workers()[0].BytesOut
 	results := run(bytes.NewReader(big), readShardThenFinish)
-	if want := []float64{float64(len(big)), float64(wire.Checksum(wire.GenCurrent, big))}; !reflect.DeepEqual(results[0].CostHistory, want) {
+	if want := []float64{float64(len(big)), float64(wire.Checksum(big))}; !reflect.DeepEqual(results[0].CostHistory, want) {
 		t.Fatalf("rank 0 read %v of its shard, want %v", results[0].CostHistory, want)
 	}
 	if results[1].CostHistory != nil {
@@ -175,7 +175,7 @@ func TestShardStreaming(t *testing.T) {
 	})
 	small := []byte("a shard that fits one frame")
 	results = run(bytes.NewReader(small), readShardThenFinish)
-	if want := []float64{float64(len(small)), float64(wire.Checksum(wire.GenCurrent, small))}; !reflect.DeepEqual(results[0].CostHistory, want) {
+	if want := []float64{float64(len(small)), float64(wire.Checksum(small))}; !reflect.DeepEqual(results[0].CostHistory, want) {
 		t.Fatalf("after an abandoned shard, rank 0 read %v, want %v", results[0].CostHistory, want)
 	}
 
@@ -223,8 +223,8 @@ func TestStalledWorkerFailsSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		hello := append(uint32le(ProtoVersion), "stalled"...)
-		if err := writeFrameGen(conn, frame{typ: frameHello, dst: hubRank, payload: hello}, wire.GenIEEE); err != nil {
+		hello := append(wire.AppendUint32(nil, ProtoVersion), "stalled"...)
+		if err := writeFrame(conn, frame{typ: frameHello, dst: hubRank, payload: hello}); err != nil {
 			t.Fatal(err)
 		}
 		if fr, err := readFrame(conn); err != nil || fr.typ != frameWelcome {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ptychopath/internal/simmpi"
+	"ptychopath/internal/wire"
 )
 
 const testTimeout = 5 * time.Second
@@ -99,7 +100,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := append(uint32le(99), []byte("old-worker")...)
+	hello := append(wire.AppendUint32(nil, 99), "old-worker"...)
 	if err := writeFrame(conn, frame{typ: frameHello, dst: hubRank, payload: hello}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		defer c.Close()
 		readFrame(c) // hello
 		writeFrame(c, frame{typ: frameWelcome, src: hubRank,
-			payload: append(uint32le(99), uint32le(1)...)})
+			payload: wire.AppendUint32(wire.AppendUint32(nil, 99), 1)})
 	}()
 	if _, err := Dial(ln.Addr().String(), DialOptions{Timeout: testTimeout}); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("dial against v99 hub: got %v, want ErrVersionMismatch", err)
@@ -154,7 +155,7 @@ func TestTruncatedFrameSurfacesTypedError(t *testing.T) {
 		}
 		readFrame(c) // hello
 		writeFrame(c, frame{typ: frameWelcome, src: hubRank,
-			payload: append(uint32le(ProtoVersion), uint32le(1)...)})
+			payload: wire.AppendUint32(wire.AppendUint32(nil, ProtoVersion), 1)})
 		// A frame header promising a payload that never arrives.
 		c.Write([]byte{'P', 'T', 'G', 'W', frameData, 0, 0, 0, 0})
 		c.Close()

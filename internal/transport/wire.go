@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"ptychopath/internal/wire"
@@ -30,19 +29,18 @@ import (
 
 // ProtoVersion is the wire-protocol generation. Coordinator and workers
 // ship from one repository, so there is exactly one: a worker announcing
-// anything else is refused at the handshake (ErrVersionMismatch, in a
-// legacy-framed ERROR any generation can parse) — mixed deployments fail
-// fast instead of corrupting a run.
+// anything else is refused at the handshake with an ERROR frame
+// (ErrVersionMismatch) — mixed deployments fail fast instead of
+// corrupting a run.
 //
 // v2 added per-rank ITER timings and the SETUP trace string, v3 the
 // Castagnoli frame CRC. v4 replaced the gob SETUP/RESULT payloads with
 // the hand-framed layouts below and added SHARD: a rank is sent its own
 // measurements and its own tile of the initial object, never the
-// dataset. A v3 worker cannot parse a v4 SETUP, hence no overlap.
-const ProtoVersion = 4
-
-// MinProtoVersion is the oldest worker generation the hub accepts.
-const MinProtoVersion = 4
+// dataset. v5 frames HELLO and the version refusal with that CRC too
+// (they carried the IEEE one): a frame has one valid checksum, so a
+// pre-v5 worker's HELLO is a corrupt frame and the hub hangs up.
+const ProtoVersion = 5
 
 // frameMagic opens every frame on the wire.
 var frameMagic = [4]byte{'P', 'T', 'G', 'W'}
@@ -138,15 +136,15 @@ const (
 //
 //	magic[4] | type[1] | src[4] | dst[4] | tag[4] | len[4] | payload | crc[4]
 //
-// crc is the generation-g CRC-32 over type..payload. Appending lets a
+// crc is the CRC-32 (Castagnoli) over type..payload. Appending lets a
 // caller batch several frames into one scratch buffer and hand the
 // kernel a single write.
-func appendFrame(dst []byte, f frame, g wire.Gen) ([]byte, error) {
+func appendFrame(dst []byte, f frame) ([]byte, error) {
 	if len(f.payload) > maxFramePayload {
 		return dst, fmt.Errorf("%w: payload %d exceeds %d", ErrFrameCorrupt, len(f.payload), maxFramePayload)
 	}
 	dst, start := beginFrame(dst, f.typ, f.src, f.dst, f.tag)
-	return endFrame(append(dst, f.payload...), start, g)
+	return endFrame(append(dst, f.payload...), start)
 }
 
 // beginFrame appends a frame's magic and header with a length
@@ -166,28 +164,19 @@ func beginFrame(dst []byte, typ uint8, src, to, tag int32) (out []byte, start in
 
 // endFrame completes a frame begun with beginFrame: everything appended
 // since is the payload. An over-limit payload is cut back off dst.
-func endFrame(dst []byte, start int, g wire.Gen) ([]byte, error) {
+func endFrame(dst []byte, start int) ([]byte, error) {
 	n := len(dst) - start - frameLenOffset - 4
 	if n > maxFramePayload {
 		return dst[:start], fmt.Errorf("%w: payload %d exceeds %d", ErrFrameCorrupt, n, maxFramePayload)
 	}
 	binary.LittleEndian.PutUint32(dst[start+frameLenOffset:], uint32(n))
-	return wire.AppendUint32(dst, wire.Checksum(g, dst[start+4:])), nil
+	return wire.AppendUint32(dst, wire.Checksum(dst[start+4:])), nil
 }
 
-// writeFrame encodes and writes one current-generation frame. The
-// caller serializes writes per connection. Hot paths batch through
-// appendFrame instead.
+// writeFrame encodes and writes one frame. The caller serializes writes
+// per connection. Hot paths batch through appendFrame instead.
 func writeFrame(w io.Writer, f frame) error {
-	return writeFrameGen(w, f, wire.GenCurrent)
-}
-
-// writeFrameGen writes one frame under an explicit checksum
-// generation. Handshake frames (HELLO, and the hub's version-refusal
-// ERROR) pass wire.GenIEEE so a peer of either generation can parse
-// them.
-func writeFrameGen(w io.Writer, f frame, g wire.Gen) error {
-	buf, err := appendFrame(make([]byte, 0, 4+frameHeaderLen+len(f.payload)+4), f, g)
+	buf, err := appendFrame(make([]byte, 0, frameOverhead+len(f.payload)), f)
 	if err != nil {
 		return err
 	}
@@ -198,7 +187,7 @@ func writeFrameGen(w io.Writer, f frame, g wire.Gen) error {
 // frameReader decodes frames from one connection, reusing a payload
 // scratch buffer across reads: a returned frame's payload is valid
 // only until the next read, so handlers must copy anything they
-// retain (DATA payloads are copied by bytesToComplex, SETUP and RESULT
+// retain (DATA payloads are copied out by the read loop, SETUP and RESULT
 // payloads by their decoders; a SHARD payload is lent to the session
 // goroutine, and the read loop waits until it is handed back).
 type frameReader struct {
@@ -208,8 +197,7 @@ type frameReader struct {
 
 // read reads and validates one frame. Truncation, bad magic, an
 // over-limit length and a CRC mismatch all return ErrFrameCorrupt; a
-// clean EOF between frames returns io.EOF. Either checksum generation
-// (Castagnoli or legacy IEEE) is accepted per frame.
+// clean EOF between frames returns io.EOF.
 func (d *frameReader) read() (frame, error) {
 	var hdr [4 + frameHeaderLen]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
@@ -240,10 +228,8 @@ func (d *frameReader) read() (frame, error) {
 	d.scratch = buf
 	payload := buf[:n]
 	got := binary.LittleEndian.Uint32(buf[n:])
-	// The CRC covers type..payload — continue it across the two spans,
-	// current generation first so the happy path is one hardware pass.
-	want := wire.Update(wire.GenCurrent, wire.Checksum(wire.GenCurrent, hdr[4:]), payload)
-	if got != want && got != wire.Update(wire.GenIEEE, wire.Checksum(wire.GenIEEE, hdr[4:]), payload) {
+	// The CRC covers type..payload — continue it across the two spans.
+	if want := wire.Update(wire.Checksum(hdr[4:]), payload); got != want {
 		return frame{}, fmt.Errorf("%w: crc %08x, want %08x", ErrFrameCorrupt, got, want)
 	}
 	f.payload = payload
@@ -255,31 +241,6 @@ func (d *frameReader) read() (frame, error) {
 func readFrame(r io.Reader) (frame, error) {
 	d := frameReader{r: r}
 	return d.read()
-}
-
-// complexToBytes serializes a []complex128 payload as interleaved
-// little-endian float64 pairs — exact (bit-preserving) both ways.
-func complexToBytes(data []complex128) []byte {
-	out := make([]byte, 16*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(out[16*i:], math.Float64bits(real(v)))
-		binary.LittleEndian.PutUint64(out[16*i+8:], math.Float64bits(imag(v)))
-	}
-	return out
-}
-
-func bytesToComplex(b []byte) ([]complex128, error) {
-	if len(b)%16 != 0 {
-		return nil, fmt.Errorf("%w: data payload %d bytes is not a complex128 array", ErrFrameCorrupt, len(b))
-	}
-	out := make([]complex128, len(b)/16)
-	for i := range out {
-		out[i] = complex(
-			math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:])),
-			math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:])),
-		)
-	}
-	return out, nil
 }
 
 // errorPayload encodes a frameError payload.

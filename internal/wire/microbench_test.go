@@ -27,6 +27,6 @@ func BenchmarkCRC(b *testing.B) {
 	raw := make([]byte, 64*64*64*8)
 	b.SetBytes(int64(len(raw)))
 	for i := 0; i < b.N; i++ {
-		_ = Checksum(GenCastagnoli, raw)
+		_ = Checksum(raw)
 	}
 }

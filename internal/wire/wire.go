@@ -1,17 +1,16 @@
 // Package wire is the shared byte-level toolkit behind every framed
-// codec in the repository: the PTYCHSv1/v2 stream chunks
-// (internal/dataio), the PTGW grid frames (internal/transport) and the
-// PTYWAL job-state records (internal/jobs/store). It owns two things
-// the codecs previously each reimplemented:
+// codec in the repository: the PTYCHS stream chunks (internal/dataio),
+// the PTGW grid frames (internal/transport) and the PTYWAL job-state
+// records (internal/jobs/store). It owns two things the codecs would
+// otherwise each reimplement:
 //
-//   - The checksum generations. Generation 0 is the original IEEE
-//     CRC-32 framing; generation 1 is Castagnoli (crc32.Castagnoli),
-//     which hash/crc32 computes with dedicated SIMD instructions on
-//     amd64 and arm64 — the difference between ~1 GB/s and
-//     hardware-speed checksumming on the wire hot path. Writers emit
-//     the current generation; readers accept BOTH via Verify, so files
-//     written and peers deployed before the switch keep decoding
-//     (docs/FORMATS.md, "Checksum generations").
+//   - The checksum. Every frame, chunk and record carries the
+//     Castagnoli CRC-32 (crc32.Castagnoli), which hash/crc32 computes
+//     with dedicated SIMD instructions on amd64 and arm64 — the
+//     difference between ~1 GB/s and hardware-speed checksumming on
+//     the wire hot path. There is one polynomial and one pass: a
+//     reader that sees any other checksum sees corruption
+//     (docs/FORMATS.md, "Checksum").
 //
 //   - Allocation-free little-endian encode/decode primitives: append
 //     helpers that grow a caller-owned scratch buffer (amortized zero
@@ -23,7 +22,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -40,63 +38,20 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&v)) == 1
 }()
 
-// Gen is a checksum generation. The zero value is the legacy
-// generation, so pre-generation code and fixtures read naturally.
-type Gen uint8
-
-const (
-	// GenIEEE is generation 0: the original IEEE CRC-32 polynomial,
-	// software slicing-by-8. Legacy files and protocol peers frame
-	// with it; writers no longer emit it.
-	GenIEEE Gen = 0
-	// GenCastagnoli is generation 1: the Castagnoli polynomial,
-	// computed with dedicated instructions (SSE4.2 CRC32 / ARMv8 CRC)
-	// on amd64 and arm64. All current writers emit it.
-	GenCastagnoli Gen = 1
-	// GenCurrent is what writers emit today.
-	GenCurrent = GenCastagnoli
-)
-
-func (g Gen) String() string {
-	switch g {
-	case GenIEEE:
-		return "ieee"
-	case GenCastagnoli:
-		return "castagnoli"
-	default:
-		return fmt.Sprintf("gen%d", uint8(g))
-	}
-}
-
 // castagnoli is built once; crc32.MakeTable caches the SIMD dispatch.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum returns the CRC-32 of p under generation g.
-func Checksum(g Gen, p []byte) uint32 {
-	if g == GenCastagnoli {
-		return crc32.Checksum(p, castagnoli)
-	}
-	return crc32.ChecksumIEEE(p)
-}
+// Checksum returns the CRC-32 (Castagnoli) of p.
+func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
-// Update continues a running CRC-32 under generation g.
-func Update(g Gen, crc uint32, p []byte) uint32 {
-	if g == GenCastagnoli {
-		return crc32.Update(crc, castagnoli, p)
-	}
-	return crc32.Update(crc, crc32.IEEETable, p)
-}
+// Update continues a running CRC-32.
+func Update(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
 
-// Verify reports whether sum matches p under any accepted generation,
-// current first (one hardware-speed pass on the happy path; the legacy
-// pass only runs when the first mismatches). The returned want is the
-// current-generation checksum — what an error message should cite.
+// Verify reports whether sum is p's checksum. The returned want is the
+// checksum p should have carried — what an error message should cite.
 func Verify(sum uint32, p []byte) (want uint32, ok bool) {
-	want = Checksum(GenCurrent, p)
-	if sum == want {
-		return want, true
-	}
-	return want, sum == Checksum(GenIEEE, p)
+	want = Checksum(p)
+	return want, sum == want
 }
 
 // --- scalar append helpers ------------------------------------------
@@ -235,7 +190,7 @@ func Complex128s(dst []complex128, src []byte) {
 //	kind    [1]byte
 //	length  int64: payload byte count
 //	payload length bytes
-//	crc     uint32 CRC-32 of the payload (generation per writer)
+//	crc     uint32 CRC-32 (Castagnoli) of the payload
 //
 // Encoders build the payload in place inside the caller's scratch:
 // BeginChunk reserves the header, EndChunk backfills the length and
@@ -254,19 +209,19 @@ func BeginChunk(dst []byte, kind byte) (out []byte, payloadStart int) {
 
 // EndChunk completes a chunk begun with BeginChunk: everything
 // appended since payloadStart is the payload; the length field is
-// backfilled and the generation-g CRC of the payload appended.
-func EndChunk(dst []byte, payloadStart int, g Gen) []byte {
+// backfilled and the CRC of the payload appended.
+func EndChunk(dst []byte, payloadStart int) []byte {
 	payload := dst[payloadStart:]
 	binary.LittleEndian.PutUint64(dst[payloadStart-8:], uint64(len(payload)))
-	return AppendUint32(dst, Checksum(g, payload))
+	return AppendUint32(dst, Checksum(payload))
 }
 
 // AppendChunk appends one complete chunk framing an existing payload.
-func AppendChunk(dst []byte, kind byte, payload []byte, g Gen) []byte {
+func AppendChunk(dst []byte, kind byte, payload []byte) []byte {
 	dst = append(dst, kind)
 	dst = AppendUint64(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
-	return AppendUint32(dst, Checksum(g, payload))
+	return AppendUint32(dst, Checksum(payload))
 }
 
 // --- bounded payload reading ----------------------------------------

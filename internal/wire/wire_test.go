@@ -7,45 +7,41 @@ import (
 	"testing"
 )
 
-func TestChecksumGenerations(t *testing.T) {
+func TestChecksum(t *testing.T) {
 	p := []byte("the quick brown fox jumps over the lazy dog")
-	if got, want := Checksum(GenIEEE, p), crc32.ChecksumIEEE(p); got != want {
-		t.Fatalf("GenIEEE checksum %08x, want %08x", got, want)
+	if got, want := Checksum(p), crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)); got != want {
+		t.Fatalf("checksum %08x, want Castagnoli %08x", got, want)
 	}
-	if got, want := Checksum(GenCastagnoli, p), crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)); got != want {
-		t.Fatalf("GenCastagnoli checksum %08x, want %08x", got, want)
+	if Checksum(p) == crc32.ChecksumIEEE(p) {
+		t.Fatal("Castagnoli and IEEE agree on a non-trivial payload — table mixup")
 	}
-	if Checksum(GenIEEE, p) == Checksum(GenCastagnoli, p) {
-		t.Fatal("generations agree on a non-trivial payload — table mixup")
-	}
-	// Both generations checksum the empty payload to 0 — the EOF-chunk
-	// invariant FORMATS.md documents.
-	if Checksum(GenIEEE, nil) != 0 || Checksum(GenCastagnoli, nil) != 0 {
+	// The empty payload checksums to 0 — the EOF-chunk invariant
+	// FORMATS.md documents.
+	if Checksum(nil) != 0 {
 		t.Fatal("empty payload checksum is not 0")
 	}
 	// Update must continue exactly like a one-shot checksum.
-	for _, g := range []Gen{GenIEEE, GenCastagnoli} {
-		crc := Update(g, Update(g, 0, p[:7]), p[7:])
-		if crc != Checksum(g, p) {
-			t.Fatalf("%v: split Update %08x != Checksum %08x", g, crc, Checksum(g, p))
-		}
+	if crc := Update(Update(0, p[:7]), p[7:]); crc != Checksum(p) {
+		t.Fatalf("split Update %08x != Checksum %08x", crc, Checksum(p))
 	}
 }
 
-func TestVerifyAcceptsBothGenerations(t *testing.T) {
+// TestVerifyIsOneCastagnoliPass: the IEEE sum that pre-Castagnoli
+// writers framed with is a mismatch like any other.
+func TestVerifyIsOneCastagnoliPass(t *testing.T) {
 	p := []byte("payload")
-	if _, ok := Verify(Checksum(GenCastagnoli, p), p); !ok {
-		t.Fatal("current-generation sum rejected")
+	if _, ok := Verify(Checksum(p), p); !ok {
+		t.Fatal("Castagnoli sum rejected")
 	}
-	if _, ok := Verify(Checksum(GenIEEE, p), p); !ok {
-		t.Fatal("legacy-generation sum rejected")
-	}
-	want, ok := Verify(Checksum(GenIEEE, p)^1, p)
+	want, ok := Verify(crc32.ChecksumIEEE(p), p)
 	if ok {
-		t.Fatal("corrupt sum accepted")
+		t.Fatal("IEEE sum accepted")
 	}
-	if want != Checksum(GenCurrent, p) {
-		t.Fatalf("Verify want = %08x, want current-generation %08x", want, Checksum(GenCurrent, p))
+	if want != Checksum(p) {
+		t.Fatalf("Verify want = %08x, want the checksum %08x", want, Checksum(p))
+	}
+	if _, ok := Verify(Checksum(p)^1, p); ok {
+		t.Fatal("corrupt sum accepted")
 	}
 }
 
@@ -82,31 +78,29 @@ func TestScalarRoundTrip(t *testing.T) {
 
 func TestChunkFraming(t *testing.T) {
 	payload := []byte("hello chunk")
-	for _, g := range []Gen{GenIEEE, GenCastagnoli} {
-		one := AppendChunk(nil, 'F', payload, g)
+	one := AppendChunk(nil, 'F', payload)
 
-		// BeginChunk/EndChunk building the payload in place must produce
-		// the identical bytes.
-		two, start := BeginChunk(nil, 'F')
-		two = append(two, payload...)
-		two = EndChunk(two, start, g)
-		if !bytes.Equal(one, two) {
-			t.Fatalf("%v: AppendChunk % x != Begin/End % x", g, one, two)
-		}
+	// BeginChunk/EndChunk building the payload in place must produce
+	// the identical bytes.
+	two, start := BeginChunk(nil, 'F')
+	two = append(two, payload...)
+	two = EndChunk(two, start)
+	if !bytes.Equal(one, two) {
+		t.Fatalf("AppendChunk % x != Begin/End % x", one, two)
+	}
 
-		if one[0] != 'F' || Uint64(one[1:]) != uint64(len(payload)) {
-			t.Fatalf("%v: bad chunk header % x", g, one[:9])
-		}
-		sum := Uint32(one[len(one)-4:])
-		if sum != Checksum(g, payload) {
-			t.Fatalf("%v: chunk crc %08x != %08x", g, sum, Checksum(g, payload))
-		}
-		if _, ok := Verify(sum, payload); !ok {
-			t.Fatalf("%v: Verify rejects its own framing", g)
-		}
-		if len(one) != len(payload)+ChunkOverhead {
-			t.Fatalf("%v: chunk length %d, want %d", g, len(one), len(payload)+ChunkOverhead)
-		}
+	if one[0] != 'F' || Uint64(one[1:]) != uint64(len(payload)) {
+		t.Fatalf("bad chunk header % x", one[:9])
+	}
+	sum := Uint32(one[len(one)-4:])
+	if sum != Checksum(payload) {
+		t.Fatalf("chunk crc %08x != %08x", sum, Checksum(payload))
+	}
+	if _, ok := Verify(sum, payload); !ok {
+		t.Fatal("Verify rejects its own framing")
+	}
+	if len(one) != len(payload)+ChunkOverhead {
+		t.Fatalf("chunk length %d, want %d", len(one), len(payload)+ChunkOverhead)
 	}
 }
 

@@ -48,6 +48,19 @@ func Golden(t *testing.T, name string, got []byte) {
 	t.Fatalf("%s: %d bytes, want %d; first difference at offset %d", path, len(got), len(want), off)
 }
 
+// Frozen returns the fixture testdata/<name> as committed. Unlike
+// Golden it never writes: what is read through it pins an encoding no
+// writer emits any more (the IEEE-checksummed generation every decoder
+// must now reject), so there is nothing -update could regenerate it from.
+func Frozen(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // PatchInt64 returns a copy of b with a little-endian int64 written at
 // off — the standard way the fuzz corpora forge a length field.
 func PatchInt64(b []byte, off int, v int64) []byte {
