@@ -90,6 +90,7 @@ func (s *Snapshots) Run(comm simmpi.Transport, slices []*grid.Complex2D, iter in
 			}
 			r, c := m.RowCol(rank)
 			tile, err := UnpackTile(data, m.Tile(r, c), len(slices))
+			comm.Release(data) // UnpackTile copied
 			if err != nil {
 				return err
 			}
@@ -98,7 +99,7 @@ func (s *Snapshots) Run(comm simmpi.Transport, slices []*grid.Complex2D, iter in
 		s.cbErr = s.fn(iter, m.StitchSlices(tiles))
 	} else {
 		r, c := m.RowCol(comm.Rank())
-		comm.Send(0, TagSnapshot, PackRegion(slices, m.Tile(r, c)))
+		comm.Send(0, TagSnapshot, PackRegion(nil, slices, m.Tile(r, c)))
 	}
 	return s.verdict(comm)
 }
@@ -126,10 +127,16 @@ func (s *Snapshots) verdict(comm simmpi.Transport) error {
 }
 
 // PackRegion flattens the given region of each slice into one payload,
-// slices-major, row-major within a slice — the layout UnpackTile and
-// the engines' overlap exchanges share.
-func PackRegion(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
-	out := make([]complex128, 0, region.Area()*len(arrs))
+// slices-major, row-major within a slice — the layout UnpackRegion,
+// UnpackTile and the engines' overlap exchanges share. The payload is
+// built in dst's storage when it is large enough (its contents are
+// overwritten; nil allocates), so an engine packs every message of a run
+// into one scratch that grows to its largest overlap rectangle.
+func PackRegion(dst []complex128, arrs []*grid.Complex2D, region grid.Rect) []complex128 {
+	out := dst[:0]
+	if n := region.Area() * len(arrs); cap(out) < n {
+		out = make([]complex128, 0, n)
+	}
 	for _, a := range arrs {
 		for y := region.Y0; y < region.Y1; y++ {
 			row := a.Row(y)
@@ -138,6 +145,25 @@ func PackRegion(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
 		}
 	}
 	return out
+}
+
+// UnpackRegion overwrites the given region of each array with a
+// PackRegion payload of exactly that region.
+func UnpackRegion(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
+	if len(data) != region.Area()*len(arrs) {
+		return fmt.Errorf("collective: payload %d for region %v x %d slices",
+			len(data), region, len(arrs))
+	}
+	k := 0
+	for _, a := range arrs {
+		for y := region.Y0; y < region.Y1; y++ {
+			row := a.Row(y)
+			x0 := region.X0 - a.Bounds.X0
+			copy(row[x0:x0+region.W()], data[k:k+region.W()])
+			k += region.W()
+		}
+	}
+	return nil
 }
 
 // UnpackTile materializes a PackRegion payload as freshly allocated

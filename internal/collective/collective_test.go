@@ -33,7 +33,7 @@ func image(bounds grid.Rect) []*grid.Complex2D {
 func TestPackRegionUnpackTileRoundTrip(t *testing.T) {
 	full := image(grid.RectWH(-3, 2, 11, 9))
 	region := grid.Rect{X0: 0, Y0: 4, X1: 5, Y1: 10}
-	data := PackRegion(full, region)
+	data := PackRegion(nil, full, region)
 	if len(data) != region.Area()*len(full) {
 		t.Fatalf("payload of %d values for %v x %d slices", len(data), region, len(full))
 	}

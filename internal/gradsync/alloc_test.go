@@ -1,6 +1,7 @@
 package gradsync
 
 import (
+	"runtime"
 	"testing"
 
 	"ptychopath/internal/phantom"
@@ -78,5 +79,41 @@ func TestIntraPoolPersistsAcrossChunks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExchangeAllocationSlope guards the message path of a whole 2x2
+// in-process run: what one more iteration allocates — the slope of
+// runtime.MemStats.TotalAlloc between an N- and a 2N-iteration
+// Reconstruct, so the per-run set-up cancels — stays under 1/16 of the
+// bytes that iteration exchanges. Every payload is packed into the
+// worker's scratch, copied into a recycled buffer and released after
+// unpacking; what remains is the deadline timer of each receive that had
+// to wait and the timer and channel of each barrier inside the cost
+// allreduce. Before payloads were recycled the slope was 2.05x the bytes
+// exchanged (one allocation to pack, one for Send's copy).
+func TestExchangeAllocationSlope(t *testing.T) {
+	prob, _ := buildProblem(t, 4, 4, 0.7, 2)
+	m := mesh(t, prob, 2, 2, tiling.HaloForWindow(prob.WindowN))
+	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
+	run := func(iters int) (allocated, sentPerIter float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Reconstruct(prob, init.Slices, Options{
+			Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: iters, Timeout: testTimeout,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(res.BytesSent) / float64(iters)
+	}
+	const n = 20
+	short, _ := run(n)
+	long, sent := run(2 * n)
+	slope := (long - short) / n
+	t.Logf("%.0f B allocated per iteration for %.0f B exchanged (1/%.0f)", slope, sent, sent/slope)
+	if slope > sent/16 {
+		t.Errorf("a gd iteration allocates %.0f B, budget %.0f (1/16 of the %.0f B it exchanges)", slope, sent/16, sent)
 	}
 }

@@ -20,10 +20,10 @@
 // of Eqn. (2) restricted to its extended tile — a property the tests
 // verify against the serial reference to machine precision.
 //
-// Communication uses non-blocking isend/irecv with no global barriers;
-// a rank starts its horizontal pass as soon as its own vertical traffic
-// is done, which is exactly the paper's Asynchronous Pipelining for
-// Parallel Passes (APPP, Fig 5). Setting Options.DisableAPPP inserts
+// Communication uses eager (never-blocking) sends with no global
+// barriers; a rank starts its horizontal pass as soon as its own vertical
+// traffic is done, which is exactly the paper's Asynchronous Pipelining
+// for Parallel Passes (APPP, Fig 5). Setting Options.DisableAPPP inserts
 // world barriers between passes to emulate the "w/o APPP" ablation of
 // Fig 7(b).
 package gradsync
@@ -161,6 +161,7 @@ type worker struct {
 	ext    grid.Rect
 	slices []*grid.Complex2D // reconstruction on the extended tile
 	acc    []*grid.Complex2D // accumulated gradient buffer (AccBuf_k)
+	packed []complex128      // outgoing payload scratch, grown once to the largest overlap
 	ws     *solver.Workspace // engine + per-location gradient scratch
 	owned  []int
 	intra  *intraPool // persistent IntraWorkers goroutine pool (nil if <= 1)
@@ -221,12 +222,6 @@ func (w *worker) memBytes() int64 {
 	return total
 }
 
-// pack flattens region r of each slice buffer into one payload (the
-// shared slices-major layout of collective.PackRegion).
-func pack(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
-	return collective.PackRegion(arrs, region)
-}
-
 // unpackAdd adds the payload into region r of each buffer.
 func unpackAdd(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
 	if len(data) != region.Area()*len(arrs) {
@@ -247,22 +242,31 @@ func unpackAdd(arrs []*grid.Complex2D, region grid.Rect, data []complex128) erro
 	return nil
 }
 
-// unpackReplace overwrites region r of each buffer with the payload.
-func unpackReplace(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
-	if len(data) != region.Area()*len(arrs) {
-		return fmt.Errorf("gradsync: payload %d for region %v x %d slices",
-			len(data), region, len(arrs))
+// recvOverlap receives one pass message and folds it into region of the
+// accumulation buffers with unpack (add on the forward sweeps, replace
+// on the backward ones), then hands the payload back to the transport.
+func (w *worker) recvOverlap(src, tag int, region grid.Rect,
+	unpack func([]*grid.Complex2D, grid.Rect, []complex128) error) error {
+	if region.Empty() {
+		return nil
 	}
-	k := 0
-	for _, a := range arrs {
-		for y := region.Y0; y < region.Y1; y++ {
-			row := a.Row(y)
-			x0 := region.X0 - a.Bounds.X0
-			copy(row[x0:x0+region.W()], data[k:k+region.W()])
-			k += region.W()
-		}
+	data, err := w.comm.Recv(src, tag)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = unpack(w.acc, region, data)
+	w.comm.Release(data)
+	return err
+}
+
+// sendOverlap sends region of the accumulation buffers, packed into the
+// worker's scratch: Send copies, so the scratch is free again at once.
+func (w *worker) sendOverlap(dst, tag int, region grid.Rect) {
+	if region.Empty() {
+		return
+	}
+	w.packed = collective.PackRegion(w.packed, w.acc, region)
+	w.comm.Send(dst, tag, w.packed)
 }
 
 // runPasses executes the four directional passes on the accumulation
@@ -276,48 +280,30 @@ func (w *worker) runPasses() error {
 		}
 		return nil
 	}
+	up, down := w.r > 0, w.r < m.Rows-1
+	left, right := w.c > 0, w.c < m.Cols-1
 
 	// Vertical forward: add downward along the tile column.
-	if w.r > 0 {
-		region := m.VerticalOverlap(w.r-1, w.c)
-		if !region.Empty() {
-			data, err := w.comm.Recv(m.Rank(w.r-1, w.c), tagVF)
-			if err != nil {
-				return err
-			}
-			if err := unpackAdd(w.acc, region, data); err != nil {
-				return err
-			}
+	if up {
+		if err := w.recvOverlap(m.Rank(w.r-1, w.c), tagVF, m.VerticalOverlap(w.r-1, w.c), unpackAdd); err != nil {
+			return err
 		}
 	}
-	if w.r < m.Rows-1 {
-		region := m.VerticalOverlap(w.r, w.c)
-		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r+1, w.c), tagVF, pack(w.acc, region))
-		}
+	if down {
+		w.sendOverlap(m.Rank(w.r+1, w.c), tagVF, m.VerticalOverlap(w.r, w.c))
 	}
 	if err := barrier(); err != nil {
 		return err
 	}
 
 	// Vertical backward: replace upward.
-	if w.r < m.Rows-1 {
-		region := m.VerticalOverlap(w.r, w.c)
-		if !region.Empty() {
-			data, err := w.comm.Recv(m.Rank(w.r+1, w.c), tagVB)
-			if err != nil {
-				return err
-			}
-			if err := unpackReplace(w.acc, region, data); err != nil {
-				return err
-			}
+	if down {
+		if err := w.recvOverlap(m.Rank(w.r+1, w.c), tagVB, m.VerticalOverlap(w.r, w.c), collective.UnpackRegion); err != nil {
+			return err
 		}
 	}
-	if w.r > 0 {
-		region := m.VerticalOverlap(w.r-1, w.c)
-		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r-1, w.c), tagVB, pack(w.acc, region))
-		}
+	if up {
+		w.sendOverlap(m.Rank(w.r-1, w.c), tagVB, m.VerticalOverlap(w.r-1, w.c))
 	}
 	if err := barrier(); err != nil {
 		return err
@@ -326,46 +312,26 @@ func (w *worker) runPasses() error {
 	// Horizontal forward: add rightward along the tile row. With APPP a
 	// rank enters this pass as soon as its own vertical traffic is done
 	// (cross-direction pipelining, Fig 5).
-	if w.c > 0 {
-		region := m.HorizontalOverlap(w.r, w.c-1)
-		if !region.Empty() {
-			data, err := w.comm.Recv(m.Rank(w.r, w.c-1), tagHF)
-			if err != nil {
-				return err
-			}
-			if err := unpackAdd(w.acc, region, data); err != nil {
-				return err
-			}
+	if left {
+		if err := w.recvOverlap(m.Rank(w.r, w.c-1), tagHF, m.HorizontalOverlap(w.r, w.c-1), unpackAdd); err != nil {
+			return err
 		}
 	}
-	if w.c < m.Cols-1 {
-		region := m.HorizontalOverlap(w.r, w.c)
-		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r, w.c+1), tagHF, pack(w.acc, region))
-		}
+	if right {
+		w.sendOverlap(m.Rank(w.r, w.c+1), tagHF, m.HorizontalOverlap(w.r, w.c))
 	}
 	if err := barrier(); err != nil {
 		return err
 	}
 
 	// Horizontal backward: replace leftward.
-	if w.c < m.Cols-1 {
-		region := m.HorizontalOverlap(w.r, w.c)
-		if !region.Empty() {
-			data, err := w.comm.Recv(m.Rank(w.r, w.c+1), tagHB)
-			if err != nil {
-				return err
-			}
-			if err := unpackReplace(w.acc, region, data); err != nil {
-				return err
-			}
+	if right {
+		if err := w.recvOverlap(m.Rank(w.r, w.c+1), tagHB, m.HorizontalOverlap(w.r, w.c), collective.UnpackRegion); err != nil {
+			return err
 		}
 	}
-	if w.c > 0 {
-		region := m.HorizontalOverlap(w.r, w.c-1)
-		if !region.Empty() {
-			w.comm.Isend(m.Rank(w.r, w.c-1), tagHB, pack(w.acc, region))
-		}
+	if left {
+		w.sendOverlap(m.Rank(w.r, w.c-1), tagHB, m.HorizontalOverlap(w.r, w.c-1))
 	}
 	return barrier()
 }

@@ -1,6 +1,7 @@
 package halo
 
 import (
+	"runtime"
 	"testing"
 
 	"ptychopath/internal/grid"
@@ -40,5 +41,43 @@ func TestHaloGradientAllocationFree(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("halo per-location kernel allocates %v, want 0", got)
+	}
+}
+
+// TestExchangeAllocationSlope guards the message path of a whole 2x2
+// in-process run: what one more iteration allocates — the slope of
+// runtime.MemStats.TotalAlloc between an N- and a 2N-iteration
+// Reconstruct, so the per-run set-up cancels — stays under 1/16 of the
+// bytes that iteration exchanges. Every pasted region is packed into the
+// rank's scratch, copied into a recycled buffer and released after
+// unpacking; what remains is the deadline timer of each receive that had
+// to wait and the timer and channel of each barrier inside the cost
+// allreduce. Before payloads were recycled the slope was 2.07x the bytes
+// exchanged (one allocation to pack, one for Send's copy).
+func TestExchangeAllocationSlope(t *testing.T) {
+	prob, _ := buildProblem(t, 8, 8, 0.7, 3)
+	halo := tiling.HaloForWindow(prob.WindowN)
+	m := mesh(t, prob, 2, 2, halo)
+	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
+	run := func(iters int) (allocated, sentPerIter float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Reconstruct(prob, init.Slices, Options{
+			Mesh: m, HaloWidth: halo, ExtraRows: 1, StepSize: 0.01,
+			Iterations: iters, ExchangesPerIteration: 1, Timeout: testTimeout,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(res.BytesSent) / float64(iters)
+	}
+	const n = 20
+	short, _ := run(n)
+	long, sent := run(2 * n)
+	slope := (long - short) / n
+	t.Logf("%.0f B allocated per iteration for %.0f B exchanged (1/%.0f)", slope, sent, sent/slope)
+	if slope > sent/16 {
+		t.Errorf("an hve iteration allocates %.0f B, budget %.0f (1/16 of the %.0f B it exchanges)", slope, sent/16, sent)
 	}
 }

@@ -142,6 +142,7 @@ type hworker struct {
 	ext    grid.Rect // tile + exchange halo
 	slices []*grid.Complex2D
 	ws     *solver.Workspace // per-rank gradient scratch arena
+	packed []complex128      // outgoing payload scratch, grown once to the largest pasted region
 	owned  []int             // own locations
 	all    []int             // own + extra locations (reconstructed redundantly)
 }
@@ -286,28 +287,9 @@ func Reconstruct(prob *solver.Problem, init []*grid.Complex2D, opt Options) (*Re
 // mechanism), and vice versa.
 func (w *hworker) exchangeVoxels(haloW int) error {
 	m := w.mesh
-	type pending struct {
-		req    simmpi.Pending
-		region grid.Rect
-	}
-	var recvs []pending
-	// Post all receives, then sends (isend/irecv avoids ordering
-	// deadlocks even though the algorithm is logically synchronous).
-	for _, d := range neighborOffsets {
-		nr, nc := w.r+d[0], w.c+d[1]
-		if nr < 0 || nr >= m.Rows || nc < 0 || nc >= m.Cols {
-			continue
-		}
-		// Region we receive: neighbor's interior tile ∩ our extended tile.
-		region := m.Tile(nr, nc).Intersect(w.ext)
-		if region.Empty() {
-			continue
-		}
-		recvs = append(recvs, pending{
-			req:    w.comm.Irecv(m.Rank(nr, nc), tagPaste),
-			region: region,
-		})
-	}
+	// Eager sends to every neighbour first, then the receives in the same
+	// neighbour order: nothing blocks until every message of this rank is
+	// out, so the logically synchronous exchange cannot deadlock.
 	for _, d := range neighborOffsets {
 		nr, nc := w.r+d[0], w.c+d[1]
 		if nr < 0 || nr >= m.Rows || nc < 0 || nc >= m.Cols {
@@ -318,43 +300,29 @@ func (w *hworker) exchangeVoxels(haloW int) error {
 		if region.Empty() {
 			continue
 		}
-		w.comm.Isend(m.Rank(nr, nc), tagPaste, packRegion(w.slices, region))
+		w.packed = collective.PackRegion(w.packed, w.slices, region)
+		w.comm.Send(m.Rank(nr, nc), tagPaste, w.packed)
 	}
-	// Receives from different neighbors arrive in arbitrary order; tags
-	// are identical, but each neighbor sends exactly one message per
-	// exchange and FIFO per (src, tag) keeps rounds aligned. Match by
-	// source via the posted order (Irecv stored the src).
-	for _, p := range recvs {
-		data, err := p.req.Wait()
+	// Every neighbour sends exactly one message per exchange under the one
+	// tag; receiving by source, FIFO per (src, tag), keeps rounds aligned.
+	for _, d := range neighborOffsets {
+		nr, nc := w.r+d[0], w.c+d[1]
+		if nr < 0 || nr >= m.Rows || nc < 0 || nc >= m.Cols {
+			continue
+		}
+		// Region we receive: neighbor's interior tile ∩ our extended tile.
+		region := m.Tile(nr, nc).Intersect(w.ext)
+		if region.Empty() {
+			continue
+		}
+		data, err := w.comm.Recv(m.Rank(nr, nc), tagPaste)
 		if err != nil {
 			return err
 		}
-		if err := unpackRegion(w.slices, p.region, data); err != nil {
+		err = collective.UnpackRegion(w.slices, region, data)
+		w.comm.Release(data)
+		if err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// packRegion flattens the region of each slice into one payload (the
-// shared slices-major layout of collective.PackRegion — one definition
-// so the engines' wire payloads can never drift apart).
-func packRegion(arrs []*grid.Complex2D, region grid.Rect) []complex128 {
-	return collective.PackRegion(arrs, region)
-}
-
-func unpackRegion(arrs []*grid.Complex2D, region grid.Rect, data []complex128) error {
-	if len(data) != region.Area()*len(arrs) {
-		return fmt.Errorf("halo: payload %d for region %v x %d slices",
-			len(data), region, len(arrs))
-	}
-	k := 0
-	for _, a := range arrs {
-		for y := region.Y0; y < region.Y1; y++ {
-			row := a.Row(y)
-			x0 := region.X0 - a.Bounds.X0
-			copy(row[x0:x0+region.W()], data[k:k+region.W()])
-			k += region.W()
 		}
 	}
 	return nil

@@ -1,8 +1,8 @@
 // Package simmpi provides an MPI-flavored message-passing runtime over
-// goroutines: ranks, point-to-point Send/Recv with tags, non-blocking
-// Isend/Irecv with Wait, barriers and sum-allreduce. The paper's
-// parallel algorithms are written against this interface exactly as they
-// would be against MPI; a rank stands in for one GPU.
+// goroutines: ranks, point-to-point Send/Recv with tags, barriers and
+// sum-allreduce. The paper's parallel algorithms are written against
+// this interface exactly as they would be against MPI; a rank stands in
+// for one GPU.
 //
 // Semantics follow MPI's eager protocol: Send copies the payload and
 // enqueues it immediately (never blocks), Recv blocks until a matching
@@ -10,6 +10,15 @@
 // so an incorrectly ordered exchange fails a test loudly instead of
 // hanging it. Per-rank byte/message counters feed communication-volume
 // assertions and the experiment reports.
+//
+// Payload ownership: the slice passed to Send stays the sender's — it
+// was copied before Send returned and may be reused at once. The slice
+// Recv returns belongs to the receiver alone until it hands it back
+// with Release, after which it must not touch it again: the endpoint
+// recycles released buffers (a bounded FreeList per endpoint) for the
+// payloads of later messages, which is what keeps a steady exchange
+// from allocating. Release is optional — a payload never released is
+// never overwritten and is simply garbage-collected.
 //
 // The Transport interface abstracts the communicator: this package's
 // *Comm is the in-process implementation, and internal/transport
@@ -25,15 +34,8 @@ import (
 	"time"
 )
 
-// AnySource matches messages from any sender in Recv/Irecv.
+// AnySource matches messages from any sender in Recv.
 const AnySource = -1
-
-// Pending is the handle of a non-blocking operation (Isend/Irecv).
-// Wait blocks until the operation completes; for receives it returns
-// the matched payload.
-type Pending interface {
-	Wait() ([]complex128, error)
-}
 
 // Transport is the abstract communicator every parallel engine in this
 // repository is written against: MPI-flavored tagged point-to-point
@@ -49,12 +51,19 @@ type Pending interface {
 //
 // Contract, matching MPI's eager protocol:
 //
-//   - Send copies the payload and never blocks. Delivery failures on a
-//     remote transport surface on the next blocking call.
+//   - Send copies the payload and never blocks; the caller may reuse
+//     data as soon as Send returns. Delivery failures on a remote
+//     transport surface on the next blocking call.
 //   - Recv blocks until a message with matching (src, tag) arrives,
-//     FIFO per pair; src may be AnySource. Every blocking call carries
-//     a deadline and fails with an error wrapping ErrTimeout instead of
-//     hanging on a deadlocked exchange.
+//     FIFO per pair; src may be AnySource. The returned payload is the
+//     receiver's alone. Every blocking call carries a deadline and
+//     fails with an error wrapping ErrTimeout instead of hanging on a
+//     deadlocked exchange.
+//   - Release hands a payload this endpoint's Recv returned back for
+//     reuse by later messages; the receiver must not touch buf
+//     afterwards. It is optional and only for the receiver: a payload
+//     never released is never overwritten, just collected. nil, an
+//     empty-capacity slice and a buffer from elsewhere are harmless.
 //   - Barrier returns once every rank has entered it.
 //   - AllreduceSum returns the rank-order sum of x across the world on
 //     every rank — rank-order so results are bit-for-bit deterministic
@@ -67,8 +76,7 @@ type Transport interface {
 	Size() int
 	Send(dst, tag int, data []complex128)
 	Recv(src, tag int) ([]complex128, error)
-	Isend(dst, tag int, data []complex128) Pending
-	Irecv(src, tag int) Pending
+	Release(buf []complex128)
 	Barrier() error
 	AllreduceSum(x float64) (float64, error)
 	SentBytes() int64
@@ -82,6 +90,70 @@ const DefaultTimeout = 30 * time.Second
 // ErrTimeout is returned when a blocking operation exceeds the world's
 // timeout — almost always a deadlocked exchange pattern.
 var ErrTimeout = errors.New("simmpi: blocking operation timed out (deadlock?)")
+
+// FreeListMax is the most buffers a FreeList holds: twice the eight
+// neighbours a rank exchanges with at once, so a whole round of
+// payloads can sit released while the next is in flight.
+const FreeListMax = 16
+
+// FreeList is a bounded list of released payload buffers, the one
+// recycling scheme of both transports: Comm.Send's copy and
+// transport.Client's decode Take from it, Release Puts back. Safe for
+// concurrent use; the zero value is an empty list.
+type FreeList struct {
+	mu   sync.Mutex
+	bufs [][]complex128
+}
+
+// Take returns a slice of length n, reusing the smallest held buffer of
+// capacity >= n and allocating when there is none. Its contents are
+// unspecified: the caller overwrites all n elements.
+func (l *FreeList) Take(n int) []complex128 {
+	l.mu.Lock()
+	best := -1
+	for i, b := range l.bufs {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(l.bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		l.mu.Unlock()
+		return make([]complex128, n)
+	}
+	buf := l.bufs[best]
+	last := len(l.bufs) - 1
+	l.bufs[best], l.bufs[last] = l.bufs[last], nil
+	l.bufs = l.bufs[:last]
+	l.mu.Unlock()
+	return buf[:n]
+}
+
+// Put hands buf to the list; a list already holding FreeListMax
+// buffers leaves it to the collector.
+func (l *FreeList) Put(buf []complex128) {
+	if cap(buf) == 0 {
+		return
+	}
+	l.mu.Lock()
+	if len(l.bufs) < FreeListMax {
+		l.bufs = append(l.bufs, buf)
+	}
+	l.mu.Unlock()
+}
+
+// Drop empties the list, leaving what it held to the collector.
+func (l *FreeList) Drop() {
+	l.mu.Lock()
+	l.bufs = nil
+	l.mu.Unlock()
+}
+
+// Len returns how many buffers the list holds.
+func (l *FreeList) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.bufs)
+}
 
 // Msg is an in-flight message.
 type Msg struct {
@@ -116,6 +188,10 @@ type mailbox struct {
 	signal chan struct{}
 
 	bytesIn atomic.Int64
+
+	// free recycles the payloads the rank that owns this mailbox has
+	// released, for the copies its own Sends make.
+	free FreeList
 
 	// Outgoing counters of the rank that OWNS this mailbox (not traffic
 	// into it) — the per-endpoint view Transport requires.
@@ -152,28 +228,7 @@ func NewWorld(size int, timeout time.Duration) *World {
 // Run executes fn on every rank concurrently and waits for all to
 // finish, collecting the first error (rank panics become errors).
 func Run(size int, timeout time.Duration, fn func(c *Comm) error) error {
-	w := NewWorld(size, timeout)
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("simmpi: rank %d panicked: %v", rank, p)
-				}
-			}()
-			errs[rank] = fn(&Comm{rank: rank, world: w})
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return NewWorld(size, timeout).RunAll(fn)
 }
 
 // Rank returns this communicator's rank.
@@ -182,13 +237,14 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// Send copies data and enqueues it for dst. It never blocks (eager
-// protocol).
+// Send copies data — into a buffer this rank released earlier when one
+// fits — and enqueues it for dst. It never blocks (eager protocol).
 func (c *Comm) Send(dst, tag int, data []complex128) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("simmpi: send to invalid rank %d (size %d)", dst, c.world.size))
 	}
-	cp := make([]complex128, len(data))
+	own := c.world.boxes[c.rank]
+	cp := own.free.Take(len(data))
 	copy(cp, data)
 	m := Msg{Src: c.rank, Tag: tag, Data: cp}
 	box := c.world.boxes[dst]
@@ -203,7 +259,6 @@ func (c *Comm) Send(dst, tag int, data []complex128) {
 	c.world.bytesSent.Add(nbytes)
 	c.world.msgsSent.Add(1)
 	box.bytesIn.Add(nbytes)
-	own := c.world.boxes[c.rank]
 	own.bytesOut.Add(nbytes)
 	own.msgsOut.Add(1)
 }
@@ -214,41 +269,9 @@ func (c *Comm) SentBytes() int64 { return c.world.boxes[c.rank].bytesOut.Load() 
 // SentMessages returns the number of messages this rank has sent.
 func (c *Comm) SentMessages() int64 { return c.world.boxes[c.rank].msgsOut.Load() }
 
-// Request represents a pending non-blocking operation.
-type Request struct {
-	comm *Comm
-	src  int
-	tag  int
-	sent bool // true for send requests (already complete)
-	data []complex128
-	err  error
-	done bool
-}
-
-// Isend starts a non-blocking send. With eager semantics the operation
-// completes immediately; the returned request exists for API symmetry
-// with MPI_Isend (the paper's APPP uses isend/irecv pairs).
-func (c *Comm) Isend(dst, tag int, data []complex128) Pending {
-	c.Send(dst, tag, data)
-	return &Request{comm: c, sent: true, done: true}
-}
-
-// Irecv posts a non-blocking receive. The match is performed at Wait.
-func (c *Comm) Irecv(src, tag int) Pending {
-	return &Request{comm: c, src: src, tag: tag}
-}
-
-// Wait completes the request. For receive requests it blocks until a
-// matching message arrives (or the timeout fires) and returns its
-// payload; for send requests it returns immediately.
-func (r *Request) Wait() ([]complex128, error) {
-	if r.done {
-		return r.data, r.err
-	}
-	r.data, r.err = r.comm.Recv(r.src, r.tag)
-	r.done = true
-	return r.data, r.err
-}
+// Release hands a payload Recv returned back to this rank for the
+// copies of its later Sends. The caller must not touch buf afterwards.
+func (c *Comm) Release(buf []complex128) { c.world.boxes[c.rank].free.Put(buf) }
 
 // Recv blocks until a message with matching source and tag arrives and
 // returns its payload. src may be AnySource. Matching is FIFO per
@@ -359,7 +382,7 @@ func (w *World) BytesReceivedBy(rank int) int64 { return w.boxes[rank].bytesIn.L
 // harness that launched Run via NewWorld + manual goroutines.
 func (c *Comm) World() *World { return c.world }
 
-// RunWorld executes fn on every rank of an existing world (the caller
+// RunAll executes fn on every rank of an existing world (the caller
 // keeps the world handle for counter inspection).
 func (w *World) RunAll(fn func(c *Comm) error) error {
 	errs := make([]error, w.size)

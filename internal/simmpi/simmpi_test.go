@@ -140,28 +140,70 @@ func TestAnySource(t *testing.T) {
 	}
 }
 
-func TestIsendIrecvWait(t *testing.T) {
+// TestFreeList pins the recycling scheme both transports share: the
+// smallest buffer that fits is taken, a miss allocates, the list never
+// holds more than FreeListMax buffers, and buffers without capacity are
+// ignored.
+func TestFreeList(t *testing.T) {
+	var l FreeList
+	l.Put(nil)
+	l.Put([]complex128{})
+	if l.Len() != 0 {
+		t.Fatalf("list holds %d buffers without capacity", l.Len())
+	}
+	small, big := make([]complex128, 4), make([]complex128, 64)
+	l.Put(big)
+	l.Put(small)
+	if got := l.Take(3); len(got) != 3 || &got[0] != &small[0] {
+		t.Fatal("Take(3) did not reuse the smallest buffer that fits")
+	}
+	if got := l.Take(5); len(got) != 5 || &got[0] != &big[0] {
+		t.Fatal("Take(5) did not reuse the only buffer that fits")
+	}
+	if got := l.Take(5); len(got) != 5 || l.Len() != 0 {
+		t.Fatalf("Take on an empty list: %d values, %d held", len(got), l.Len())
+	}
+	for i := 1; i <= 3*FreeListMax; i++ {
+		l.Put(make([]complex128, i))
+	}
+	if l.Len() != FreeListMax {
+		t.Fatalf("list holds %d buffers, bound %d", l.Len(), FreeListMax)
+	}
+	l.Drop()
+	if l.Len() != 0 {
+		t.Fatalf("%d buffers survived Drop", l.Len())
+	}
+}
+
+// TestCommFreeListBounded: however many buffers a rank releases, its
+// list stays within the bound.
+func TestCommFreeListBounded(t *testing.T) {
+	err := Run(1, testTimeout, func(c *Comm) error {
+		for i := 0; i < 4*FreeListMax; i++ {
+			c.Release(make([]complex128, 8))
+		}
+		if got := c.world.boxes[0].free.Len(); got != FreeListMax {
+			return fmt.Errorf("rank holds %d released buffers, bound %d", got, FreeListMax)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSymmetricSendRecv(t *testing.T) {
 	err := Run(2, testTimeout, func(c *Comm) error {
 		other := 1 - c.Rank()
-		// Symmetric non-blocking exchange — would deadlock with
-		// synchronous sends, must succeed with isend/irecv (the APPP
-		// communication pattern).
-		req := c.Irecv(other, 3)
-		s := c.Isend(other, 3, []complex128{complex(float64(c.Rank()), 0)})
-		if _, err := s.Wait(); err != nil {
-			return err
-		}
-		d, err := req.Wait()
+		// Symmetric exchange — would deadlock with synchronous sends,
+		// must succeed with eager ones (the APPP communication pattern).
+		c.Send(other, 3, []complex128{complex(float64(c.Rank()), 0)})
+		d, err := c.Recv(other, 3)
 		if err != nil {
 			return err
 		}
 		if real(d[0]) != float64(other) {
 			return fmt.Errorf("got %v want %d", d[0], other)
-		}
-		// Waiting twice is idempotent.
-		d2, err := req.Wait()
-		if err != nil || real(d2[0]) != float64(other) {
-			return fmt.Errorf("second Wait: %v %v", d2, err)
 		}
 		return nil
 	})
@@ -310,13 +352,13 @@ func TestRingAllToAll(t *testing.T) {
 		cur := val
 		for step := 0; step < n; step++ {
 			acc += cur
-			req := c.Irecv(prev, step)
-			c.Isend(next, step, []complex128{cur})
-			d, err := req.Wait()
+			c.Send(next, step, []complex128{cur})
+			d, err := c.Recv(prev, step)
 			if err != nil {
 				return err
 			}
 			cur = d[0]
+			c.Release(d)
 		}
 		if real(acc) != float64(n*(n-1)/2) {
 			return fmt.Errorf("rank %d acc=%v", c.Rank(), acc)

@@ -53,6 +53,10 @@ type Client struct {
 	rank, size int
 	sentBytes  int64
 	sentMsgs   int64
+
+	// free recycles the DATA payloads the session goroutine has released
+	// for the read loop's next decodes.
+	free simmpi.FreeList
 }
 
 type message struct {
@@ -261,6 +265,7 @@ func (c *Client) readLoop() {
 			c.pendingCancel = false
 			c.setups = append(c.setups, s)
 			c.mu.Unlock()
+			c.free.Drop() // sized by the last job's messages
 			c.pulse()
 		case frameShard:
 			switch {
@@ -275,7 +280,7 @@ func (c *Client) readLoop() {
 				c.setFatal(fmt.Errorf("%w: data payload %d bytes is not a complex128 array", ErrFrameCorrupt, len(fr.payload)))
 				return
 			}
-			data := make([]complex128, len(fr.payload)/16)
+			data := c.free.Take(len(fr.payload) / 16)
 			wire.Complex128s(data, fr.payload)
 			c.mu.Lock()
 			c.inbox = append(c.inbox, message{src: int(fr.src), tag: int(fr.tag), data: data})
@@ -357,8 +362,8 @@ func (c *Client) failedLocked() error {
 
 // await blocks until ready() reports true (under c.mu) or the deadline,
 // a connection failure, or a session abort intervenes. what describes
-// the wait for the timeout error.
-func (c *Client) await(ready func() bool, what string) error {
+// the wait, and is called only to word the timeout error.
+func (c *Client) await(ready func() bool, what func() string) error {
 	c.flush() // whatever we wait on may depend on our batched frames
 	deadline := time.Now().Add(c.timeout)
 	c.mu.Lock()
@@ -374,14 +379,14 @@ func (c *Client) await(ready func() bool, what string) error {
 		c.mu.Unlock()
 		wait := time.Until(deadline)
 		if wait <= 0 {
-			return fmt.Errorf("%w: rank %d %s", simmpi.ErrTimeout, c.rank, what)
+			return fmt.Errorf("%w: rank %d %s", simmpi.ErrTimeout, c.rank, what())
 		}
 		timer := time.NewTimer(wait)
 		select {
 		case <-c.signal:
 			timer.Stop()
 		case <-timer.C:
-			return fmt.Errorf("%w: rank %d %s", simmpi.ErrTimeout, c.rank, what)
+			return fmt.Errorf("%w: rank %d %s", simmpi.ErrTimeout, c.rank, what())
 		}
 		c.mu.Lock()
 	}
@@ -451,13 +456,18 @@ func (c *Client) WaitSetup(ctx context.Context, onCancel func()) (*Setup, error)
 // (barrier, reduce, iter stats) coalesce into one write per flush.
 const flushThreshold = 64 << 10
 
-// send queues one frame on the outgoing batch, flushing when it
-// passes flushThreshold. A write failure is recorded as fatal (it
-// surfaces on the next blocking operation, matching the eager Send
-// contract).
-func (c *Client) send(f frame) {
+// send queues one frame for dst on the outgoing batch, flushing when it
+// passes flushThreshold. body, when non-nil, appends the payload in
+// place — the batch buffer is the only copy a payload gets on its way
+// out. A write failure is recorded as fatal (it surfaces on the next
+// blocking operation, matching the eager Send contract).
+func (c *Client) send(typ uint8, dst, tag int, body func([]byte) []byte) {
 	c.wmu.Lock()
-	buf, err := appendFrame(c.wbuf, f)
+	buf, start := beginFrame(c.wbuf, typ, int32(c.rank), int32(dst), int32(tag))
+	if body != nil {
+		buf = body(buf)
+	}
+	buf, err := endFrame(buf, start)
 	c.wbuf = buf
 	if err == nil && len(c.wbuf) >= flushThreshold {
 		err = c.flushLocked()
@@ -495,15 +505,14 @@ func (c *Client) Rank() int { return c.rank }
 func (c *Client) Size() int { return c.size }
 
 // Send transmits data to dst with the given tag (eager: never blocks
-// on the receiver; the frame may ride the outgoing batch until the
-// next flush, and a delivery failure surfaces on the next blocking
-// call).
+// on the receiver; data is framed into the outgoing batch before Send
+// returns, the frame may ride the batch until the next flush, and a
+// delivery failure surfaces on the next blocking call).
 func (c *Client) Send(dst, tag int, data []complex128) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("transport: send to invalid rank %d (size %d)", dst, c.size))
 	}
-	c.send(frame{typ: frameData, src: int32(c.rank), dst: int32(dst), tag: int32(tag),
-		payload: wire.AppendComplex128s(make([]byte, 0, 16*len(data)), data)})
+	c.send(frameData, dst, tag, func(b []byte) []byte { return wire.AppendComplex128s(b, data) })
 	c.mu.Lock()
 	c.sentBytes += int64(16 * len(data))
 	c.sentMsgs++
@@ -523,61 +532,35 @@ func (c *Client) Recv(src, tag int) ([]complex128, error) {
 			}
 		}
 		return false
-	}, fmt.Sprintf("waiting for src=%d tag=%d", src, tag))
+	}, func() string { return fmt.Sprintf("waiting for src=%d tag=%d", src, tag) })
 	if err != nil {
 		return nil, err
 	}
 	return data, nil
 }
 
-// request mirrors simmpi.Request for the TCP endpoint.
-type request struct {
-	c        *Client
-	src, tag int
-	done     bool
-	data     []complex128
-	err      error
-}
-
-// Wait completes the request.
-func (r *request) Wait() ([]complex128, error) {
-	if r.done {
-		return r.data, r.err
-	}
-	r.data, r.err = r.c.Recv(r.src, r.tag)
-	r.done = true
-	return r.data, r.err
-}
-
-// Isend starts a non-blocking send (eager: complete immediately).
-func (c *Client) Isend(dst, tag int, data []complex128) simmpi.Pending {
-	c.Send(dst, tag, data)
-	return &request{c: c, done: true}
-}
-
-// Irecv posts a non-blocking receive; the match happens at Wait.
-func (c *Client) Irecv(src, tag int) simmpi.Pending {
-	return &request{c: c, src: src, tag: tag}
-}
+// Release hands a payload Recv returned back for the read loop's later
+// decodes. The caller must not touch buf afterwards.
+func (c *Client) Release(buf []complex128) { c.free.Put(buf) }
 
 // Barrier blocks until every rank of the session has entered it (the
 // hub counts entries and broadcasts the release).
 func (c *Client) Barrier() error {
-	c.send(frame{typ: frameBarrier, src: int32(c.rank), dst: hubRank})
+	c.send(frameBarrier, hubRank, 0, nil)
 	return c.await(func() bool {
 		if c.barriers > 0 {
 			c.barriers--
 			return true
 		}
 		return false
-	}, "in barrier")
+	}, func() string { return "in barrier" })
 }
 
 // AllreduceSum returns the sum of x across all ranks. The hub
 // accumulates contributions in rank order, so the result is bit-for-bit
 // deterministic and identical to the in-process world's.
 func (c *Client) AllreduceSum(x float64) (float64, error) {
-	c.send(frame{typ: frameReduce, src: int32(c.rank), dst: hubRank, payload: wire.AppendFloat64(nil, x)})
+	c.send(frameReduce, hubRank, 0, func(b []byte) []byte { return wire.AppendFloat64(b, x) })
 	var sum float64
 	err := c.await(func() bool {
 		if len(c.reduces) > 0 {
@@ -586,7 +569,7 @@ func (c *Client) AllreduceSum(x float64) (float64, error) {
 			return true
 		}
 		return false
-	}, "in allreduce")
+	}, func() string { return "in allreduce" })
 	return sum, err
 }
 
@@ -607,8 +590,9 @@ func (c *Client) SentMessages() int64 {
 // SendIteration reports rank 0's per-iteration progress to the
 // coordinator (fire-and-forget; drives job progress and SSE events).
 func (c *Client) SendIteration(iter int, cost float64) {
-	payload := wire.AppendFloat64(wire.AppendInt64(nil, int64(iter)), cost)
-	c.send(frame{typ: frameIter, src: int32(c.rank), dst: hubRank, payload: payload})
+	c.send(frameIter, hubRank, 0, func(b []byte) []byte {
+		return wire.AppendFloat64(wire.AppendInt64(b, int64(iter)), cost)
+	})
 }
 
 // SendIterStats reports this rank's compute/communication time split
@@ -617,8 +601,9 @@ func (c *Client) SendIteration(iter int, cost float64) {
 // the 24-byte stats payload from the 16-byte progress payload by
 // length.
 func (c *Client) SendIterStats(iter int, computeNS, commNS int64) {
-	payload := wire.AppendInt64(wire.AppendInt64(wire.AppendInt64(nil, int64(iter)), computeNS), commNS)
-	c.send(frame{typ: frameIter, src: int32(c.rank), dst: hubRank, payload: payload})
+	c.send(frameIter, hubRank, 0, func(b []byte) []byte {
+		return wire.AppendInt64(wire.AppendInt64(wire.AppendInt64(b, int64(iter)), computeNS), commNS)
+	})
 }
 
 // SendSnapshot ships a stitched object snapshot (opaque OBJCKv1 bytes)
@@ -628,8 +613,9 @@ func (c *Client) SendIterStats(iter int, computeNS, commNS int64) {
 // snapshot returns the coordinator's error, aborting the run on every
 // rank through the engines' collective verdict.
 func (c *Client) SendSnapshot(iter int, object []byte) error {
-	payload := append(wire.AppendInt64(nil, int64(iter)), object...)
-	c.send(frame{typ: frameSnapshot, src: int32(c.rank), dst: hubRank, payload: payload})
+	c.send(frameSnapshot, hubRank, 0, func(b []byte) []byte {
+		return append(wire.AppendInt64(b, int64(iter)), object...)
+	})
 	var ack error
 	err := c.await(func() bool {
 		if len(c.snapAcks) > 0 {
@@ -638,7 +624,7 @@ func (c *Client) SendSnapshot(iter int, object []byte) error {
 			return true
 		}
 		return false
-	}, "waiting for snapshot ack")
+	}, func() string { return "waiting for snapshot ack" })
 	if err != nil {
 		return err
 	}
