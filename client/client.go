@@ -182,7 +182,9 @@ func retryDelay(err error, attempt int, cap time.Duration) time.Duration {
 
 // decodeError turns a non-2xx response into *Error, consuming the
 // body. Responses without a parseable problem envelope (a proxy's
-// error page, say) still produce a coded error from the status.
+// error page, say) still produce a coded error from the status. The
+// envelope's retry_after_ms is preferred over the Retry-After header,
+// which the server rounds up to whole seconds.
 func decodeError(resp *http.Response) *Error {
 	defer resp.Body.Close()
 	e := &Error{Status: resp.StatusCode, Code: CodeInternal}
@@ -194,7 +196,7 @@ func decodeError(resp *http.Response) *Error {
 	if json.Unmarshal(raw, &p) == nil && p.Code != "" {
 		e.Code = p.Code
 		e.Detail = p.Detail
-		if e.RetryAfter == 0 && p.RetryAfterMS > 0 {
+		if p.RetryAfterMS > 0 {
 			e.RetryAfter = time.Duration(p.RetryAfterMS) * time.Millisecond
 		}
 		return e
@@ -296,10 +298,11 @@ func (c *Client) submit(ctx context.Context, path string, req SubmitRequest, dat
 	return &job, nil
 }
 
-// Submit enqueues a batch reconstruction of the PTYCHOv1 dataset read
-// from dataset. Queue-full rejections are retried under the client's
-// retry budget; the Idempotency-Key guarantees the retries enqueue at
-// most one job.
+// Submit enqueues a batch reconstruction of the dataset read from
+// dataset: a closed PTYCHS stream, as datagen writes it (see
+// docs/FORMATS.md). Queue-full rejections are retried under the
+// client's retry budget; the Idempotency-Key guarantees the retries
+// enqueue at most one job.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, dataset io.Reader) (*Job, error) {
 	return c.submit(ctx, "/v1/jobs", req, dataset)
 }

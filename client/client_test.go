@@ -6,6 +6,7 @@ import (
 	"errors"
 	"image/png"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -453,6 +454,37 @@ func TestClientIngestFullRetry(t *testing.T) {
 	}
 	if final.State != client.StateDone {
 		t.Fatalf("streaming job ended %s: %s", final.State, final.Error)
+	}
+}
+
+// TestClientRetryPrefersEnvelopeHint: the server rounds Retry-After up
+// to whole seconds, so a 150 ms hint arrives as "Retry-After: 1" beside
+// retry_after_ms 150 — the SDK must sleep the 150 ms, not the second.
+func TestClientRetryPrefersEnvelopeHint(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Content-Type", "application/problem+json")
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			io.WriteString(w, `{"type":"urn:ptychopath:problem:ingest_full","title":"Too Many Requests",`+
+				`"status":429,"code":"ingest_full","retry_after_ms":150}`)
+			return
+		}
+		io.WriteString(w, `{"accepted":1,"total":1}`)
+	}))
+	defer ts.Close()
+	var delays []time.Duration
+	c, err := client.New(ts.URL, client.WithRetry(1, time.Minute),
+		client.WithRetryNotify(func(_ error, d time.Duration) { delays = append(delays, d) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendFrames(context.Background(), "job-0001", []byte("chunk")); err != nil {
+		t.Fatal(err)
+	}
+	if len(delays) != 1 || delays[0] != 150*time.Millisecond {
+		t.Fatalf("retry delays %v, want [150ms]", delays)
 	}
 }
 

@@ -1,20 +1,19 @@
 // Command datagen synthesizes a ptychography dataset — PbTiO3-like
 // phantom, raster scan, defocused probe, multi-slice diffraction — and
-// writes it to the binary PTYCHOv1 container that ptychorecon consumes.
+// writes it as a closed PTYCHSv2 stream (opening, CRC-framed chunks of
+// frames, end marker): the one dataset container, which ptychorecon
+// reads, POST /v1/jobs accepts and ptychofeed replays (see
+// docs/FORMATS.md and docs/HTTP_API.md).
 //
 // Usage:
 //
 //	datagen -o dataset.ptycho [-scan 8] [-overlap 0.75] [-slices 2]
 //	        [-window 16] [-radius 8] [-phantom pbtio3|random]
-//	        [-dose 0] [-seed 1] [-stream] [-chunk 64]
+//	        [-dose 0] [-seed 1]
 //	        [-info existing.ptycho]
 //
 // With -info, datagen prints a summary of an existing file instead of
-// generating one. With -stream, the output is a PTYCHS stream
-// (opening + CRC-framed chunks of -chunk frames + EOF marker) instead
-// of a PTYCHOv1 batch container — the input format of the streaming
-// endpoints and a ready-made body for POST /jobs/stream (see
-// docs/FORMATS.md and docs/HTTP_API.md).
+// generating one.
 package main
 
 import (
@@ -39,8 +38,6 @@ func main() {
 	kind := flag.String("phantom", "pbtio3", "phantom: pbtio3 or random")
 	dose := flag.Float64("dose", 0, "mean electrons per pattern (0 = noise-free)")
 	seed := flag.Int64("seed", 1, "random seed")
-	stream := flag.Bool("stream", false, "write a PTYCHS stream instead of a PTYCHOv1 batch file")
-	chunk := flag.Int("chunk", 64, "frames per CRC-framed chunk in -stream mode")
 	info := flag.String("info", "", "print a summary of an existing dataset file and exit")
 	flag.Parse()
 
@@ -50,7 +47,7 @@ func main() {
 		}
 		return
 	}
-	if err := generate(*out, *scanN, *overlap, *slices, *window, *radius, *kind, *dose, *seed, *stream, *chunk); err != nil {
+	if err := generate(*out, *scanN, *overlap, *slices, *window, *radius, *kind, *dose, *seed); err != nil {
 		fatal(err)
 	}
 }
@@ -61,7 +58,7 @@ func fatal(err error) {
 }
 
 func generate(out string, scanN int, overlap float64, slices, window int,
-	radius float64, kind string, dose float64, seed int64, stream bool, chunk int) error {
+	radius float64, kind string, dose float64, seed int64) error {
 	step := scan.StepForOverlap(radius, overlap)
 	pat, err := scan.Raster(scan.RasterConfig{
 		Cols: scanN, Rows: scanN, StepPix: step, RadiusPix: radius,
@@ -97,31 +94,15 @@ func generate(out string, scanN int, overlap float64, slices, window int,
 	if err != nil {
 		return err
 	}
-	if stream {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := dataio.WriteStream(f, prob, chunk); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	} else if err := dataio.WriteFile(out, prob); err != nil {
+	if err := dataio.WriteFile(out, prob); err != nil {
 		return err
 	}
 	fi, err := os.Stat(out)
 	if err != nil {
 		return err
 	}
-	format := "PTYCHOv1"
-	if stream {
-		format = "PTYCHSv2"
-	}
-	fmt.Printf("wrote %s (%s): %d locations, %dx%d image, %d slices, window %d (%.1f MB)\n",
-		out, format, pat.N(), pat.ImageW, pat.ImageH, slices, window,
+	fmt.Printf("wrote %s (PTYCHSv2): %d locations, %dx%d image, %d slices, window %d (%.1f MB)\n",
+		out, pat.N(), pat.ImageW, pat.ImageH, slices, window,
 		float64(fi.Size())/1e6)
 	return nil
 }

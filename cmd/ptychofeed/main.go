@@ -1,11 +1,11 @@
-// Command ptychofeed replays an existing PTYCHOv1 dataset against a
+// Command ptychofeed replays an existing dataset file against a
 // running ptychoserve as a LIVE acquisition: it opens a streaming job
 // from the dataset's geometry, then pushes the diffraction frames in
-// rate-limited chunks exactly as a beamline detector would, honoring
-// the server's 429 backpressure, and finally closes the stream. It is
-// the demo driver and the end-to-end test vehicle for the streaming
-// subsystem — point it at any dataset and watch previews sharpen
-// while "acquisition" is still underway.
+// rate-limited chunks of -chunk frames exactly as a beamline detector
+// would, honoring the server's 429 backpressure, and finally closes the
+// stream. It is the demo driver and the end-to-end test vehicle for the
+// streaming subsystem — point it at any dataset and watch previews
+// sharpen while "acquisition" is still underway.
 //
 // ptychofeed speaks the versioned /v1 API exclusively, through the
 // typed SDK in the top-level client package — idempotent submission,
@@ -41,7 +41,7 @@ import (
 
 func main() {
 	server := flag.String("server", "http://127.0.0.1:8617", "ptychoserve base URL")
-	file := flag.String("file", "", "PTYCHOv1 dataset to replay (required)")
+	file := flag.String("file", "", "dataset file to replay (required)")
 	chunk := flag.Int("chunk", 16, "frames per chunk")
 	interval := flag.Duration("interval", 200*time.Millisecond, "delay between chunks (acquisition rate)")
 	alg := flag.String("alg", "serial", "reconstruction algorithm: serial or gd")

@@ -1,5 +1,5 @@
 // Command ptychorecon is the end-to-end reconstruction CLI: it loads a
-// PTYCHOv1 dataset (see cmd/datagen), reconstructs it with the selected
+// dataset file (see cmd/datagen), reconstructs it with the selected
 // algorithm, reports convergence and per-worker statistics, and can
 // write phase/magnitude PNGs of the result.
 //
@@ -34,7 +34,7 @@ import (
 )
 
 func main() {
-	in := flag.String("i", "", "input dataset (PTYCHOv1 file, required)")
+	in := flag.String("i", "", "input dataset file (required)")
 	alg := flag.String("alg", "gd", "algorithm: gd (gradient decomposition), hve (halo voxel exchange), serial")
 	meshStr := flag.String("mesh", "2x2", "tile mesh ROWSxCOLS for parallel algorithms")
 	iters := flag.Int("iters", 20, "iterations")

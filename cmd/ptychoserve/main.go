@@ -1,9 +1,9 @@
 // Command ptychoserve runs the concurrent reconstruction job service: an
-// HTTP server that accepts PTYCHOv1 dataset uploads, schedules
-// reconstructions on a bounded worker pool, writes periodic OBJCKv1
-// checkpoints, serves live phase-image previews, and supports cancel and
-// checkpoint-resume — the operational front end for steering a running
-// microscopy experiment.
+// HTTP server that accepts dataset uploads (closed PTYCHS streams) and
+// live PTYCHS feeds, schedules reconstructions on a bounded worker
+// pool, writes periodic OBJCKv1 checkpoints, serves live phase-image
+// previews, and supports cancel and checkpoint-resume — the operational
+// front end for steering a running microscopy experiment.
 //
 // Usage:
 //

@@ -49,26 +49,36 @@ func legacyStream(t testing.TB) (raw []byte, firstChunk int) {
 	return wiretest.Frozen(t, "ptychs_v1_ieee.golden"), 8 + 8*8 + 2*8*n*n
 }
 
-// TestGoldenDataset pins the PTYCHOv1 batch format to committed bytes
-// and proves decode→re-encode is bit-identical.
+// TestGoldenDataset: a batch dataset is a closed PTYCHSv2 stream. Write
+// emits the golden stream's opening, the frames in one chunk (three fit
+// in ChunkFrames), then 'E'; Read of that and of the golden stream,
+// chunked by two, gives back one problem that re-encodes to the same
+// bytes. The retired PTYCHOv1 container, frozen, is a bad magic.
 func TestGoldenDataset(t *testing.T) {
 	prob := conformanceProblem()
 	var buf bytes.Buffer
 	if err := Write(&buf, prob); err != nil {
 		t.Fatal(err)
 	}
-	wiretest.Golden(t, "ptycho_v1.golden", buf.Bytes())
-
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if want := writeChunked(t, prob, len(prob.Meas)); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Write emitted %d bytes, want the opening, one chunk of %d frames and 'E' (%d bytes)",
+			buf.Len(), len(prob.Meas), len(want))
 	}
-	var again bytes.Buffer
-	if err := Write(&again, got); err != nil {
-		t.Fatal(err)
+	for _, enc := range [][]byte{buf.Bytes(), wiretest.Frozen(t, "ptychs_v2.golden")} {
+		got, err := Read(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := Write(&again, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			t.Fatal("dataset decode→re-encode is not bit-identical")
+		}
 	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("PTYCHOv1 decode→re-encode is not bit-identical")
+	if _, err := Read(bytes.NewReader(wiretest.Frozen(t, "ptycho_v1.golden"))); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("PTYCHOv1 dataset: %v, want a bad-magic error", err)
 	}
 }
 
@@ -101,26 +111,19 @@ func TestGoldenObject(t *testing.T) {
 	}
 }
 
-// TestGoldenStream pins the PTYCHSv2 (Castagnoli) stream
-// encoding and proves replay→re-encode is bit-identical.
+// TestGoldenStream pins the PTYCHSv2 (Castagnoli) stream encoding, in
+// 2-frame chunks, and proves decode→re-encode is bit-identical.
 func TestGoldenStream(t *testing.T) {
 	prob := conformanceProblem()
-	var buf bytes.Buffer
-	if err := WriteStream(&buf, prob, 2); err != nil {
-		t.Fatal(err)
-	}
-	wiretest.Golden(t, "ptychs_v2.golden", buf.Bytes())
+	raw := writeChunked(t, prob, 2)
+	wiretest.Golden(t, "ptychs_v2.golden", raw)
 
-	got, err := ReadStream(bytes.NewReader(buf.Bytes()))
+	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if err := WriteStream(&again, got, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("PTYCHSv2 replay→re-encode is not bit-identical")
+	if !bytes.Equal(raw, writeChunked(t, got, 2)) {
+		t.Fatal("PTYCHSv2 decode→re-encode is not bit-identical")
 	}
 }
 
@@ -138,14 +141,14 @@ func TestGoldenStreamLegacy(t *testing.T) {
 		t.Fatal("fixture is not the golden stream under the v1 magic with an IEEE chunk checksum")
 	}
 
-	if _, err := ReadStream(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+	if _, err := Read(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("PTYCHSv1 stream: %v, want a bad-magic error", err)
 	}
 	if _, err := ReadStreamHeader(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("PTYCHSv1 opening: %v, want a bad-magic error", err)
 	}
 	spliced := append(append([]byte(nil), streamMagic[:]...), legacy[8:]...)
-	if _, err := ReadStream(bytes.NewReader(spliced)); !errors.Is(err, ErrChunkCorrupt) {
+	if _, err := Read(bytes.NewReader(spliced)); !errors.Is(err, ErrChunkCorrupt) {
 		t.Fatalf("IEEE-checksummed chunks under the v2 magic: %v, want ErrChunkCorrupt", err)
 	}
 	if _, _, _, err := DecodeChunk(spliced[firstChunk:], 4); !errors.Is(err, ErrChunkCorrupt) {

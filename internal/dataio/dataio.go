@@ -1,205 +1,139 @@
-// Package dataio defines the binary on-disk dataset format used by the
-// command-line tools: a self-describing container holding the scan
-// pattern, probe wavefunction, propagator, and per-location diffraction
-// amplitudes. The format is little-endian and versioned.
+// Package dataio defines the binary formats of the data plane. A
+// dataset — scan pattern, probe wavefunction, propagator and
+// per-location diffraction amplitudes — has one container, the PTYCHSv2
+// stream (stream.go): an opening with the geometry and probe, then
+// CRC-framed chunks of frames, then an end marker. A writer never seeks
+// back: an acquisition still running is an open stream, fed and
+// journaled chunk by chunk; a batch dataset is a closed one, written by
+// Write and read back by Read. OBJCKv1 (object.go) holds a
+// reconstructed object.
 //
-// Layout (all integers little-endian):
-//
-//	magic   [8]byte  "PTYCHOv1"
-//	header  9 x int64: windowN, slices, imageW, imageH, numLocations,
-//	                   hasProp (0/1), stepPix*1e6, radiusPix*1e6, reserved
-//	probe   2*windowN^2 float64 (re, im interleaved)
-//	prop    2*windowN^2 float64 (present when hasProp == 1)
-//	locs    numLocations x (int64 index, float64 x, y, radius)
-//	meas    numLocations x windowN^2 float64 amplitudes
-//
-// The complete byte-level specification of every format in this
-// package — PTYCHOv1, the OBJCKv1 object checkpoint and the PTYCHS
-// incremental stream — together with the grid transport's PTGW wire
-// frames, lives in docs/FORMATS.md.
+// The complete byte-level specification of both, together with the
+// grid transport's PTGW wire frames, lives in docs/FORMATS.md.
 package dataio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"ptychopath/internal/grid"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
-	"ptychopath/internal/wire"
 )
-
-var magic = [8]byte{'P', 'T', 'Y', 'C', 'H', 'O', 'v', '1'}
 
 // ErrHeaderBounds is returned by every reader in this package when a
 // header declares dimensions outside the decoder's resource caps —
-// frame (window) size, slice count, location count, image extent. The
-// check runs BEFORE any payload-sized allocation, so a hostile or
-// corrupt header can never commit the process to multi-gigabyte
-// buffers it will immediately throw away.
+// frame (window) size, slice count, image extent, scan step and probe
+// radius, frames per chunk. The check runs BEFORE any payload-sized
+// allocation, so a hostile or corrupt header can never commit the
+// process to multi-gigabyte buffers it will immediately throw away.
 var ErrHeaderBounds = errors.New("dataio: header dimensions out of bounds")
 
 // Decoder resource caps. Generous for any real acquisition, small
 // enough that a header passing them cannot demand a problematic
-// allocation up front.
+// allocation up front. No dataset-wide location count is ever read:
+// frames are allocated chunk by chunk as their bytes arrive.
 const (
-	maxWindowN   = 4096
-	maxSlices    = 1 << 14
-	maxLocations = 1 << 20
-	maxImageDim  = 1 << 20
+	maxWindowN  = 4096
+	maxSlices   = 1 << 14
+	maxImageDim = 1 << 20
 )
 
-// checkDatasetHeader bounds the PTYCHOv1 / PTYCHS geometry fields.
-func checkDatasetHeader(windowN, slices, imageW, imageH, numLoc int) error {
+// checkBounds holds the PTYCHS geometry fields to the caps. The step
+// and radius, which travel as micro-pixel integers, are bounded by the
+// image cap too, so every value that passes re-encodes exactly.
+func (h *StreamHeader) checkBounds() error {
 	switch {
-	case windowN <= 0 || windowN > maxWindowN:
-		return fmt.Errorf("%w: window %d (want 1..%d)", ErrHeaderBounds, windowN, maxWindowN)
-	case slices <= 0 || slices > maxSlices:
-		return fmt.Errorf("%w: %d slices (want 1..%d)", ErrHeaderBounds, slices, maxSlices)
-	case imageW <= 0 || imageW > maxImageDim || imageH <= 0 || imageH > maxImageDim:
-		return fmt.Errorf("%w: image %dx%d (want 1..%d per edge)", ErrHeaderBounds, imageW, imageH, maxImageDim)
-	case numLoc < 0 || numLoc > maxLocations:
-		return fmt.Errorf("%w: %d locations (want 0..%d)", ErrHeaderBounds, numLoc, maxLocations)
+	case h.WindowN <= 0 || h.WindowN > maxWindowN:
+		return fmt.Errorf("%w: window %d (want 1..%d)", ErrHeaderBounds, h.WindowN, maxWindowN)
+	case h.Slices <= 0 || h.Slices > maxSlices:
+		return fmt.Errorf("%w: %d slices (want 1..%d)", ErrHeaderBounds, h.Slices, maxSlices)
+	case h.ImageW <= 0 || h.ImageW > maxImageDim || h.ImageH <= 0 || h.ImageH > maxImageDim:
+		return fmt.Errorf("%w: image %dx%d (want 1..%d per edge)", ErrHeaderBounds, h.ImageW, h.ImageH, maxImageDim)
+	case !(h.StepPix >= 0 && h.StepPix <= maxImageDim && h.RadiusPix >= 0 && h.RadiusPix <= maxImageDim):
+		return fmt.Errorf("%w: step %g, radius %g px (want 0..%d)", ErrHeaderBounds, h.StepPix, h.RadiusPix, maxImageDim)
 	}
 	return nil
 }
 
-// Write serializes a problem to w.
+// chunkBytes is the measurement payload a closed stream's 'F' chunk
+// targets: large enough that framing and checksums are noise, and well
+// under the grid transport's SHARD frame cap, so a rank's chunk travels
+// as one frame.
+const chunkBytes = 256 << 10
+
+// ChunkFrames is how many frames of a windowN x windowN detector fill
+// one chunk of a closed stream: chunkBytes of measurements, at least
+// one frame.
+func ChunkFrames(windowN int) int { return max(1, chunkBytes/(8*windowN*windowN)) }
+
+// Write serializes a problem as a closed PTYCHSv2 stream: the opening,
+// the frames in acquisition order, ChunkFrames to a chunk, then 'E'.
 func Write(w io.Writer, prob *solver.Problem) error {
 	if err := prob.Validate(); err != nil {
 		return fmt.Errorf("dataio: %w", err)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if err := WriteStreamHeader(w, HeaderFromProblem(prob)); err != nil {
 		return err
 	}
-	hasProp := int64(0)
-	if prob.Prop != nil {
-		hasProp = 1
-	}
-	header := []int64{
-		int64(prob.WindowN), int64(prob.Slices),
-		int64(prob.Pattern.ImageW), int64(prob.Pattern.ImageH),
-		int64(prob.Pattern.N()), hasProp,
-		int64(math.Round(prob.Pattern.StepPix * 1e6)),
-		int64(math.Round(prob.Pattern.RadiusPix * 1e6)),
-		0,
-	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
-		return err
-	}
-	if err := writeComplex(bw, prob.Probe); err != nil {
-		return err
-	}
-	if prob.Prop != nil {
-		if err := writeComplex(bw, prob.Prop); err != nil {
+	frames := FramesFromProblem(prob)
+	enc := chunkEncoders.Get().(*ChunkEncoder)
+	defer chunkEncoders.Put(enc)
+	n := ChunkFrames(prob.WindowN)
+	for lo := 0; lo < len(frames); lo += n {
+		if err := enc.WriteFrameChunk(w, prob.WindowN, frames[lo:min(lo+n, len(frames))]); err != nil {
 			return err
 		}
 	}
-	// One row of scratch carries every location and measurement to bw:
-	// nothing is allocated per element.
-	row := make([]byte, 0, 8*prob.WindowN*prob.WindowN)
-	for _, l := range prob.Pattern.Locations {
-		row = wire.AppendInt64(row[:0], int64(l.Index))
-		row = wire.AppendFloat64(row, l.X)
-		row = wire.AppendFloat64(row, l.Y)
-		row = wire.AppendFloat64(row, l.Radius)
-		if _, err := bw.Write(row); err != nil {
-			return err
-		}
-	}
-	for _, m := range prob.Meas {
-		row = wire.AppendFloat64s(row[:0], m.Data)
-		if _, err := bw.Write(row); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteEOFChunk(w)
 }
 
-func writeComplex(w io.Writer, a *grid.Complex2D) error {
-	_, err := w.Write(wire.AppendComplex128s(make([]byte, 0, 16*len(a.Data)), a.Data))
-	return err
-}
-
-func readComplex(r io.Reader, n int) (*grid.Complex2D, error) {
-	buf := make([]byte, 16*n*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	a := grid.NewComplex2DSize(n, n)
-	wire.Complex128s(a.Data, buf)
-	return a, nil
-}
-
-// Read deserializes a problem from r.
+// Read decodes a closed PTYCHSv2 stream into a problem: the opening,
+// then every chunk in order until 'E', through a pooled ChunkDecoder.
+// Any chunking is accepted, not just Write's. A stream that stops
+// before 'E' is io.ErrUnexpectedEOF — a batch dataset is complete or it
+// is not one — and a byte after 'E' is ErrChunkCorrupt.
 func Read(r io.Reader) (*solver.Problem, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("dataio: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("dataio: bad magic %q (not a PTYCHOv1 file)", m)
-	}
-	header := make([]int64, 9)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
-		return nil, fmt.Errorf("dataio: reading header: %w", err)
-	}
-	windowN := int(header[0])
-	slices := int(header[1])
-	imageW, imageH := int(header[2]), int(header[3])
-	numLoc := int(header[4])
-	hasProp := header[5] == 1
-	if err := checkDatasetHeader(windowN, slices, imageW, imageH, numLoc); err != nil {
+	// Exact-size reads straight from r, through no intermediate buffer.
+	h, err := ReadStreamHeader(r)
+	if err != nil {
 		return nil, err
 	}
-	probe, err := readComplex(br, windowN)
-	if err != nil {
-		return nil, fmt.Errorf("dataio: reading probe: %w", err)
-	}
-	var prop *grid.Complex2D
-	if hasProp {
-		if prop, err = readComplex(br, windowN); err != nil {
-			return nil, fmt.Errorf("dataio: reading propagator: %w", err)
+	dec := chunkDecoders.Get().(*ChunkDecoder)
+	defer chunkDecoders.Put(dec)
+	// The frames wait for 'E', which gives their count: the problem's
+	// lists are sized once, and no chunk leaves a staging list behind.
+	var chunks [][]Frame
+	total := 0
+	for {
+		frames, eof, err := dec.ReadChunk(r, h.WindowN)
+		if errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("stream ends before its 'E' chunk: %w", io.ErrUnexpectedEOF)
+		} else if err != nil {
+			return nil, err
+		} else if eof {
+			break
 		}
+		chunks, total = append(chunks, frames), total+len(frames)
 	}
-	pat := &scan.Pattern{
-		ImageW: imageW, ImageH: imageH,
-		StepPix:   float64(header[6]) / 1e6,
-		RadiusPix: float64(header[7]) / 1e6,
+	var past [1]byte
+	switch _, err := io.ReadFull(r, past[:]); {
+	case err == nil:
+		return nil, fmt.Errorf("%w: bytes after the 'E' chunk", ErrChunkCorrupt)
+	case err != io.EOF:
+		return nil, fmt.Errorf("dataio: reading past the 'E' chunk: %w", err)
 	}
-	pat.Locations = make([]scan.Location, numLoc)
-	// One row of scratch is refilled for every location and measurement;
-	// the only allocations left are the arrays the problem keeps.
-	row := make([]byte, max(32, 8*windowN*windowN))
-	for i := range pat.Locations {
-		if _, err := io.ReadFull(br, row[:32]); err != nil {
-			return nil, fmt.Errorf("dataio: reading location %d: %w", i, err)
+	prob := h.NewProblem()
+	prob.Pattern.Locations = make([]scan.Location, 0, total)
+	prob.Meas = make([]*grid.Float2D, 0, total)
+	for _, frames := range chunks {
+		for _, f := range frames {
+			if err := prob.AppendLocations([]scan.Location{f.Loc}, []*grid.Float2D{f.Meas}); err != nil {
+				return nil, fmt.Errorf("dataio: frame %d: %w", len(prob.Meas), err)
+			}
 		}
-		pat.Locations[i] = scan.Location{
-			Index: int(wire.Int64(row)), X: wire.Float64(row[8:]),
-			Y: wire.Float64(row[16:]), Radius: wire.Float64(row[24:]),
-		}
-	}
-	meas := make([]*grid.Float2D, numLoc)
-	row = row[:8*windowN*windowN]
-	for i := range meas {
-		if _, err := io.ReadFull(br, row); err != nil {
-			return nil, fmt.Errorf("dataio: reading measurement %d: %w", i, err)
-		}
-		a := grid.NewFloat2DSize(windowN, windowN)
-		wire.Float64s(a.Data, row)
-		meas[i] = a
-	}
-	prob := &solver.Problem{
-		Pattern: pat, Meas: meas, Probe: probe, Prop: prop,
-		WindowN: windowN, Slices: slices,
 	}
 	if err := prob.Validate(); err != nil {
 		return nil, fmt.Errorf("dataio: loaded problem invalid: %w", err)

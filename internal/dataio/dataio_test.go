@@ -2,8 +2,11 @@ package dataio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -12,6 +15,7 @@ import (
 	"ptychopath/internal/physics"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
+	"ptychopath/internal/wire"
 )
 
 func sampleProblem(t testing.TB, slices int) *solver.Problem {
@@ -126,9 +130,18 @@ func TestReadRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, cut := range []int{4, 10, 100, len(data) / 2, len(data) - 8} {
+	// Inside the opening: rejected.
+	for _, cut := range []int{4, 10, 100} {
 		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+	// After it: a dataset that stops short of its 'E' chunk — mid-chunk,
+	// between chunks, inside the 'E' — is io.ErrUnexpectedEOF.
+	eof := len(data) - wire.ChunkOverhead
+	for _, cut := range []int{len(data) / 2, eof, eof + 5, len(data) - 1} {
+		if _, err := Read(bytes.NewReader(data[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncation at %d of %d: %v, want io.ErrUnexpectedEOF", cut, len(data), err)
 		}
 	}
 }
@@ -162,9 +175,10 @@ func TestWriteRejectsInvalidProblem(t *testing.T) {
 // TestReadAllocatesTheProblemOnly bounds what decoding a dataset costs
 // beyond the arrays it returns: Read used to allocate a temporary the
 // size of every measurement and location it moved (2x the dataset in
-// all); one reused row of scratch leaves the buffered reader, that row
-// and the probe/propagator staging — under 10 % on a dataset of any
-// real size.
+// all). What is left is the probe/propagator staging, each chunk's
+// frame list and the chunk decoder's payload scratch — pooled, so
+// warmed by one Read before the measured one — under 10 % on a dataset
+// of any real size.
 func TestReadAllocatesTheProblemOnly(t *testing.T) {
 	pat, err := scan.Raster(scan.RasterConfig{Cols: 12, Rows: 12, StepPix: 5, RadiusPix: 6, MarginPix: 10})
 	if err != nil {
@@ -184,6 +198,12 @@ func TestReadAllocatesTheProblemOnly(t *testing.T) {
 	n2 := prob.WindowN * prob.WindowN
 	decoded := pat.N()*(8*n2+int(unsafe.Sizeof(scan.Location{}))) + 2*16*n2
 
+	// One P and no GC: the pool hands the warmed scratch straight back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
 	r := bytes.NewReader(buf.Bytes())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"testing"
 
+	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
+	"ptychopath/internal/wire"
 	"ptychopath/internal/wire/wiretest"
 )
 
-// FuzzRead hammers the dataset decoder with arbitrary bytes: it must
-// never panic and never return a problem that fails validation. Seeds
-// include a valid file, its prefix truncations, and bit flips.
-func FuzzRead(f *testing.F) {
+// fuzzProblem is the 2x2-scan, 8-pixel-window dataset the dataset
+// fuzzers seed from.
+func fuzzProblem(f *testing.F) *solver.Problem {
 	pat, err := scan.Raster(scan.RasterConfig{Cols: 2, Rows: 2, StepPix: 5, RadiusPix: 6, MarginPix: 6})
 	if err != nil {
 		f.Fatal(err)
@@ -26,28 +27,88 @@ func FuzzRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	return prob
+}
+
+// fuzzHeaderEnd is where fuzzProblem's first chunk starts: magic,
+// header and probe (one slice, so no propagator).
+const fuzzHeaderEnd = 8 + 8*8 + 2*8*8*8
+
+// streamSeeds is the stream corpus: fuzzProblem in 2-frame chunks,
+// truncations at every structural boundary, CRC and kind corruption,
+// oversized headers, the shared framing attacks, and the frozen
+// IEEE-framed PTYCHSv1 fixture with its mutations.
+func streamSeeds(f *testing.F) [][]byte {
+	valid := writeChunked(f, fuzzProblem(f), 2)
+	crcFlip := append([]byte(nil), valid...)
+	crcFlip[fuzzHeaderEnd+30] ^= 0x01 // payload bit: CRC must catch it
+	kindFlip := append([]byte(nil), valid...)
+	kindFlip[fuzzHeaderEnd] = 'Z'
+	seeds := [][]byte{
+		valid,
+		[]byte("PTYCHSv1"),
+		{},
+		valid[:fuzzHeaderEnd],        // header only, no chunks
+		valid[:fuzzHeaderEnd+1],      // cut after a chunk kind byte
+		valid[:fuzzHeaderEnd+5],      // cut inside a chunk length
+		valid[:len(valid)-3],         // cut inside the EOF marker
+		patchInt64(valid, 8, 1<<40),  // windowN past the cap
+		patchInt64(valid, 16, -1),    // slices negative
+		patchInt64(valid, 24, 1<<40), // imageW past the cap
+		crcFlip,
+		kindFlip,
+	}
+	// The shared framing-attack corpus, anchored on the first chunk's
+	// length field — the same mutations the transport and WAL fuzzers
+	// rehearse, so a defense added in one decoder is tested in all.
+	seeds = append(seeds, wiretest.Mutations(valid, fuzzHeaderEnd+1)...)
+	// The frozen IEEE-framed PTYCHSv1 fixture and its mutations, as is
+	// and under the current magic: every one must be rejected.
+	legacy, firstChunk := legacyStream(f)
+	seeds = append(seeds, legacy)
+	for _, m := range wiretest.Mutations(legacy, firstChunk+1) {
+		seeds = append(seeds, append(append([]byte(nil), streamMagic[:]...), m[8:]...))
+	}
+	return seeds
+}
+
+// FuzzRead hammers the one dataset decoder — the /v1 submit body, the
+// grid worker's shard, ptychorecon's input — with arbitrary bytes: it
+// must never panic, and a problem it accepts must validate and survive
+// Write then Read unchanged. Seeds: the retired PTYCHOv1 container
+// (frozen; every one must be rejected), the stream corpus, and Write's
+// own closed stream with its framing attacks, cut before 'E' and with a
+// chunk after 'E'.
+func FuzzRead(f *testing.F) {
+	v1 := wiretest.Frozen(f, "ptycho_v1.golden")
+	flipped := append([]byte(nil), v1...)
+	flipped[9] ^= 0xFF
+	for _, seed := range [][]byte{
+		v1, v1[:len(v1)/2], v1[:16], flipped, []byte("PTYCHOv1"), {},
+		// Each PTYCHOv1 header field pushed past the caps (and negative),
+		// with the full payload still attached.
+		patchInt64(v1, 8, 1<<40),  // windowN huge
+		patchInt64(v1, 8, -1),     // windowN negative
+		patchInt64(v1, 16, 1<<40), // slices huge
+		patchInt64(v1, 24, 1<<40), // imageW huge
+		patchInt64(v1, 32, -7),    // imageH negative
+		patchInt64(v1, 40, 1<<40), // numLocations huge
+	} {
+		f.Add(seed)
+	}
+	for _, seed := range streamSeeds(f) {
+		f.Add(seed)
+	}
 	var buf bytes.Buffer
-	if err := Write(&buf, prob); err != nil {
+	if err := Write(&buf, fuzzProblem(f)); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:16])
-	flipped := append([]byte(nil), valid...)
-	flipped[9] ^= 0xFF
-	f.Add(flipped)
-	f.Add([]byte("PTYCHOv1"))
-	f.Add([]byte{})
-	// Oversized-header seeds: each header field pushed past the
-	// ErrHeaderBounds caps (and negative), with the full valid payload
-	// still attached — the reader must reject on the header alone.
-	f.Add(patchInt64(valid, 8, 1<<40))  // windowN huge
-	f.Add(patchInt64(valid, 8, -1))     // windowN negative
-	f.Add(patchInt64(valid, 16, 1<<40)) // slices huge
-	f.Add(patchInt64(valid, 24, 1<<40)) // imageW huge
-	f.Add(patchInt64(valid, 32, -7))    // imageH negative
-	f.Add(patchInt64(valid, 40, 1<<40)) // numLocations huge
+	closed := buf.Bytes()
+	for _, m := range wiretest.Mutations(closed, fuzzHeaderEnd+1) {
+		f.Add(m)
+	}
+	f.Add(closed[:len(closed)-wire.ChunkOverhead])                             // cut before 'E'
+	f.Add(append(closed[:len(closed):len(closed)], closed[fuzzHeaderEnd:]...)) // a chunk after 'E'
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prob, err := Read(bytes.NewReader(data))
@@ -56,6 +117,17 @@ func FuzzRead(f *testing.F) {
 		}
 		if verr := prob.Validate(); verr != nil {
 			t.Fatalf("Read accepted a problem that fails validation: %v", verr)
+		}
+		var once, twice bytes.Buffer
+		if err := Write(&once, prob); err != nil {
+			t.Fatalf("Write of an accepted problem: %v", err)
+		}
+		again, err := Read(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("Read of Write's output: %v", err)
+		}
+		if err := Write(&twice, again); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("Write then Read changed the problem (err %v)", err)
 		}
 	})
 }
@@ -85,7 +157,7 @@ func FuzzReadObject(f *testing.F) {
 	wrongTerm := append([]byte(nil), valid...)
 	wrongTerm[7] = 0xFF
 	f.Add(wrongTerm)
-	f.Add(append([]byte("PTYCHOv1"), valid[8:]...))
+	f.Add(append(streamMagic[:8:8], valid[8:]...))
 	// Header truncations: cut inside each of the 5 int64 fields.
 	for i := 0; i < 5; i++ {
 		f.Add(valid[: 8+8*i+4 : 8+8*i+4])
@@ -123,67 +195,39 @@ func FuzzReadObject(f *testing.F) {
 	})
 }
 
-// FuzzReadStream hammers the PTYCHSv2 replay path: header decoding,
-// chunk framing, CRC verification, and the append loop must never
-// panic and never return a problem that fails validation. Seeds cover
-// a valid stream, truncations at every structural boundary, CRC and
-// kind corruption, and oversized headers.
+// FuzzReadStream hammers the open-stream path — the opening, then
+// chunk after chunk until the reader runs dry, as the job journal's
+// replay and the frames endpoint read it — with the stream corpus. A
+// missing 'E' is no error there; a panic is, and so is a problem that
+// fails validation after every accepted chunk was folded in through
+// Problem.AppendLocations, as the streaming engine folds them.
 func FuzzReadStream(f *testing.F) {
-	pat, err := scan.Raster(scan.RasterConfig{Cols: 2, Rows: 2, StepPix: 5, RadiusPix: 6, MarginPix: 6})
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range streamSeeds(f) {
+		f.Add(seed)
 	}
-	obj := phantom.RandomObject(pat.ImageW, pat.ImageH, 1, 1)
-	prob, err := solver.Simulate(solver.SimulateConfig{
-		Optics: physics.PaperOptics(), Pattern: pat, Object: obj, WindowN: 8, Seed: 1,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteStream(&buf, prob, 2); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	headerEnd := 8 + 8*8 + 2*8*8*8 // magic + header + probe (single slice: no prop)
-
-	f.Add(valid)
-	f.Add([]byte("PTYCHSv1"))
-	f.Add([]byte{})
-	f.Add(valid[:headerEnd])            // header only, no chunks
-	f.Add(valid[:headerEnd+1])          // cut after a chunk kind byte
-	f.Add(valid[:headerEnd+5])          // cut inside a chunk length
-	f.Add(valid[:len(valid)-3])         // cut inside the EOF marker
-	f.Add(patchInt64(valid, 8, 1<<40))  // windowN past the cap
-	f.Add(patchInt64(valid, 16, -1))    // slices negative
-	f.Add(patchInt64(valid, 24, 1<<40)) // imageW past the cap
-	crcFlip := append([]byte(nil), valid...)
-	crcFlip[headerEnd+30] ^= 0x01 // payload bit: CRC must catch it
-	f.Add(crcFlip)
-	kindFlip := append([]byte(nil), valid...)
-	kindFlip[headerEnd] = 'Z'
-	f.Add(kindFlip)
-	// The shared framing-attack corpus, anchored on the first chunk's
-	// length field — the same mutations the transport and WAL fuzzers
-	// rehearse, so a defense added in one decoder is tested in all.
-	for _, m := range wiretest.Mutations(valid, headerEnd+1) {
-		f.Add(m)
-	}
-	// The frozen IEEE-framed PTYCHSv1 fixture and its mutations, as is
-	// and under the current magic: every one must be rejected.
-	legacy, firstChunk := legacyStream(f)
-	f.Add(legacy)
-	for _, m := range wiretest.Mutations(legacy, firstChunk+1) {
-		f.Add(append(append([]byte(nil), streamMagic[:]...), m[8:]...))
-	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		prob, err := ReadStream(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		h, err := ReadStreamHeader(r)
 		if err != nil {
 			return
 		}
-		if verr := prob.Validate(); verr != nil {
-			t.Fatalf("ReadStream accepted a problem that fails validation: %v", verr)
+		prob := h.NewProblem()
+		for {
+			frames, eof, err := ReadChunk(r, h.WindowN)
+			if err != nil || eof {
+				break
+			}
+			locs := make([]scan.Location, len(frames))
+			meas := make([]*grid.Float2D, len(frames))
+			for i, fr := range frames {
+				locs[i], meas[i] = fr.Loc, fr.Meas
+			}
+			if err := prob.AppendLocations(locs, meas); err != nil {
+				break // a location outside the image: the engine refuses it too
+			}
+		}
+		if err := prob.Validate(); err != nil {
+			t.Fatalf("accepted chunks fold into a problem that fails validation: %v", err)
 		}
 	})
 }

@@ -107,7 +107,7 @@ func TestReadObjectRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	// Dataset magic is not object magic.
-	if _, err := ReadObject(strings.NewReader("PTYCHOv1xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")); err == nil {
+	if _, err := ReadObject(strings.NewReader("PTYCHSv2xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")); err == nil {
 		t.Fatal("dataset file accepted as object")
 	}
 }

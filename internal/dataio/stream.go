@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"ptychopath/internal/grid"
@@ -16,17 +15,9 @@ import (
 	"ptychopath/internal/wire"
 )
 
-// PTYCHSv2 is the incremental companion of PTYCHOv1: a dataset whose
-// frames arrive while the acquisition is still running. The header
-// carries only geometry and probe metadata — everything the streaming
-// reconstruction engine needs to open a job before a single
-// diffraction pattern exists — and is followed by a sequence of
-// framed, CRC-protected chunks that append probe locations with their
-// measured amplitudes. The format is append-only (a writer never seeks
-// back), so it doubles as a spool/journal, and a complete stream
-// replays losslessly into a canonical PTYCHOv1 problem.
-//
-// Layout (all integers little-endian):
+// PTYCHSv2, the dataset container (see the package comment). The
+// opening carries everything the streaming engine needs to open a job
+// before a single diffraction pattern exists. Layout (little-endian):
 //
 //	magic   [8]byte  "PTYCHSv2"
 //	header  8 x int64: windowN, slices, imageW, imageH, hasProp (0/1),
@@ -82,7 +73,7 @@ type StreamHeader struct {
 
 // Validate reports structural problems with the header.
 func (h *StreamHeader) Validate() error {
-	if err := checkDatasetHeader(h.WindowN, h.Slices, h.ImageW, h.ImageH, 0); err != nil {
+	if err := h.checkBounds(); err != nil {
 		return err
 	}
 	if h.Probe == nil || h.Probe.W() != h.WindowN || h.Probe.H() != h.WindowN {
@@ -163,22 +154,19 @@ func WriteStreamHeader(w io.Writer, h *StreamHeader) error {
 	return bw.Flush()
 }
 
-// ReadStreamHeader deserializes the stream opening from r.
+// ReadStreamHeader deserializes the stream opening from r. Like
+// ReadChunk it reads exact sizes and nothing past the opening, so the
+// caller reads the chunks from r next.
 func ReadStreamHeader(r io.Reader) (*StreamHeader, error) {
-	br := bufio.NewReader(r)
-	return readStreamHeader(br)
-}
-
-func readStreamHeader(br *bufio.Reader) (*StreamHeader, error) {
 	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, fmt.Errorf("dataio: reading stream magic: %w", err)
 	}
 	if m != streamMagic {
 		return nil, fmt.Errorf("dataio: bad magic %q (not a PTYCHSv2 stream)", m)
 	}
 	header := make([]int64, 8)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, header); err != nil {
 		return nil, fmt.Errorf("dataio: reading stream header: %w", err)
 	}
 	h := &StreamHeader{
@@ -188,19 +176,34 @@ func readStreamHeader(br *bufio.Reader) (*StreamHeader, error) {
 		RadiusPix: float64(header[6]) / 1e6,
 	}
 	// Bounds before the probe-sized allocations below.
-	if err := checkDatasetHeader(h.WindowN, h.Slices, h.ImageW, h.ImageH, 0); err != nil {
+	if err := h.checkBounds(); err != nil {
 		return nil, err
 	}
 	var err error
-	if h.Probe, err = readComplex(br, h.WindowN); err != nil {
+	if h.Probe, err = readComplex(r, h.WindowN); err != nil {
 		return nil, fmt.Errorf("dataio: reading stream probe: %w", err)
 	}
 	if header[4] == 1 {
-		if h.Prop, err = readComplex(br, h.WindowN); err != nil {
+		if h.Prop, err = readComplex(r, h.WindowN); err != nil {
 			return nil, fmt.Errorf("dataio: reading stream propagator: %w", err)
 		}
 	}
 	return h, nil
+}
+
+func writeComplex(w io.Writer, a *grid.Complex2D) error {
+	_, err := w.Write(wire.AppendComplex128s(make([]byte, 0, 16*len(a.Data)), a.Data))
+	return err
+}
+
+func readComplex(r io.Reader, n int) (*grid.Complex2D, error) {
+	buf := make([]byte, 16*n*n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	a := grid.NewComplex2DSize(n, n)
+	wire.Complex128s(a.Data, buf)
+	return a, nil
 }
 
 // frameBytes is the encoded size of one frame for the given window.
@@ -282,6 +285,29 @@ type ChunkDecoder struct {
 	scratch []byte
 }
 
+// checkChunkHead validates a chunk's kind and declared length before a
+// payload byte is read: an 'E' carries none, an 'F' a count field plus
+// a whole number of frames of the window, within the frame cap.
+func checkChunkHead(kind byte, length int64, windowN int) error {
+	switch kind {
+	case chunkEOF:
+		if length != 0 {
+			return fmt.Errorf("%w: EOF chunk with %d payload bytes", ErrChunkCorrupt, length)
+		}
+	case chunkFrames:
+		fb := int64(frameBytes(windowN))
+		if length < 8+fb || (length-8)%fb != 0 {
+			return fmt.Errorf("%w: frame chunk length %d not 8+k*%d", ErrChunkCorrupt, length, fb)
+		}
+		if n := (length - 8) / fb; n > maxChunkFrames {
+			return fmt.Errorf("%w: %d frames in one chunk (max %d)", ErrHeaderBounds, n, maxChunkFrames)
+		}
+	default:
+		return fmt.Errorf("%w: unknown chunk kind %q", ErrChunkCorrupt, kind)
+	}
+	return nil
+}
+
 // ReadChunk reads one framed chunk for a stream with the given window
 // size. It returns the decoded frames for an 'F' chunk, eof == true
 // for an 'E' chunk, and io.EOF when r is exhausted before a chunk
@@ -294,64 +320,39 @@ func (d *ChunkDecoder) ReadChunk(r io.Reader, windowN int) (frames []Frame, eof 
 	}
 	// No buffering here: every read is exact-size, so ReadChunk never
 	// consumes bytes past its own chunk — callers interleave calls on a
-	// shared reader (ReadStream) or hand over an HTTP body.
-	var kind [1]byte
-	if _, err := io.ReadFull(r, kind[:]); err != nil {
-		if errors.Is(err, io.EOF) {
+	// shared reader (Read) or hand over an HTTP body.
+	var head [9]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		if err == io.EOF {
 			return nil, false, io.EOF
 		}
-		return nil, false, fmt.Errorf("dataio: reading chunk kind: %w", err)
+		return nil, false, fmt.Errorf("dataio: reading chunk header: %w", err)
 	}
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, false, fmt.Errorf("dataio: reading chunk length: %w", err)
+	kind, length := head[0], wire.Int64(head[1:])
+	if err := checkChunkHead(kind, length, windowN); err != nil {
+		return nil, false, err
 	}
-	length := wire.Int64(lenBuf[:])
-	switch kind[0] {
-	case chunkEOF:
-		if length != 0 {
-			return nil, false, fmt.Errorf("%w: EOF chunk with %d payload bytes", ErrChunkCorrupt, length)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-			return nil, false, fmt.Errorf("dataio: reading chunk crc: %w", err)
-		}
-		// The empty payload checksums to 0.
-		if sum := wire.Uint32(crcBuf[:]); sum != 0 {
-			return nil, false, fmt.Errorf("%w: EOF chunk crc %08x", ErrChunkCorrupt, sum)
-		}
+	// Never trust the declared length for the allocation:
+	// wire.ReadCapped grows in bounded increments as bytes ACTUALLY
+	// arrive — a 17-byte request declaring a terabyte chunk fails at
+	// EOF having allocated almost nothing.
+	payload, err := wire.ReadCapped(r, d.scratch, length)
+	if err != nil {
+		return nil, false, fmt.Errorf("dataio: reading chunk payload: %w", err)
+	}
+	d.scratch = payload
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
+		return nil, false, fmt.Errorf("dataio: reading chunk crc: %w", err)
+	}
+	// An 'E' chunk's empty payload checksums to 0.
+	if err := verifyCRC(wire.Uint32(crcBuf[:]), payload); err != nil {
+		return nil, false, err
+	}
+	if kind == chunkEOF {
 		return nil, true, nil
-	case chunkFrames:
-		fb := int64(frameBytes(windowN))
-		// The declared length must be exactly a count field plus a
-		// whole number of frames, below the frame cap.
-		if length < 8+fb || (length-8)%fb != 0 {
-			return nil, false, fmt.Errorf("%w: frame chunk length %d not 8+k*%d", ErrChunkCorrupt, length, fb)
-		}
-		if n := (length - 8) / fb; n > maxChunkFrames {
-			return nil, false, fmt.Errorf("%w: %d frames in one chunk (max %d)", ErrHeaderBounds, n, maxChunkFrames)
-		}
-		// Never trust the declared length for the allocation:
-		// wire.ReadCapped grows in bounded increments as bytes ACTUALLY
-		// arrive — a 17-byte request declaring a terabyte chunk fails at
-		// EOF having allocated almost nothing.
-		payload, err := wire.ReadCapped(r, d.scratch, length)
-		if err != nil {
-			return nil, false, fmt.Errorf("dataio: reading chunk payload: %w", err)
-		}
-		d.scratch = payload
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-			return nil, false, fmt.Errorf("dataio: reading chunk crc: %w", err)
-		}
-		sum := wire.Uint32(crcBuf[:])
-		if want, ok := wire.Verify(sum, payload); !ok {
-			return nil, false, fmt.Errorf("%w: crc %08x != %08x", ErrChunkCorrupt, sum, want)
-		}
-		return decodeFramePayload(payload, windowN)
-	default:
-		return nil, false, fmt.Errorf("%w: unknown chunk kind %q", ErrChunkCorrupt, kind[0])
 	}
+	return decodeFramePayload(payload, windowN)
 }
 
 var chunkDecoders = sync.Pool{New: func() any { return new(ChunkDecoder) }}
@@ -381,43 +382,33 @@ func DecodeChunk(buf []byte, windowN int) (frames []Frame, eof bool, n int, err 
 		return nil, false, 0, io.EOF
 	}
 	if len(buf) < 1+8 {
-		return nil, false, 0, fmt.Errorf("dataio: reading chunk length: %w", io.ErrUnexpectedEOF)
+		return nil, false, 0, fmt.Errorf("dataio: reading chunk header: %w", io.ErrUnexpectedEOF)
 	}
 	kind, length := buf[0], wire.Int64(buf[1:])
-	switch kind {
-	case chunkEOF:
-		if length != 0 {
-			return nil, false, 0, fmt.Errorf("%w: EOF chunk with %d payload bytes", ErrChunkCorrupt, length)
-		}
-		if len(buf) < wire.ChunkOverhead {
-			return nil, false, 0, fmt.Errorf("dataio: reading chunk crc: %w", io.ErrUnexpectedEOF)
-		}
-		if sum := wire.Uint32(buf[9:]); sum != 0 {
-			return nil, false, 0, fmt.Errorf("%w: EOF chunk crc %08x", ErrChunkCorrupt, sum)
-		}
-		return nil, true, wire.ChunkOverhead, nil
-	case chunkFrames:
-		fb := int64(frameBytes(windowN))
-		if length < 8+fb || (length-8)%fb != 0 {
-			return nil, false, 0, fmt.Errorf("%w: frame chunk length %d not 8+k*%d", ErrChunkCorrupt, length, fb)
-		}
-		if c := (length - 8) / fb; c > maxChunkFrames {
-			return nil, false, 0, fmt.Errorf("%w: %d frames in one chunk (max %d)", ErrHeaderBounds, c, maxChunkFrames)
-		}
-		total := int64(wire.ChunkOverhead) + length
-		if int64(len(buf)) < total {
-			return nil, false, 0, fmt.Errorf("dataio: reading chunk payload: %w", io.ErrUnexpectedEOF)
-		}
-		payload := buf[9 : 9+length]
-		sum := wire.Uint32(buf[9+length:])
-		if want, ok := wire.Verify(sum, payload); !ok {
-			return nil, false, 0, fmt.Errorf("%w: crc %08x != %08x", ErrChunkCorrupt, sum, want)
-		}
-		frames, eof, err = decodeFramePayload(payload, windowN)
-		return frames, eof, int(total), err
-	default:
-		return nil, false, 0, fmt.Errorf("%w: unknown chunk kind %q", ErrChunkCorrupt, kind)
+	if err := checkChunkHead(kind, length, windowN); err != nil {
+		return nil, false, 0, err
 	}
+	total := int64(wire.ChunkOverhead) + length
+	if int64(len(buf)) < total {
+		return nil, false, 0, fmt.Errorf("dataio: reading chunk payload: %w", io.ErrUnexpectedEOF)
+	}
+	payload := buf[9 : 9+length]
+	if err := verifyCRC(wire.Uint32(buf[9+length:]), payload); err != nil {
+		return nil, false, 0, err
+	}
+	if kind == chunkEOF {
+		return nil, true, int(total), nil
+	}
+	frames, eof, err = decodeFramePayload(payload, windowN)
+	return frames, eof, int(total), err
+}
+
+// verifyCRC checks a chunk's CRC against its payload.
+func verifyCRC(sum uint32, payload []byte) error {
+	if want, ok := wire.Verify(sum, payload); !ok {
+		return fmt.Errorf("%w: crc %08x != %08x", ErrChunkCorrupt, sum, want)
+	}
+	return nil
 }
 
 // decodeFramePayload slices frames out of a verified 'F' payload. All
@@ -455,87 +446,12 @@ func decodeFramePayload(payload []byte, windowN int) ([]Frame, bool, error) {
 }
 
 // FramesFromProblem converts a batch dataset's locations and
-// measurements into frames in acquisition order — the replay source
-// for ptychofeed and the streaming tests.
+// measurements into frames in acquisition order — what Write chunks,
+// and the replay source for ptychofeed and the streaming tests.
 func FramesFromProblem(prob *solver.Problem) []Frame {
 	frames := make([]Frame, prob.Pattern.N())
 	for i, l := range prob.Pattern.Locations {
 		frames[i] = Frame{Loc: l, Meas: prob.Meas[i]}
 	}
 	return frames
-}
-
-// WriteStream serializes a complete dataset as a PTYCHSv2 stream:
-// header, frames in chunks of chunkSize, then the EOF marker. The
-// output replays into a problem identical to prob.
-func WriteStream(w io.Writer, prob *solver.Problem, chunkSize int) error {
-	if chunkSize <= 0 {
-		chunkSize = 64
-	}
-	if err := prob.Validate(); err != nil {
-		return fmt.Errorf("dataio: %w", err)
-	}
-	if err := WriteStreamHeader(w, HeaderFromProblem(prob)); err != nil {
-		return err
-	}
-	frames := FramesFromProblem(prob)
-	enc := chunkEncoders.Get().(*ChunkEncoder)
-	defer chunkEncoders.Put(enc)
-	for lo := 0; lo < len(frames); lo += chunkSize {
-		hi := min(lo+chunkSize, len(frames))
-		if err := enc.WriteFrameChunk(w, prob.WindowN, frames[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return WriteEOFChunk(w)
-}
-
-// ReadStream replays a complete PTYCHSv2 stream from r into a
-// canonical problem: header, every frame chunk in order, until the EOF
-// marker (or the end of r, for a stream whose acquisition was cut
-// short). This is the bridge back to the batch world — the returned
-// problem serializes to PTYCHOv1 with Write.
-func ReadStream(r io.Reader) (*solver.Problem, error) {
-	br := bufio.NewReader(r)
-	h, err := readStreamHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	prob := h.NewProblem()
-	dec := chunkDecoders.Get().(*ChunkDecoder)
-	defer chunkDecoders.Put(dec)
-	for {
-		frames, eof, err := dec.ReadChunk(br, h.WindowN)
-		if errors.Is(err, io.EOF) {
-			break // truncated stream: keep what arrived
-		}
-		if err != nil {
-			return nil, err
-		}
-		if eof {
-			break
-		}
-		locs := make([]scan.Location, len(frames))
-		meas := make([]*grid.Float2D, len(frames))
-		for i, f := range frames {
-			locs[i], meas[i] = f.Loc, f.Meas
-		}
-		if err := prob.AppendLocations(locs, meas); err != nil {
-			return nil, fmt.Errorf("dataio: replaying stream: %w", err)
-		}
-	}
-	if err := prob.Validate(); err != nil {
-		return nil, fmt.Errorf("dataio: replayed problem invalid: %w", err)
-	}
-	return prob, nil
-}
-
-// ReadStreamFile replays a PTYCHSv2 stream from the named file.
-func ReadStreamFile(path string) (*solver.Problem, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataio: %w", err)
-	}
-	defer f.Close()
-	return ReadStream(f)
 }

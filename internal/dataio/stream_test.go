@@ -1,10 +1,12 @@
 package dataio
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"ptychopath/internal/phantom"
@@ -29,18 +31,33 @@ func streamTestProblem(t testing.TB, slices int) *solver.Problem {
 	return prob
 }
 
-// TestStreamRoundTrip checks the core PTYCHSv1 guarantee: a dataset
-// written as header + chunked frames + EOF replays into a problem
-// bit-identical to the original — the stream is a lossless journal of
-// the acquisition.
+// writeChunked writes prob as a closed stream in chunks of k frames:
+// the primitives Write is built from, with any chunking.
+func writeChunked(t testing.TB, prob *solver.Problem, k int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := WriteStreamHeader(&buf, HeaderFromProblem(prob))
+	frames := FramesFromProblem(prob)
+	for lo := 0; err == nil && lo < len(frames); lo += k {
+		err = WriteFrameChunk(&buf, prob.WindowN, frames[lo:min(lo+k, len(frames))])
+	}
+	if err == nil {
+		err = WriteEOFChunk(&buf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStreamRoundTrip checks the core PTYCHSv2 guarantee: a dataset
+// written as header + chunked frames + EOF reads back into a problem
+// bit-identical to the original — whatever the chunking, since a
+// stream journaled frame by frame is a dataset too.
 func TestStreamRoundTrip(t *testing.T) {
 	for _, slices := range []int{1, 2} {
 		prob := streamTestProblem(t, slices)
-		var buf bytes.Buffer
-		if err := WriteStream(&buf, prob, 2); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadStream(bytes.NewReader(buf.Bytes()))
+		got, err := Read(bytes.NewReader(writeChunked(t, prob, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,32 +88,46 @@ func TestStreamRoundTrip(t *testing.T) {
 		if (got.Prop == nil) != (prob.Prop == nil) {
 			t.Fatalf("propagator presence: got %v want %v", got.Prop != nil, prob.Prop != nil)
 		}
-		// And it round-trips onward into a canonical PTYCHOv1 file.
-		var canon bytes.Buffer
-		if err := Write(&canon, got); err != nil {
-			t.Fatalf("replayed problem does not serialize as PTYCHOv1: %v", err)
+		// And Write re-chunks it into the very bytes of the original.
+		var a, b bytes.Buffer
+		if err := errors.Join(Write(&a, prob), Write(&b, got)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("the dataset read back does not write the original's bytes")
 		}
 	}
 }
 
-// TestStreamTruncatedKeepsPrefix: a stream cut mid-acquisition (no EOF
-// marker) replays the frames that fully arrived.
+// TestStreamTruncatedKeepsPrefix: a stream cut mid-acquisition (no 'E')
+// is an open stream. The chunk reader — the journal replay and the
+// frames endpoint — yields the frames that fully arrived, then io.EOF;
+// Read, which wants a closed dataset, refuses it as
+// io.ErrUnexpectedEOF.
 func TestStreamTruncatedKeepsPrefix(t *testing.T) {
 	prob := streamTestProblem(t, 1)
-	var hdr bytes.Buffer
-	if err := WriteStreamHeader(&hdr, HeaderFromProblem(prob)); err != nil {
+	var open bytes.Buffer
+	if err := WriteStreamHeader(&open, HeaderFromProblem(prob)); err != nil {
 		t.Fatal(err)
 	}
 	frames := FramesFromProblem(prob)
-	if err := WriteFrameChunk(&hdr, prob.WindowN, frames[:4]); err != nil {
+	if err := WriteFrameChunk(&open, prob.WindowN, frames[:4]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadStream(bytes.NewReader(hdr.Bytes()))
+	br := bufio.NewReader(bytes.NewReader(open.Bytes()))
+	h, err := ReadStreamHeader(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Pattern.N() != 4 {
-		t.Fatalf("truncated stream replayed %d locations, want 4", got.Pattern.N())
+	got, eof, err := ReadChunk(br, h.WindowN)
+	if err != nil || eof || len(got) != 4 {
+		t.Fatalf("first chunk: %d frames, eof %v, err %v; want the 4 that arrived", len(got), eof, err)
+	}
+	if _, _, err := ReadChunk(br, h.WindowN); err != io.EOF {
+		t.Fatalf("after the prefix: %v, want io.EOF", err)
+	}
+	if _, err := Read(bytes.NewReader(open.Bytes())); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Read of an open stream: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -162,6 +193,16 @@ func TestChunkCorruptionDetected(t *testing.T) {
 	if _, eof, err := ReadChunk(bytes.NewReader(eofBuf.Bytes()), prob.WindowN); err != nil || !eof {
 		t.Errorf("EOF chunk: eof=%v err=%v", eof, err)
 	}
+
+	// A closed stream ends at its 'E': a chunk or a stray byte after it
+	// is corruption, not more data.
+	closed := writeChunked(t, prob, 2)
+	for name, tail := range map[string][]byte{"chunk after 'E'": raw, "byte after 'E'": {0}} {
+		stream := append(closed[:len(closed):len(closed)], tail...)
+		if _, err := Read(bytes.NewReader(stream)); !errors.Is(err, ErrChunkCorrupt) {
+			t.Errorf("%s: got %v, want ErrChunkCorrupt", name, err)
+		}
+	}
 }
 
 // patchInt64 overwrites the little-endian int64 at byte offset off.
@@ -172,30 +213,40 @@ func patchInt64(data []byte, off int, v int64) []byte {
 }
 
 // TestHeaderBoundsTyped: absurd header dimensions in every container
-// format fail with the typed ErrHeaderBounds before the decoder
-// allocates for the payload.
+// fail with a typed error before the decoder allocates for the payload.
 func TestHeaderBoundsTyped(t *testing.T) {
 	prob := streamTestProblem(t, 2)
 
-	// PTYCHOv1: header starts at byte 8; fields windowN, slices,
-	// imageW, imageH, numLocations.
-	var ds bytes.Buffer
-	if err := Write(&ds, prob); err != nil {
-		t.Fatal(err)
-	}
-	dsRaw := ds.Bytes()
+	// PTYCHSv2: header starts at byte 8; fields windowN, slices, imageW,
+	// imageH, hasProp, step and radius (micro-pixels). The stream carries
+	// no dataset-wide location count: its place is taken by each chunk's
+	// length field, whose frame count is capped before the payload is
+	// read.
+	dsRaw := writeChunked(t, prob, 2)
 	for name, patched := range map[string][]byte{
 		"windowN huge": patchInt64(dsRaw, 8, 1<<40),
 		"windowN zero": patchInt64(dsRaw, 8, 0),
 		"slices huge":  patchInt64(dsRaw, 16, 1<<40),
+		"slices zero":  patchInt64(dsRaw, 16, 0),
 		"imageW huge":  patchInt64(dsRaw, 24, 1<<40),
 		"imageH neg":   patchInt64(dsRaw, 32, -3),
-		"numLoc huge":  patchInt64(dsRaw, 40, 1<<40),
-		"numLoc neg":   patchInt64(dsRaw, 40, -1),
+		"step huge":    patchInt64(dsRaw, 48, math.MaxInt64),
+		"radius neg":   patchInt64(dsRaw, 56, -1),
 	} {
 		if _, err := Read(bytes.NewReader(patched)); !errors.Is(err, ErrHeaderBounds) {
-			t.Errorf("PTYCHOv1 %s: got %v, want ErrHeaderBounds", name, err)
+			t.Errorf("PTYCHSv2 %s: got %v, want ErrHeaderBounds", name, err)
 		}
+		if _, err := ReadStreamHeader(bytes.NewReader(patched)); !errors.Is(err, ErrHeaderBounds) {
+			t.Errorf("PTYCHSv2 opening %s: got %v, want ErrHeaderBounds", name, err)
+		}
+	}
+	firstLen := 8 + 8*8 + 2*2*8*prob.WindowN*prob.WindowN + 1 // magic, header, probe, prop, kind
+	fb := int64(frameBytes(prob.WindowN))
+	if _, err := Read(bytes.NewReader(patchInt64(dsRaw, firstLen, 8+(maxChunkFrames+1)*fb))); !errors.Is(err, ErrHeaderBounds) {
+		t.Errorf("PTYCHSv2 chunk frame count past the cap: got %v, want ErrHeaderBounds", err)
+	}
+	if _, err := Read(bytes.NewReader(patchInt64(dsRaw, firstLen, -1))); !errors.Is(err, ErrChunkCorrupt) {
+		t.Errorf("PTYCHSv2 negative chunk length: got %v, want ErrChunkCorrupt", err)
 	}
 
 	// OBJCKv1: header starts at byte 8; fields slices, x0, y0, w, h.
@@ -211,23 +262,6 @@ func TestHeaderBoundsTyped(t *testing.T) {
 	} {
 		if _, err := ReadObject(bytes.NewReader(patched)); !errors.Is(err, ErrHeaderBounds) {
 			t.Errorf("OBJCKv1 %s: got %v, want ErrHeaderBounds", name, err)
-		}
-	}
-
-	// PTYCHSv1: header starts at byte 8; fields windowN, slices,
-	// imageW, imageH.
-	var st bytes.Buffer
-	if err := WriteStreamHeader(&st, HeaderFromProblem(prob)); err != nil {
-		t.Fatal(err)
-	}
-	stRaw := st.Bytes()
-	for name, patched := range map[string][]byte{
-		"windowN huge": patchInt64(stRaw, 8, 1<<40),
-		"slices zero":  patchInt64(stRaw, 16, 0),
-		"imageW huge":  patchInt64(stRaw, 24, 1<<40),
-	} {
-		if _, err := ReadStreamHeader(bytes.NewReader(patched)); !errors.Is(err, ErrHeaderBounds) {
-			t.Errorf("PTYCHSv1 %s: got %v, want ErrHeaderBounds", name, err)
 		}
 	}
 }

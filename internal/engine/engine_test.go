@@ -1,15 +1,22 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"ptychopath/internal/collective"
+	"ptychopath/internal/dataio"
 	"ptychopath/internal/gradsync"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/halo"
@@ -18,6 +25,7 @@ import (
 	"ptychopath/internal/scan"
 	"ptychopath/internal/simmpi"
 	"ptychopath/internal/solver"
+	"ptychopath/internal/wire/wiretest"
 )
 
 const (
@@ -287,6 +295,77 @@ func engineMatrix(t *testing.T, n int) {
 				t.Errorf("OnSnapshot indices %v, want %v", snaps, want)
 			}
 		})
+	}
+}
+
+// TestNumericsLedger pins every engine's arithmetic across commits, not
+// just within one: each cell of {engine} × {n16, n22, n24, n32} ×
+// {vacuum start, warm start} holds the SHA-256 of the final object's
+// OBJCKv1 bytes and the cost trace in hex floats (testdata/
+// numerics.golden). The warm start is the serial run's final object,
+// as a job resumed from its checkpoint would begin. A change that moves
+// a cell regenerates the file with -update and says which cell and
+// why. The comparison is exact on amd64, where Go does not fuse
+// multiply-adds; elsewhere the traces must agree to 1e-12 relative and
+// the object digests are not compared.
+func TestNumericsLedger(t *testing.T) {
+	var ledger bytes.Buffer
+	for _, n := range []int{16, 22, 24, 32} {
+		prob := problem(t, n)
+		run := func(spec Spec, init []*grid.Complex2D) *Result {
+			t.Helper()
+			spec.Iterations, spec.StepSize, spec.Timeout = testIters, testStep, testTimeout
+			res, err := Run(prob, init, spec, Hooks{})
+			if err != nil {
+				t.Fatalf("n%d %+v: %v", n, spec, err)
+			}
+			return res
+		}
+		warm := run(cases[0].spec, nil).Slices
+		for _, start := range []string{"vacuum", "warm"} {
+			for _, c := range cases {
+				var init []*grid.Complex2D
+				if start == "warm" {
+					init = cropped(warm, warm[0].Bounds)
+				}
+				res := run(c.spec, init)
+				object, err := dataio.AppendObject(nil, res.Slices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&ledger, "%s n%d %s %x", c.name, n, start, sha256.Sum256(object))
+				for _, cost := range res.CostHistory {
+					fmt.Fprintf(&ledger, " %x", cost)
+				}
+				ledger.WriteByte('\n')
+			}
+		}
+	}
+	if runtime.GOARCH == "amd64" {
+		wiretest.Golden(t, "numerics.golden", ledger.Bytes())
+		return
+	}
+	want := strings.Split(strings.TrimSpace(string(wiretest.Frozen(t, "numerics.golden"))), "\n")
+	got := strings.Split(strings.TrimSpace(ledger.String()), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d ledger cells, fixture has %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := strings.Fields(got[i]), strings.Fields(want[i])
+		if len(g) != len(w) || !slices.Equal(g[:3], w[:3]) {
+			t.Fatalf("cell %q, fixture %q", got[i], want[i])
+		}
+		for k := 4; k < len(w); k++ {
+			gv, gerr := strconv.ParseFloat(g[k], 64)
+			wv, werr := strconv.ParseFloat(w[k], 64)
+			if gerr != nil || werr != nil {
+				t.Fatalf("%s cost field %d: run %q (%v), fixture %q (%v)",
+					strings.Join(w[:3], " "), k-4, g[k], gerr, w[k], werr)
+			}
+			if math.Abs(gv-wv) > 1e-12*math.Abs(wv) {
+				t.Errorf("%s iteration %d: cost %v, fixture %v", strings.Join(w[:3], " "), k-4, gv, wv)
+			}
+		}
 	}
 }
 

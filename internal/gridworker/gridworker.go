@@ -12,13 +12,11 @@
 package gridworker
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -26,8 +24,6 @@ import (
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/scan"
-	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -160,7 +156,13 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 		return fail(fmt.Errorf("decoding spec: %w", err))
 	}
 	spec.Timeout = time.Duration(setup.TimeoutMS) * time.Millisecond
-	prob, err := readShard(setup.Shard)
+	// The shard is a closed PTYCHSv2 stream of this rank's locations,
+	// decoded as its frames arrive. One that merely stops before 'E' is
+	// a coordinator that broke off, not a short dataset.
+	if setup.Shard == nil {
+		return fail(errors.New("decoding shard: the session carries none"))
+	}
+	prob, err := dataio.Read(setup.Shard)
 	if err != nil {
 		return fail(fmt.Errorf("decoding shard: %w", err))
 	}
@@ -222,46 +224,5 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 		MemBytes: out.MemBytes, ComputeNS: out.ComputeNS, CommNS: out.CommNS,
 		SentBytes: out.SentBytes, SentMessages: out.SentMessages,
 		Tile: tile,
-	}
-}
-
-// readShard decodes a rank's shard — a PTYCHSv2 stream, read as its
-// frames arrive — into the problem the rank runs on: the dataset's
-// geometry, probe and propagator with only this rank's locations. The
-// stream must close with its 'E' chunk: a shard that merely stops is a
-// coordinator that broke off, not a short dataset.
-func readShard(r io.Reader) (*solver.Problem, error) {
-	if r == nil {
-		return nil, errors.New("the session carries none")
-	}
-	// One buffered reader for the opening and the chunks
-	// (ReadStreamHeader's own bufio.NewReader returns br itself, so
-	// nothing it reads ahead is lost to the chunk decoder).
-	br := bufio.NewReader(r)
-	hdr, err := dataio.ReadStreamHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	prob := hdr.NewProblem()
-	var locs []scan.Location
-	var meas []*grid.Float2D
-	for {
-		frames, eof, err := dataio.ReadChunk(br, hdr.WindowN)
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("stream ends before its 'E' chunk: %w", io.ErrUnexpectedEOF)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if eof {
-			return prob, prob.Validate()
-		}
-		locs, meas = locs[:0], meas[:0]
-		for _, f := range frames {
-			locs, meas = append(locs, f.Loc), append(meas, f.Meas)
-		}
-		if err := prob.AppendLocations(locs, meas); err != nil {
-			return nil, err
-		}
 	}
 }

@@ -68,17 +68,12 @@ func (s *Service) GridWorkers() []client.GridWorker {
 	return out
 }
 
-// shardChunkBytes is the target size of one chunk of a shard stream:
-// well under the transport's SHARD frame cap, so a chunk travels as one
-// frame, and large enough that framing is noise.
-const shardChunkBytes = 256 << 10
-
-// shardSource is one rank's part of a dataset as a PTYCHSv2 stream —
-// the opening, 'F' chunks of the rank's locations in ascending order
-// (referencing the job's measurement arrays, not copying them), 'E' —
-// encoded one piece per Read, straight into the hub's buffer when the
-// piece fits: no rank's shard, let alone the dataset, is ever
-// serialized whole.
+// shardSource is one rank's part of a dataset as a closed PTYCHSv2
+// stream — the opening, 'F' chunks of the rank's locations in ascending
+// order (dataio.ChunkFrames each, referencing the job's measurement
+// arrays, not copying them), 'E' — encoded one piece per Read, straight
+// into the hub's buffer when the piece fits: no rank's shard, let alone
+// the dataset, is ever serialized whole.
 type shardSource struct {
 	prob           *solver.Problem
 	locs           []int // not yet sent
@@ -113,7 +108,7 @@ func (s *shardSource) next(dst []byte) ([]byte, error) {
 		err = dataio.WriteStreamHeader(w, dataio.HeaderFromProblem(s.prob))
 	case len(s.locs) > 0:
 		n := s.prob.WindowN
-		count := min(len(s.locs), max(1, shardChunkBytes/(8*n*n)))
+		count := min(len(s.locs), dataio.ChunkFrames(n))
 		s.frames = s.frames[:0]
 		for _, i := range s.locs[:count] {
 			s.frames = append(s.frames, dataio.Frame{Loc: s.prob.Pattern.Locations[i], Meas: s.prob.Meas[i]})

@@ -5,8 +5,9 @@
 //
 //	POST /v1/jobs                 multipart submit: a "params" JSON part
 //	                              (client.SubmitRequest, strictly decoded)
-//	                              + a "dataset" PTYCHOv1 part. 202 with
-//	                              the job summary. Honors Idempotency-Key.
+//	                              + a "dataset" part: a closed PTYCHS
+//	                              stream. 202 with the job summary.
+//	                              Honors Idempotency-Key.
 //	POST /v1/jobs/stream          multipart submit of a STREAMING job: a
 //	                              "params" part + a "dataset" PTYCHS
 //	                              opening (header + probe, no frames).

@@ -103,7 +103,7 @@ func postJSON(t *testing.T, url string, body io.Reader, v any) int {
 }
 
 // TestEndToEndCancelResume drives the acceptance scenario over HTTP:
-// submit a PTYCHOv1 upload, observe monotone iteration progress, cancel
+// submit a dataset upload, observe monotone iteration progress, cancel
 // mid-run, resume from the written OBJCKv1 checkpoint, and verify the
 // final object matches an uninterrupted run to machine precision.
 func TestEndToEndCancelResume(t *testing.T) {

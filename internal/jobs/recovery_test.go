@@ -10,6 +10,7 @@ package jobs
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -382,6 +383,45 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			t.Errorf("restored object differs from pre-crash object")
 		}
 	})
+}
+
+// TestRecoverRetiredDatasetSpoolFails: a state directory whose dataset
+// spool is in the retired PTYCHOv1 container recovers the job as a
+// visible failure naming the bad magic — the unrecoverable-payload
+// path, not a crash and not a silent drop.
+func TestRecoverRetiredDatasetSpoolFails(t *testing.T) {
+	dir := t.TempDir()
+	l1 := openLife(t, dir, Config{Workers: 1, QueueDepth: 4})
+	prob := tinyProblem(t)
+	blocker, err := l1.svc.SubmitStreaming(dataio.HeaderFromProblem(prob), Params{Algorithm: "serial", Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "blocker running", func() bool { return blocker.State() == Running })
+	j, err := l1.svc.Submit(prob, Params{Algorithm: "serial", Iterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1.crash()
+	v1, err := os.ReadFile(filepath.Join("..", "dataio", "testdata", "ptycho_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(l1.st.DatasetPath(j.ID()), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openLife(t, dir, Config{Workers: 1, QueueDepth: 4})
+	if _, _, unrecoverable, _, _ := l2.svc.RecoveryStats(); unrecoverable != 1 {
+		t.Fatalf("%d unrecoverable jobs, want the PTYCHOv1 one", unrecoverable)
+	}
+	rj, ok := l2.svc.Get(j.ID())
+	if !ok {
+		t.Fatalf("job %s not listed after restart", j.ID())
+	}
+	if info := rj.Info(0); info.State != Failed.String() || !strings.Contains(info.Error, "bad magic") {
+		t.Fatalf("recovered job %s: %q, want failed with a bad-magic error", info.State, info.Error)
+	}
 }
 
 // TestShutdownCleanReopen is the graceful-stop half of durability: a

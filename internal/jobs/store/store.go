@@ -1,7 +1,8 @@
 // Package store is the durability layer of the job service: a Store
 // interface over everything internal/jobs persists — job lifecycle
-// transitions, idempotency-key claims, submitted datasets, streamed
-// frames, and OBJCKv1 checkpoints — with two implementations.
+// transitions, idempotency-key claims, submitted datasets (closed
+// PTYCHS streams), streamed frames (open ones), and OBJCKv1 checkpoints
+// — with two implementations.
 //
 // Mem is the historical in-memory behavior: nothing survives the
 // process, checkpoints go straight to the spool directory, and every
@@ -67,8 +68,8 @@ type Store interface {
 	// cancelled). Durable stores sync before returning.
 	LogFinish(id, state, errMsg string, finished time.Time) error
 
-	// SpoolDataset persists a batch job's dataset (PTYCHOv1) and
-	// returns its path ("" for non-durable stores).
+	// SpoolDataset persists a batch job's dataset (a closed PTYCHS
+	// stream) and returns its path ("" for non-durable stores).
 	SpoolDataset(id string, prob *solver.Problem) (string, error)
 	// SpoolInitObject persists a job's warm-start object (OBJCKv1) and
 	// returns its path ("" when slices is nil or the store is not
@@ -83,7 +84,8 @@ type Store interface {
 	// SpoolStreamEOF appends the end-of-stream marker to the spool.
 	SpoolStreamEOF(id string) error
 
-	// LoadDataset reads a spooled PTYCHOv1 dataset.
+	// LoadDataset reads a spooled dataset; one in a retired container
+	// is an error, and recovery fails its job.
 	LoadDataset(path string) (*solver.Problem, error)
 	// LoadObject reads a spooled or checkpointed OBJCKv1 object.
 	LoadObject(path string) ([]*grid.Complex2D, error)
@@ -117,7 +119,7 @@ type SubmitRecord struct {
 	// (the store is deliberately ignorant of the jobs package).
 	Params json.RawMessage `json:"params,omitempty"`
 	// Streaming marks a streaming job; Dataset then points at its
-	// PTYCHS spool instead of a PTYCHOv1 file.
+	// open PTYCHS spool instead of a closed one.
 	Streaming bool `json:"streaming,omitempty"`
 	// Key is the idempotency key claimed by this submission, if any.
 	Key string `json:"key,omitempty"`

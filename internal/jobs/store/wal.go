@@ -805,9 +805,9 @@ func (w *WAL) LoadStream(path string) (*dataio.StreamHeader, []dataio.Frame, boo
 		return nil, nil, false, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	// One shared bufio.Reader serves both stages: ReadStreamHeader
-	// re-wraps its argument, and bufio.NewReader returns a default-size
-	// *bufio.Reader unchanged, so no chunk bytes are swallowed.
+	// One shared bufio.Reader serves both stages: the journal's chunks
+	// may be a few frames each, and both readers take exact sizes, so
+	// the opening swallows no chunk bytes.
 	br := bufio.NewReader(f)
 	hdr, err := dataio.ReadStreamHeader(br)
 	if err != nil {

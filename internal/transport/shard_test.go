@@ -94,9 +94,9 @@ func TestSetupResultCodec(t *testing.T) {
 	}
 }
 
-// readShardThenFinish is a worker that consumes its shard, reports how
+// consumeShardThenFinish is a worker that consumes its shard, reports how
 // many bytes and their checksum in CostHistory, and finishes the session.
-func readShardThenFinish(c *Client) error {
+func consumeShardThenFinish(c *Client) error {
 	setup, err := c.WaitSetup(context.Background(), nil)
 	if err != nil {
 		return err
@@ -131,7 +131,7 @@ func TestShardStreaming(t *testing.T) {
 		setups[0].Shard = shard0
 		errs := make(chan error, 2)
 		go func() { errs <- worker0(c0) }()
-		go func() { errs <- readShardThenFinish(c1) }()
+		go func() { errs <- consumeShardThenFinish(c1) }()
 		sess, err := h.StartSession(setups, SessionCallbacks{})
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestShardStreaming(t *testing.T) {
 	}
 
 	before := h.Workers()[0].BytesOut
-	results := run(bytes.NewReader(big), readShardThenFinish)
+	results := run(bytes.NewReader(big), consumeShardThenFinish)
 	if want := []float64{float64(len(big)), float64(wire.Checksum(big))}; !reflect.DeepEqual(results[0].CostHistory, want) {
 		t.Fatalf("rank 0 read %v of its shard, want %v", results[0].CostHistory, want)
 	}
@@ -174,7 +174,7 @@ func TestShardStreaming(t *testing.T) {
 		return c.SendResult(&RankResult{Rank: setup.Rank})
 	})
 	small := []byte("a shard that fits one frame")
-	results = run(bytes.NewReader(small), readShardThenFinish)
+	results = run(bytes.NewReader(small), consumeShardThenFinish)
 	if want := []float64{float64(len(small)), float64(wire.Checksum(small))}; !reflect.DeepEqual(results[0].CostHistory, want) {
 		t.Fatalf("after an abandoned shard, rank 0 read %v, want %v", results[0].CostHistory, want)
 	}
@@ -184,8 +184,8 @@ func TestShardStreaming(t *testing.T) {
 	setups := testSetups(2)
 	setups[0].Shard = io.MultiReader(bytes.NewReader(small), iotest.ErrReader(errors.New("disk on fire")))
 	errs := make(chan error, 2)
-	go func() { errs <- readShardThenFinish(c0) }()
-	go func() { errs <- readShardThenFinish(c1) }()
+	go func() { errs <- consumeShardThenFinish(c0) }()
+	go func() { errs <- consumeShardThenFinish(c1) }()
 	sess, err := h.StartSession(setups, SessionCallbacks{})
 	if err != nil {
 		t.Fatal(err)
