@@ -206,11 +206,9 @@ func decodeError(resp *http.Response) *Error {
 }
 
 // multipartBody builds the multipart submit body — a "params" JSON
-// part and a "dataset" binary part — as framing prefix + the caller's
-// dataset slice + closing suffix. The dataset bytes are never copied:
-// each retry attempt re-wraps the same slice in fresh readers, so a
-// near-gigabyte submission costs one buffer, not one per attempt.
-func multipartBody(req SubmitRequest, dataset []byte) func() (io.Reader, string) {
+// part and a "dataset" binary part — as framing prefix + a fresh reader
+// of the dataset per attempt + closing suffix.
+func multipartBody(req SubmitRequest, dataset func() io.Reader) func() (io.Reader, string) {
 	var pre, suf bytes.Buffer
 	sw := &switchWriter{w: &pre}
 	mw := multipart.NewWriter(sw)
@@ -236,7 +234,7 @@ func multipartBody(req SubmitRequest, dataset []byte) func() (io.Reader, string)
 	return func() (io.Reader, string) {
 		return io.MultiReader(
 			bytes.NewReader(pre.Bytes()),
-			bytes.NewReader(dataset),
+			dataset(),
 			bytes.NewReader(suf.Bytes()),
 		), mw.FormDataContentType()
 	}
@@ -247,6 +245,23 @@ func multipartBody(req SubmitRequest, dataset []byte) func() (io.Reader, string)
 type switchWriter struct{ w io.Writer }
 
 func (s *switchWriter) Write(p []byte) (int, error) { return s.w.Write(p) }
+
+// datasetSource returns a reader of the dataset per attempt: a fresh
+// io.SectionReader — no Seek between attempts, whose bodies a
+// RoundTripper may still read after Do returns — or the bytes read once.
+func datasetSource(r io.Reader) (func() io.Reader, error) {
+	ra, at := r.(io.ReaderAt)
+	if sk, ok := r.(io.Seeker); at && ok {
+		off, err := sk.Seek(0, io.SeekCurrent)
+		end, err2 := sk.Seek(0, io.SeekEnd)
+		if _, err3 := sk.Seek(off, io.SeekStart); err != nil || err2 != nil || err3 != nil {
+			return nil, errors.Join(err, err2, err3)
+		}
+		return func() io.Reader { return io.NewSectionReader(ra, off, end-off) }, nil
+	}
+	data, err := readDataset(r)
+	return func() io.Reader { return bytes.NewReader(data) }, err
+}
 
 // readDataset reads r to its end. When r tells how much is left — the
 // in-memory readers by Len, a file by seeking — everything lands in one
@@ -279,7 +294,7 @@ func readDataset(r io.Reader) ([]byte, error) {
 
 // submit shares the batch/streaming submission path.
 func (c *Client) submit(ctx context.Context, path string, req SubmitRequest, dataset io.Reader) (*Job, error) {
-	data, err := readDataset(dataset)
+	data, err := datasetSource(dataset)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading dataset: %w", err)
 	}
@@ -302,7 +317,8 @@ func (c *Client) submit(ctx context.Context, path string, req SubmitRequest, dat
 // dataset: a closed PTYCHS stream, as datagen writes it (see
 // docs/FORMATS.md). Queue-full rejections are retried under the
 // client's retry budget; the Idempotency-Key guarantees the retries
-// enqueue at most one job.
+// enqueue at most one job. A *bytes.Reader or *os.File goes from its
+// offset on every attempt, uncopied; another reader is read in once.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest, dataset io.Reader) (*Job, error) {
 	return c.submit(ctx, "/v1/jobs", req, dataset)
 }

@@ -112,10 +112,10 @@ type Job struct {
 	// interactive work — preemption is lossless, so a non-zero count
 	// plus RecoveredFrom "checkpoint@k" means the job resumed from
 	// iteration k with nothing recomputed.
-	Tenant         string `json:"tenant,omitempty"`
-	Priority       string `json:"priority,omitempty"`
-	PreemptedCount int    `json:"preempted_count,omitempty"`
-	Error          string `json:"error,omitempty"`
+	Tenant         string    `json:"tenant,omitempty"`
+	Priority       string    `json:"priority,omitempty"`
+	PreemptedCount int       `json:"preempted_count,omitempty"`
+	Error          string    `json:"error,omitempty"`
 	Created        time.Time `json:"created"`
 	Started        time.Time `json:"started,omitzero"`
 	Finished       time.Time `json:"finished,omitzero"`

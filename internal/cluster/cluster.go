@@ -77,9 +77,9 @@ type Calibration struct {
 	// gamma(n) = WaitCoeff * (n/WaitRefLoc)^WaitExp for n probe
 	// locations per GPU — large tiles mean long, uneven gradient
 	// computations and long waits (Fig 7b), tiny tiles almost none.
-	WaitCoeff   float64
-	WaitExp     float64
-	WaitRefLoc  float64
+	WaitCoeff  float64
+	WaitExp    float64
+	WaitRefLoc float64
 	// MeasBytesPerPixel is detector storage per pixel (2 = float16, the
 	// compact form needed to fit Table III's footprints).
 	MeasBytesPerPixel float64

@@ -13,14 +13,18 @@
 package dataio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"ptychopath/internal/grid"
 	"ptychopath/internal/scan"
 	"ptychopath/internal/solver"
+	"ptychopath/internal/wire"
 )
 
 // ErrHeaderBounds is returned by every reader in this package when a
@@ -96,49 +100,134 @@ func Write(w io.Writer, prob *solver.Problem) error {
 // before 'E' is io.ErrUnexpectedEOF — a batch dataset is complete or it
 // is not one — and a byte after 'E' is ErrChunkCorrupt.
 func Read(r io.Reader) (*solver.Problem, error) {
-	// Exact-size reads straight from r, through no intermediate buffer.
-	h, err := ReadStreamHeader(r)
+	h, locs, meas, err := scanStream(io.Discard, r, true)
 	if err != nil {
 		return nil, err
 	}
+	prob := h.NewProblem()
+	prob.Pattern.Locations, prob.Meas = locs, meas
+	return prob, nil
+}
+
+// Scan accepts exactly the streams Read accepts and passes every byte
+// it has verified on to w: the opening once it parses, each chunk once
+// its CRC and frame count check. It returns the opening and the scan
+// locations in stream order, and decodes no measurement.
+func Scan(w io.Writer, r io.Reader) (*StreamHeader, []scan.Location, error) {
+	h, locs, _, err := scanStream(w, r, false)
+	return h, locs, err
+}
+
+// scanStream is Read and Scan: the measurements are decoded only when
+// meas is set.
+func scanStream(w io.Writer, r io.Reader, meas bool) (*StreamHeader, []scan.Location, []*grid.Float2D, error) {
+	// Exact-size reads straight from r; the opening is kept only for w.
+	var opening bytes.Buffer
+	hr := r
+	if w != io.Discard {
+		hr = io.TeeReader(r, &opening)
+	}
+	h, err := ReadStreamHeader(hr)
+	if err != nil {
+		return nil, nil, nil, err
+	} else if _, err := w.Write(opening.Bytes()); err != nil {
+		return nil, nil, nil, err
+	}
 	dec := chunkDecoders.Get().(*ChunkDecoder)
 	defer chunkDecoders.Put(dec)
-	// The frames wait for 'E', which gives their count: the problem's
-	// lists are sized once, and no chunk leaves a staging list behind.
+	img := grid.RectWH(0, 0, h.ImageW, h.ImageH)
 	var chunks [][]Frame
 	total := 0
 	for {
-		frames, eof, err := dec.ReadChunk(r, h.WindowN)
+		head, body, err := dec.readChunk(r, h.WindowN)
 		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("stream ends before its 'E' chunk: %w", io.ErrUnexpectedEOF)
+			return nil, nil, nil, fmt.Errorf("stream ends before its 'E' chunk: %w", io.ErrUnexpectedEOF)
 		} else if err != nil {
-			return nil, err
-		} else if eof {
+			return nil, nil, nil, err
+		}
+		if head[0] == chunkFrames {
+			frames, _, err := decodeFramePayload(body[:len(body)-4], h.WindowN, meas)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			for i, f := range frames {
+				// Problem.AppendLocations' rule: no centre outside the image.
+				if !img.Contains(int(math.Round(f.Loc.X)), int(math.Round(f.Loc.Y))) {
+					return nil, nil, nil, fmt.Errorf("dataio: frame %d: centre (%g, %g) outside image %v", total+i, f.Loc.X, f.Loc.Y, img)
+				}
+			}
+			chunks, total = append(chunks, frames), total+len(frames)
+		}
+		if _, err := w.Write(head[:]); err != nil {
+			return nil, nil, nil, err
+		} else if _, err := w.Write(body); err != nil {
+			return nil, nil, nil, err
+		} else if head[0] == chunkEOF {
 			break
 		}
-		chunks, total = append(chunks, frames), total+len(frames)
 	}
 	var past [1]byte
 	switch _, err := io.ReadFull(r, past[:]); {
 	case err == nil:
-		return nil, fmt.Errorf("%w: bytes after the 'E' chunk", ErrChunkCorrupt)
+		return nil, nil, nil, fmt.Errorf("%w: bytes after the 'E' chunk", ErrChunkCorrupt)
 	case err != io.EOF:
-		return nil, fmt.Errorf("dataio: reading past the 'E' chunk: %w", err)
+		return nil, nil, nil, fmt.Errorf("dataio: reading past the 'E' chunk: %w", err)
 	}
-	prob := h.NewProblem()
-	prob.Pattern.Locations = make([]scan.Location, 0, total)
-	prob.Meas = make([]*grid.Float2D, 0, total)
+	// The lists are sized once, from the count 'E' settled.
+	locs, ms := make([]scan.Location, 0, total), make([]*grid.Float2D, 0, total)
 	for _, frames := range chunks {
 		for _, f := range frames {
-			if err := prob.AppendLocations([]scan.Location{f.Loc}, []*grid.Float2D{f.Meas}); err != nil {
-				return nil, fmt.Errorf("dataio: frame %d: %w", len(prob.Meas), err)
-			}
+			locs, ms = append(locs, f.Loc), append(ms, f.Meas)
 		}
 	}
-	if err := prob.Validate(); err != nil {
-		return nil, fmt.Errorf("dataio: loaded problem invalid: %w", err)
+	return h, locs, ms, nil
+}
+
+// CutShard writes to w, as a closed stream, the frames of the closed
+// stream src at the given strictly ascending stream positions: src's
+// opening, re-encoded, then the frames' bytes as src holds them,
+// ChunkFrames to a chunk, then 'E'. It verifies each chunk it reads,
+// decodes no measurement, and stops after the last frame it cuts.
+func CutShard(w io.Writer, src io.Reader, positions []int) error {
+	hdr, err := ReadStreamHeader(src)
+	if err != nil {
+		return err
+	} else if err := WriteStreamHeader(w, hdr); err != nil {
+		return err
 	}
-	return prob, nil
+	enc, dec := chunkEncoders.Get().(*ChunkEncoder), chunkDecoders.Get().(*ChunkDecoder)
+	defer chunkEncoders.Put(enc)
+	defer chunkDecoders.Put(dec)
+	n, fb := hdr.WindowN, frameBytes(hdr.WindowN)
+	frames, at := []byte(nil), 0 // unread frames of src's current chunk; the first's position
+	for len(positions) > 0 {
+		count := min(len(positions), ChunkFrames(n))
+		buf, start := wire.BeginChunk(slices.Grow(enc.buf[:0], wire.ChunkOverhead+8+count*fb), chunkFrames)
+		buf = wire.AppendInt64(buf, int64(count))
+		for _, p := range positions[:count] {
+			for (p-at)*fb >= len(frames) {
+				at += len(frames) / fb
+				head, body, err := dec.readChunk(src, n)
+				if errors.Is(err, io.EOF) || err == nil && head[0] == chunkEOF {
+					return fmt.Errorf("dataio: stream ends before frame %d: %w", p, io.ErrUnexpectedEOF)
+				} else if err != nil {
+					return err
+				} else if _, _, err := decodeFramePayload(body[:len(body)-4], n, false); err != nil {
+					return err
+				}
+				frames = body[8 : len(body)-4]
+			}
+			off := (p - at) * fb
+			buf = append(buf, frames[off:off+fb]...)
+			frames, at = frames[off+fb:], p+1
+		}
+		positions = positions[count:]
+		enc.buf = wire.EndChunk(buf, start)
+		if _, err := w.Write(enc.buf); err != nil {
+			return err
+		}
+	}
+	return WriteEOFChunk(w)
 }
 
 // WriteFile serializes a problem to the named file.

@@ -216,3 +216,67 @@ func TestReadAllocatesTheProblemOnly(t *testing.T) {
 			got, decoded, float64(got)/float64(decoded))
 	}
 }
+
+// TestCutShardIsTheEncodedShard: the shard CutShard cuts from a spool,
+// whatever the spool's chunking, is byte for byte the closed stream of
+// the chosen frames Write's own primitives encode — the opening from the
+// header, ChunkFrames to a chunk — and reading stops after the last
+// chosen frame. A spool torn or flipped under the cut is a typed error.
+func TestCutShardIsTheEncodedShard(t *testing.T) {
+	pat, err := scan.Raster(scan.RasterConfig{Cols: 5, Rows: 5, StepPix: 12, RadiusPix: 16, MarginPix: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := solver.Simulate(solver.SimulateConfig{
+		Optics: physics.PaperOptics(), Pattern: pat,
+		Object: phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 3), WindowN: 64, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, hdr := prob.WindowN, HeaderFromProblem(prob)
+	spool := writeChunked(t, prob, 3)
+	all := FramesFromProblem(prob)
+	for _, positions := range [][]int{{0, 2, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20}, {24}, nil} {
+		var want bytes.Buffer
+		err := WriteStreamHeader(&want, hdr)
+		var chosen []Frame
+		for _, p := range positions {
+			chosen = append(chosen, all[p])
+		}
+		for lo := 0; err == nil && lo < len(chosen); lo += ChunkFrames(n) {
+			err = WriteFrameChunk(&want, n, chosen[lo:min(lo+ChunkFrames(n), len(chosen))])
+		}
+		if err == nil {
+			err = WriteEOFChunk(&want)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := bytes.NewReader(spool)
+		var got bytes.Buffer
+		if err := CutShard(&got, src, positions); err != nil {
+			t.Fatalf("positions %v: %v", positions, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("positions %v: cut %d bytes, not the %d-byte encoded shard", positions, got.Len(), want.Len())
+		}
+		if len(positions) > 0 && positions[len(positions)-1] < 20 && src.Len() == 0 {
+			t.Errorf("positions %v: the cut read the spool to its end", positions)
+		}
+	}
+
+	flipped := bytes.Clone(spool)
+	flipped[len(flipped)-wire.ChunkOverhead-100] ^= 1 // under the last 'F' chunk's CRC
+	for name, tc := range map[string]struct {
+		spool []byte
+		want  error
+	}{
+		"torn":    {spool[:len(spool)/2], io.ErrUnexpectedEOF},
+		"flipped": {flipped, ErrChunkCorrupt},
+	} {
+		if err := CutShard(io.Discard, bytes.NewReader(tc.spool), []int{24}); !errors.Is(err, tc.want) {
+			t.Errorf("%s spool: %v, want %v", name, err, tc.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ptychopath/internal/grid"
@@ -72,18 +73,15 @@ func streamSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzRead hammers the one dataset decoder — the /v1 submit body, the
-// grid worker's shard, ptychorecon's input — with arbitrary bytes: it
-// must never panic, and a problem it accepts must validate and survive
-// Write then Read unchanged. Seeds: the retired PTYCHOv1 container
+// readSeeds is the closed-stream corpus: the retired PTYCHOv1 container
 // (frozen; every one must be rejected), the stream corpus, and Write's
 // own closed stream with its framing attacks, cut before 'E' and with a
 // chunk after 'E'.
-func FuzzRead(f *testing.F) {
+func readSeeds(f *testing.F) [][]byte {
 	v1 := wiretest.Frozen(f, "ptycho_v1.golden")
 	flipped := append([]byte(nil), v1...)
 	flipped[9] ^= 0xFF
-	for _, seed := range [][]byte{
+	seeds := [][]byte{
 		v1, v1[:len(v1)/2], v1[:16], flipped, []byte("PTYCHOv1"), {},
 		// Each PTYCHOv1 header field pushed past the caps (and negative),
 		// with the full payload still attached.
@@ -93,23 +91,27 @@ func FuzzRead(f *testing.F) {
 		patchInt64(v1, 24, 1<<40), // imageW huge
 		patchInt64(v1, 32, -7),    // imageH negative
 		patchInt64(v1, 40, 1<<40), // numLocations huge
-	} {
-		f.Add(seed)
 	}
-	for _, seed := range streamSeeds(f) {
-		f.Add(seed)
-	}
+	seeds = append(seeds, streamSeeds(f)...)
 	var buf bytes.Buffer
 	if err := Write(&buf, fuzzProblem(f)); err != nil {
 		f.Fatal(err)
 	}
 	closed := buf.Bytes()
-	for _, m := range wiretest.Mutations(closed, fuzzHeaderEnd+1) {
-		f.Add(m)
-	}
-	f.Add(closed[:len(closed)-wire.ChunkOverhead])                             // cut before 'E'
-	f.Add(append(closed[:len(closed):len(closed)], closed[fuzzHeaderEnd:]...)) // a chunk after 'E'
+	seeds = append(seeds, wiretest.Mutations(closed, fuzzHeaderEnd+1)...)
+	return append(seeds,
+		closed[:len(closed)-wire.ChunkOverhead],                             // cut before 'E'
+		append(closed[:len(closed):len(closed)], closed[fuzzHeaderEnd:]...)) // a chunk after 'E'
+}
 
+// FuzzRead hammers the one dataset decoder — the grid worker's shard,
+// an in-process job's spool, ptychorecon's input — with arbitrary
+// bytes: it must never panic, and a problem it accepts must validate
+// and survive Write then Read unchanged.
+func FuzzRead(f *testing.F) {
+	for _, seed := range readSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prob, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -128,6 +130,39 @@ func FuzzRead(f *testing.F) {
 		}
 		if err := Write(&twice, again); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("Write then Read changed the problem (err %v)", err)
+		}
+	})
+}
+
+// FuzzScan holds the /v1 submit check to Read, on Read's corpus: Scan
+// accepts exactly what Read accepts and then returns Read's opening
+// and locations, having passed on the input byte for byte.
+func FuzzScan(f *testing.F) {
+	for _, seed := range readSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prob, rerr := Read(bytes.NewReader(data))
+		var passed bytes.Buffer
+		h, locs, serr := Scan(&passed, bytes.NewReader(data))
+		if (rerr == nil) != (serr == nil) {
+			t.Fatalf("Read: %v; Scan: %v", rerr, serr)
+		} else if serr != nil {
+			return
+		}
+		if !bytes.Equal(passed.Bytes(), data) {
+			t.Fatalf("Scan passed on %d bytes of a %d-byte input, not the input", passed.Len(), len(data))
+		}
+		var want, got bytes.Buffer
+		if err := WriteStreamHeader(&want, HeaderFromProblem(prob)); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteStreamHeader(&got, h); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Scan's opening differs from Read's (err %v)", err)
+		}
+		// Printed, so a NaN radius compares equal to itself.
+		if fmt.Sprint(locs) != fmt.Sprint(prob.Pattern.Locations) {
+			t.Fatalf("Scan's %d locations differ from Read's %d", len(locs), prob.Pattern.N())
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package dataio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,38 +119,31 @@ type Frame struct {
 }
 
 // WriteStreamHeader serializes the stream opening (magic, header,
-// probe, propagator) to w.
+// probe, propagator) to w, in one Write.
 func WriteStreamHeader(w io.Writer, h *StreamHeader) error {
 	if err := h.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(streamMagic[:]); err != nil {
 		return err
 	}
 	hasProp := int64(0)
 	if h.Prop != nil {
 		hasProp = 1
 	}
-	header := []int64{
+	buf := append(make([]byte, 0, 8+8*8+2*16*len(h.Probe.Data)), streamMagic[:]...)
+	for _, v := range []int64{
 		int64(h.WindowN), int64(h.Slices),
 		int64(h.ImageW), int64(h.ImageH), hasProp,
 		int64(math.Round(h.StepPix * 1e6)),
 		int64(math.Round(h.RadiusPix * 1e6)),
 		0,
+	} {
+		buf = wire.AppendInt64(buf, v)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
-		return err
-	}
-	if err := writeComplex(bw, h.Probe); err != nil {
-		return err
-	}
+	buf = wire.AppendComplex128s(buf, h.Probe.Data)
 	if h.Prop != nil {
-		if err := writeComplex(bw, h.Prop); err != nil {
-			return err
-		}
+		buf = wire.AppendComplex128s(buf, h.Prop.Data)
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadStreamHeader deserializes the stream opening from r. Like
@@ -189,11 +181,6 @@ func ReadStreamHeader(r io.Reader) (*StreamHeader, error) {
 		}
 	}
 	return h, nil
-}
-
-func writeComplex(w io.Writer, a *grid.Complex2D) error {
-	_, err := w.Write(wire.AppendComplex128s(make([]byte, 0, 16*len(a.Data)), a.Data))
-	return err
 }
 
 func readComplex(r io.Reader, n int) (*grid.Complex2D, error) {
@@ -315,44 +302,44 @@ func checkChunkHead(kind byte, length int64, windowN int) error {
 // frame counts return ErrHeaderBounds — both before the payload is
 // interpreted.
 func (d *ChunkDecoder) ReadChunk(r io.Reader, windowN int) (frames []Frame, eof bool, err error) {
-	if windowN <= 0 || windowN > maxWindowN {
-		return nil, false, fmt.Errorf("%w: window %d", ErrHeaderBounds, windowN)
+	head, body, err := d.readChunk(r, windowN)
+	if err != nil || head[0] == chunkEOF {
+		return nil, err == nil, err
 	}
-	// No buffering here: every read is exact-size, so ReadChunk never
+	return decodeFramePayload(body[:len(body)-4], windowN, true)
+}
+
+// readChunk reads one framed chunk into the decoder's scratch and
+// verifies its head and CRC: the head, then the body — payload and CRC,
+// valid until the next call. io.EOF means r ended before a chunk began.
+func (d *ChunkDecoder) readChunk(r io.Reader, windowN int) (head [9]byte, body []byte, err error) {
+	if windowN <= 0 || windowN > maxWindowN {
+		return head, nil, fmt.Errorf("%w: window %d", ErrHeaderBounds, windowN)
+	}
+	// No buffering here: every read is exact-size, so a chunk read never
 	// consumes bytes past its own chunk — callers interleave calls on a
 	// shared reader (Read) or hand over an HTTP body.
-	var head [9]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		if err == io.EOF {
-			return nil, false, io.EOF
+			return head, nil, io.EOF
 		}
-		return nil, false, fmt.Errorf("dataio: reading chunk header: %w", err)
+		return head, nil, fmt.Errorf("dataio: reading chunk header: %w", err)
 	}
-	kind, length := head[0], wire.Int64(head[1:])
-	if err := checkChunkHead(kind, length, windowN); err != nil {
-		return nil, false, err
+	length := wire.Int64(head[1:])
+	if err := checkChunkHead(head[0], length, windowN); err != nil {
+		return head, nil, err
 	}
 	// Never trust the declared length for the allocation:
 	// wire.ReadCapped grows in bounded increments as bytes ACTUALLY
 	// arrive — a 17-byte request declaring a terabyte chunk fails at
 	// EOF having allocated almost nothing.
-	payload, err := wire.ReadCapped(r, d.scratch, length)
+	body, err = wire.ReadCapped(r, d.scratch, length+4)
 	if err != nil {
-		return nil, false, fmt.Errorf("dataio: reading chunk payload: %w", err)
+		return head, nil, fmt.Errorf("dataio: reading chunk payload: %w", err)
 	}
-	d.scratch = payload
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, false, fmt.Errorf("dataio: reading chunk crc: %w", err)
-	}
+	d.scratch = body
 	// An 'E' chunk's empty payload checksums to 0.
-	if err := verifyCRC(wire.Uint32(crcBuf[:]), payload); err != nil {
-		return nil, false, err
-	}
-	if kind == chunkEOF {
-		return nil, true, nil
-	}
-	return decodeFramePayload(payload, windowN)
+	return head, body, verifyCRC(wire.Uint32(body[length:]), body[:length])
 }
 
 var chunkDecoders = sync.Pool{New: func() any { return new(ChunkDecoder) }}
@@ -399,7 +386,7 @@ func DecodeChunk(buf []byte, windowN int) (frames []Frame, eof bool, n int, err 
 	if kind == chunkEOF {
 		return nil, true, int(total), nil
 	}
-	frames, eof, err = decodeFramePayload(payload, windowN)
+	frames, eof, err = decodeFramePayload(payload, windowN, true)
 	return frames, eof, int(total), err
 }
 
@@ -411,34 +398,38 @@ func verifyCRC(sum uint32, payload []byte) error {
 	return nil
 }
 
-// decodeFramePayload slices frames out of a verified 'F' payload. All
-// frames of the chunk share one backing array (three allocations per
-// chunk: frames, grids, samples), which they own — the payload buffer
-// itself is the decoder's and is reused for the next chunk.
-func decodeFramePayload(payload []byte, windowN int) ([]Frame, bool, error) {
+// decodeFramePayload slices frames out of a verified 'F' payload, with
+// their measurements when meas is set. All frames of the chunk share
+// one backing array (three allocations per chunk: frames, grids,
+// samples), which they own — the payload buffer itself is the
+// decoder's and is reused for the next chunk.
+func decodeFramePayload(payload []byte, windowN int, meas bool) ([]Frame, bool, error) {
 	fb := frameBytes(windowN)
-	count := wire.Int64(payload)
-	if want := int64(len(payload)-8) / int64(fb); count != want {
+	count := int(wire.Int64(payload))
+	if want := (len(payload) - 8) / fb; count != want {
 		return nil, false, fmt.Errorf("%w: chunk declares %d frames, payload holds %d", ErrChunkCorrupt, count, want)
 	}
 	nn := windowN * windowN
 	frames := make([]Frame, count)
-	grids := make([]grid.Float2D, count)
-	backing := make([]float64, int(count)*nn)
+	decoded := 0 // frames whose measurements are decoded
+	if meas {
+		decoded = count
+	}
+	grids, backing := make([]grid.Float2D, decoded), make([]float64, decoded*nn)
 	bounds := grid.RectWH(0, 0, windowN, windowN)
 	off := 8
 	for i := range frames {
-		data := backing[i*nn : (i+1)*nn : (i+1)*nn]
-		wire.Float64s(data, payload[off+32:])
-		grids[i] = grid.Float2D{Bounds: bounds, Data: data}
-		frames[i] = Frame{
-			Loc: scan.Location{
-				Index:  int(wire.Int64(payload[off:])),
-				X:      wire.Float64(payload[off+8:]),
-				Y:      wire.Float64(payload[off+16:]),
-				Radius: wire.Float64(payload[off+24:]),
-			},
-			Meas: &grids[i],
+		frames[i].Loc = scan.Location{
+			Index:  int(wire.Int64(payload[off:])),
+			X:      wire.Float64(payload[off+8:]),
+			Y:      wire.Float64(payload[off+16:]),
+			Radius: wire.Float64(payload[off+24:]),
+		}
+		if meas {
+			data := backing[i*nn : (i+1)*nn : (i+1)*nn]
+			wire.Float64s(data, payload[off+32:])
+			grids[i] = grid.Float2D{Bounds: bounds, Data: data}
+			frames[i].Meas = &grids[i]
 		}
 		off += fb
 	}

@@ -113,7 +113,7 @@ func (p *predStats) summary() (jobs int, meanAbsErr, last float64) {
 // the prediction plus the per-iteration flop count and rank width the
 // calibration loop needs; nil for empty or streaming datasets.
 func (s *Service) predict(prob *solver.Problem, p Params) (*Prediction, float64, int) {
-	if prob == nil || prob.Pattern == nil || len(prob.Pattern.Locations) == 0 {
+	if len(prob.Pattern.Locations) == 0 {
 		return nil, 0, 0
 	}
 	locs := len(prob.Pattern.Locations)
@@ -193,7 +193,7 @@ func (s *Service) attachAnalysis(j *Job) {
 	if j.streaming {
 		return
 	}
-	j.pred, j.flopsPerIter, j.predRanks = s.predict(j.prob, j.params)
+	j.pred, j.flopsPerIter, j.predRanks = s.predict(j.data.geom, j.params)
 	if j.params.Algorithm != "serial" {
 		j.tracker = newRankTracker(j.params.MeshRows * j.params.MeshCols)
 	}

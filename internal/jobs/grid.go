@@ -15,7 +15,6 @@ import (
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
-	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 )
 
@@ -25,10 +24,11 @@ import (
 // across those processes instead of in-process goroutines — one rank
 // per leased worker endpoint, traffic routed over the CRC-framed TCP
 // transport. The coordinator shards the job with engine.Shards: a rank
-// is sent the measurements it evaluates and its own tile of the initial
-// object, streamed while it decodes, and never sees the rest of the
-// dataset — the paper's memory-per-GPU claim (Table II/III) at the
-// process boundary. Progress, snapshots and
+// is sent the measurements it evaluates, cut from the job's spool as
+// they are, and its own tile of the initial object, streamed while it
+// decodes, and never sees the rest of the dataset — the paper's
+// memory-per-GPU claim (Table II/III) at the process boundary. The
+// coordinator decodes none of it. Progress, snapshots and
 // checkpoints reuse the exact machinery of local jobs: the worker
 // running rank 0 relays per-iteration cost and periodic stitched
 // snapshots, and the coordinator writes the same OBJCKv1 checkpoints,
@@ -68,69 +68,13 @@ func (s *Service) GridWorkers() []client.GridWorker {
 	return out
 }
 
-// shardSource is one rank's part of a dataset as a closed PTYCHSv2
-// stream — the opening, 'F' chunks of the rank's locations in ascending
-// order (dataio.ChunkFrames each, referencing the job's measurement
-// arrays, not copying them), 'E' — encoded one piece per Read, straight
-// into the hub's buffer when the piece fits: no rank's shard, let alone
-// the dataset, is ever serialized whole.
-type shardSource struct {
-	prob           *solver.Problem
-	locs           []int // not yet sent
-	opened, closed bool
-	frames         []dataio.Frame // chunk scratch
-	rest           []byte         // tail of a piece larger than the Read that encoded it
-}
-
-func (s *shardSource) Read(p []byte) (int, error) {
-	if len(s.rest) == 0 {
-		piece, err := s.next(p[:0:len(p)])
-		if err != nil {
-			return 0, err
-		}
-		if len(piece) <= len(p) {
-			return len(piece), nil // encoded in place
-		}
-		s.rest = piece
-	}
-	n := copy(p, s.rest)
-	s.rest = s.rest[n:]
-	return n, nil
-}
-
-// next appends the stream's next piece to dst; io.EOF after the last.
-func (s *shardSource) next(dst []byte) ([]byte, error) {
-	w := bytes.NewBuffer(dst)
-	var err error
-	switch {
-	case !s.opened:
-		s.opened = true
-		err = dataio.WriteStreamHeader(w, dataio.HeaderFromProblem(s.prob))
-	case len(s.locs) > 0:
-		n := s.prob.WindowN
-		count := min(len(s.locs), dataio.ChunkFrames(n))
-		s.frames = s.frames[:0]
-		for _, i := range s.locs[:count] {
-			s.frames = append(s.frames, dataio.Frame{Loc: s.prob.Pattern.Locations[i], Meas: s.prob.Meas[i]})
-		}
-		s.locs = s.locs[count:]
-		err = dataio.WriteFrameChunk(w, n, s.frames)
-	case !s.closed:
-		s.closed = true
-		err = dataio.WriteEOFChunk(w)
-	default:
-		return nil, io.EOF
-	}
-	return w.Bytes(), err
-}
-
 // executeGrid runs one parallel job across leased grid workers. On
 // session failure it returns the last snapshot received (possibly nil)
 // so the caller flushes a final checkpoint, mirroring the partial-result
 // contract of the in-process engines.
 func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, error) {
 	p := j.params
-	prob := j.prob
+	prob := j.data.geom
 	shards, err := engine.Shards(prob, spec)
 	if err != nil {
 		return nil, err
@@ -140,6 +84,8 @@ func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, erro
 		return nil, fmt.Errorf("grid: encoding spec: %w", err)
 	}
 	setups := make([]*transport.Setup, len(shards))
+	var cuts sync.WaitGroup
+	defer cuts.Wait() // after the pipes below close
 	for r, sh := range shards {
 		tile := phantom.Vacuum(sh.Region, prob.Slices).Slices
 		for i, full := range p.InitialObject {
@@ -149,6 +95,17 @@ func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, erro
 		if err != nil {
 			return nil, fmt.Errorf("grid: encoding initial object: %w", err)
 		}
+		// The rank's shard, cut from the spool into a pipe the hub reads;
+		// closing it on every way out stops the cut and frees the spool.
+		shard, pw := io.Pipe()
+		defer shard.Close()
+		cuts.Add(1)
+		go func() {
+			defer cuts.Done()
+			pw.CloseWithError(s.readSpool(j.data.path, func(r io.Reader) error {
+				return dataio.CutShard(pw, r, sh.Locations)
+			}))
+		}()
 		setups[r] = &transport.Setup{
 			JobID:     j.id,
 			Algorithm: spec.Algorithm,
@@ -156,7 +113,7 @@ func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, erro
 			Trace:     p.RequestID,
 			Spec:      specJSON,
 			Init:      init,
-			Shard:     &shardSource{prob: prob, locs: sh.Locations},
+			Shard:     shard,
 		}
 	}
 

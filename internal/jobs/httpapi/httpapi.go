@@ -6,7 +6,8 @@
 //	POST /v1/jobs                 multipart submit: a "params" JSON part
 //	                              (client.SubmitRequest, strictly decoded)
 //	                              + a "dataset" part: a closed PTYCHS
-//	                              stream. 202 with the job summary.
+//	                              stream, checked and spooled as it
+//	                              arrives. 202 with the job summary.
 //	                              Honors Idempotency-Key.
 //	POST /v1/jobs/stream          multipart submit of a STREAMING job: a
 //	                              "params" part + a "dataset" PTYCHS
@@ -86,7 +87,6 @@ import (
 	"ptychopath/internal/jobs"
 	"ptychopath/internal/obs"
 	"ptychopath/internal/obs/flight"
-	"ptychopath/internal/solver"
 	"ptychopath/internal/stream"
 )
 
@@ -344,7 +344,7 @@ func paramsFromRequest(req client.SubmitRequest) jobs.Params {
 
 // readSubmitParts decodes a /v1 multipart submission: a "params" JSON
 // part (optional — defaults apply) decoded strictly against
-// client.SubmitRequest, and a required "dataset" part handed to
+// client.SubmitRequest, and one required "dataset" part handed to
 // decodeDataset as it streams in. Unknown part names are rejected so a
 // misspelled part cannot be silently dropped.
 func (s *Server) readSubmitParts(w http.ResponseWriter, r *http.Request, decodeDataset func(io.Reader) error) (client.SubmitRequest, error) {
@@ -363,20 +363,20 @@ func (s *Server) readSubmitParts(w http.ResponseWriter, r *http.Request, decodeD
 		if err != nil {
 			return req, badParams("reading multipart submit body: %w", err)
 		}
-		switch part.FormName() {
-		case "params":
+		switch name := part.FormName(); {
+		case name == "params":
 			dec := json.NewDecoder(part)
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&req); err != nil {
 				return req, badParams("params part does not decode as a SubmitRequest: %w", err)
 			}
-		case "dataset":
+		case name == "dataset" && !seenDataset:
 			if err := decodeDataset(part); err != nil {
-				return req, badParams("dataset part: %w", err)
+				return req, fmt.Errorf("dataset part: %w", err)
 			}
 			seenDataset = true
 		default:
-			return req, badParams("unknown part %q (want params, dataset)", part.FormName())
+			return req, badParams("unknown or repeated part %q (want params, dataset)", name)
 		}
 	}
 	if !seenDataset {
@@ -385,24 +385,26 @@ func (s *Server) readSubmitParts(w http.ResponseWriter, r *http.Request, decodeD
 	return req, nil
 }
 
-// handleSubmit accepts the multipart submission and
-// enqueues a batch job, idempotently when the request carries an
-// Idempotency-Key.
+// handleSubmit accepts the multipart submission, its dataset part
+// checked and spooled as it arrives, and enqueues a batch job,
+// idempotently when the request carries an Idempotency-Key.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var prob *solver.Problem
-	req, err := s.readSubmitParts(w, r, func(body io.Reader) error {
-		var derr error
-		prob, derr = dataio.Read(body)
-		return derr
+	var ds *jobs.Dataset
+	req, err := s.readSubmitParts(w, r, func(body io.Reader) (err error) {
+		ds, err = s.svc.SpoolDataset(body)
+		return err
 	})
 	if err != nil {
+		if ds != nil {
+			s.svc.DiscardDataset(ds)
+		}
 		writeErr(w, err)
 		return
 	}
 	p := paramsFromRequest(req)
 	p.RequestID = requestIDFrom(r.Context())
 	p.Tenant = tenantFrom(r)
-	j, created, err := s.svc.SubmitWithKey(prob, p, r.Header.Get("Idempotency-Key"))
+	j, created, err := s.svc.SubmitDataset(ds, p, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -419,8 +421,10 @@ func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 	var hdr *dataio.StreamHeader
 	req, err := s.readSubmitParts(w, r, func(body io.Reader) error {
 		var derr error
-		hdr, derr = dataio.ReadStreamHeader(body)
-		return derr
+		if hdr, derr = dataio.ReadStreamHeader(body); derr != nil {
+			return badParams("%w", derr)
+		}
+		return nil
 	})
 	if err != nil {
 		writeErr(w, err)

@@ -293,10 +293,11 @@ const AnonymousTenant = "anonymous"
 // safe for concurrent use.
 type Job struct {
 	id     string
-	prob   *solver.Problem
 	params Params
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	data *Dataset // a batch job's; released by finish under mu
 
 	// Streaming-job state (nil/false for batch jobs). The ingest is
 	// the bounded frame buffer producers append to; hdr is the
@@ -349,10 +350,9 @@ type Job struct {
 	checkpointPath string
 	checkpointIter int
 	resumedFrom    string
-	recoveredFrom  string // how crash recovery revived this job ("checkpoint@k", "scratch", "stream")
-	datasetPath    string // durable spool of the dataset; lets Resume reload a released problem
-	recFrames      int    // frame count restored from the WAL for a terminal streaming job
-	recEOF         bool   // EOF flag restored from the WAL (ingest is gone for terminal jobs)
+	recoveredFrom  string  // how crash recovery revived this job ("checkpoint@k", "scratch", "stream")
+	recFrames      int     // frame count restored from the WAL for a terminal streaming job
+	recEOF         bool    // EOF flag restored from the WAL (ingest is gone for terminal jobs)
 	actualSeconds  float64 // wall-clock runtime measured by analyze
 	predErrRatio   float64 // actual / predicted runtime
 	imbalance      float64 // mean per-iteration max/mean rank compute ratio
@@ -389,14 +389,6 @@ func (j *Job) Trace() *obs.Trace { return j.tr }
 // RequestID returns the X-Request-ID the job was submitted under (""
 // for jobs submitted without one, e.g. direct API use in tests).
 func (j *Job) RequestID() string { return j.params.RequestID }
-
-// Problem returns the dataset the job reconstructs; nil once the job
-// is Done (the dataset is released — see finish).
-func (j *Job) Problem() *solver.Problem {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.prob
-}
 
 // Params returns a copy of the job's parameters with InitialObject
 // excluded (the warm-start object is live engine state, not
@@ -449,27 +441,27 @@ func (j *Job) Info(historyTail int) Info {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	info := Info{
-		ID:             j.id,
-		State:          j.state.String(),
-		Algorithm:      j.params.Algorithm,
-		Grid:           j.params.Grid,
-		Iter:           j.iter,
-		Cost:           j.cost,
-		CheckpointIter: j.checkpointIter,
-		Checkpoint:     j.checkpointPath,
-		ResumedFrom:    j.resumedFrom,
-		RecoveredFrom:  j.recoveredFrom,
-		RequestID:      j.params.RequestID,
-		Tenant:         j.params.Tenant,
-		Priority:       j.params.Priority,
-		PreemptedCount: j.preemptedCount,
-		Created:        j.created,
-		Started:        j.started,
-		Finished:       j.finished,
-		Prediction:     j.pred,
-		ActualSeconds:  j.actualSeconds,
+		ID:                   j.id,
+		State:                j.state.String(),
+		Algorithm:            j.params.Algorithm,
+		Grid:                 j.params.Grid,
+		Iter:                 j.iter,
+		Cost:                 j.cost,
+		CheckpointIter:       j.checkpointIter,
+		Checkpoint:           j.checkpointPath,
+		ResumedFrom:          j.resumedFrom,
+		RecoveredFrom:        j.recoveredFrom,
+		RequestID:            j.params.RequestID,
+		Tenant:               j.params.Tenant,
+		Priority:             j.params.Priority,
+		PreemptedCount:       j.preemptedCount,
+		Created:              j.created,
+		Started:              j.started,
+		Finished:             j.finished,
+		Prediction:           j.pred,
+		ActualSeconds:        j.actualSeconds,
 		PredictionErrorRatio: j.predErrRatio,
-		ImbalanceRatio: j.imbalance,
+		ImbalanceRatio:       j.imbalance,
 	}
 	if len(j.stragglers) > 0 {
 		info.StragglerRanks = append([]int(nil), j.stragglers...)
@@ -639,10 +631,10 @@ func (j *Job) setCheckpoint(path string, completed int) string {
 
 // finish transitions to a terminal state and releases memory the
 // terminal job no longer needs: the warm-start object always, and the
-// full dataset once the job can never be resumed (Done, or terminal
-// without a checkpoint). The latest snapshot stays for previews; the
-// OBJCKv1 checkpoint file is the durable artifact. Without this a
-// long-running service would retain every submitted dataset forever.
+// dataset's geometry once the job can never be resumed (Done, or
+// terminal without a checkpoint). The latest snapshot stays for
+// previews; the OBJCKv1 checkpoint file is the durable artifact, and
+// the spool stays on disk beside it.
 func (j *Job) finish(state State, err error) {
 	j.mu.Lock()
 	j.finishLocked(state, err)
@@ -665,7 +657,7 @@ func (j *Job) finishLocked(state State, err error) {
 	j.tr.EndAt(j.rootSpan, j.finished)
 	j.params.InitialObject = nil
 	if state == Done || j.checkpointPath == "" {
-		j.prob = nil
+		j.data = nil
 	}
 	if err != nil {
 		j.rec.Record(flight.Event{Kind: "error", State: state.String(), Detail: err.Error()})

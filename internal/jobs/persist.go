@@ -81,23 +81,25 @@ func idNumber(id string) int {
 	return -1
 }
 
-// persistSubmit makes an accepted submission durable: the dataset (or
-// stream opening) is spooled first, then the submit record — synced —
-// references it, so the WAL never points at a payload that is not
-// fully on disk. Runs after enqueue (the ID is assigned there); the
-// merge on replay tolerates a worker's start record landing first.
+// persistSubmit makes an accepted submission durable: payloads are
+// spooled first (an upload, before its job existed), then the submit
+// record — synced — references them, so the WAL never points at a
+// payload not fully on disk. Runs after enqueue (the ID is assigned
+// there); replay tolerates a worker's start record landing first.
 func (s *Service) persistSubmit(j *Job, key string) error {
 	if !s.store.Durable() {
 		return nil
 	}
 	j.mu.Lock()
-	prob := j.prob
 	init := j.params.InitialObject
 	p := j.params
 	rec := store.SubmitRecord{
 		ID: j.id, Streaming: j.streaming, Key: key,
 		ResumedFrom: j.resumedFrom, RecoveredFrom: j.recoveredFrom,
 		Created: j.created,
+	}
+	if j.data != nil {
+		rec.Dataset = j.data.path
 	}
 	j.mu.Unlock()
 	rec.Params = marshalParams(p)
@@ -106,17 +108,11 @@ func (s *Service) persistSubmit(j *Job, key string) error {
 	if j.streaming {
 		rec.Dataset, err = s.store.SpoolStreamOpen(j.id, j.hdr)
 	} else {
-		rec.Dataset, err = s.store.SpoolDataset(j.id, prob)
-		if err == nil && init != nil {
-			rec.InitObject, err = s.store.SpoolInitObject(j.id, init)
-		}
+		rec.InitObject, err = s.store.SpoolInitObject(j.id, init)
 	}
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	j.datasetPath = rec.Dataset
-	j.mu.Unlock()
 	return s.store.LogSubmit(rec)
 }
 
@@ -242,7 +238,7 @@ func (s *Service) recoverJob(jr *store.JobRecord) *Job {
 	j := &Job{
 		id: jr.ID, ctx: ctx, cancel: cancel,
 		streaming: jr.Streaming, resumedFrom: jr.ResumedFrom,
-		datasetPath: jr.Dataset, created: jr.Created,
+		created: jr.Created,
 	}
 	params, perr := unmarshalParams(jr.Params)
 	j.params = params
@@ -271,6 +267,9 @@ func (s *Service) recoverJob(jr *store.JobRecord) *Job {
 		j.finished = jr.Finished
 		if jr.Error != "" {
 			j.err = errors.New(jr.Error)
+		}
+		if !jr.Streaming && state != Done && jr.CheckpointPath != "" {
+			j.data = &Dataset{path: jr.Dataset} // for Resume, which scans it
 		}
 		cancel()
 		s.met.restored.Add(1)
@@ -320,11 +319,11 @@ func (s *Service) recoverJob(jr *store.JobRecord) *Job {
 			s.met.restored.Add(1)
 			return j
 		}
-		prob, err := s.store.LoadDataset(jr.Dataset)
+		ds, err := s.scanSpool(jr.Dataset)
 		if err != nil {
 			return s.unrecoverable(j, fmt.Errorf("reloading dataset: %w", err))
 		}
-		j.prob = prob
+		j.data = ds
 		if jr.CheckpointPath != "" {
 			slices, err := s.store.LoadObject(jr.CheckpointPath)
 			if err != nil {
@@ -390,7 +389,7 @@ func (s *Service) logPreempt(j *Job) {
 	rec := store.SubmitRecord{
 		ID: j.id, Params: marshalParams(j.params), Streaming: j.streaming,
 		Key: j.idemKey, ResumedFrom: j.resumedFrom, RecoveredFrom: j.recoveredFrom,
-		Dataset: j.datasetPath, Created: j.created,
+		Dataset: j.data.path, Created: j.created,
 	}
 	j.mu.Unlock()
 	if err := s.store.LogSubmit(rec); err != nil {

@@ -402,12 +402,15 @@ func TestRecoverRetiredDatasetSpoolFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.mu.Lock()
+	spool := j.data.path // the path the submit record names
+	j.mu.Unlock()
 	l1.crash()
 	v1, err := os.ReadFile(filepath.Join("..", "dataio", "testdata", "ptycho_v1.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(l1.st.DatasetPath(j.ID()), v1, 0o644); err != nil {
+	if err := os.WriteFile(spool, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
@@ -33,8 +34,9 @@ type Config struct {
 	// returns ErrQueueFull beyond it. Default 16.
 	QueueDepth int
 	// SpoolDir receives OBJCKv1 checkpoint files (<jobid>-i<iter>.objck;
-	// superseded checkpoints are removed once the successor is logged).
-	// When empty a fresh temporary directory is created.
+	// superseded checkpoints are removed once the successor is logged)
+	// and, without a durable Store, the upload spools. When empty a fresh
+	// temporary directory is created.
 	SpoolDir string
 	// CheckpointEvery is the default iteration period for checkpoints
 	// and preview snapshots when a job does not set its own. Default 5.
@@ -140,18 +142,18 @@ type Service struct {
 	// without a prediction (see tenancy.go).
 	runtime ewma
 
-	mu     sync.Mutex
-	notify *sync.Cond  // signals workers: queue non-empty or closing
-	q      sched.Queue // bounded queue; ordering policy per Config.Sched
-	seq    uint64      // scheduler sequence — submission-order tie-break
-	jobs   map[string]*Job
-	order  []string                // submission order, for List/ListPage
-	idem   map[string]*Job         // Idempotency-Key → the job it created
-	running map[string]*Job        // jobs currently on a worker (preemption victims, retry estimates)
-	tenants map[string]*tenantState // fair-share accounting, keyed by tenant name
-	tenantOrder []string            // first-seen order; bounds the metric registry
-	nextID int
-	closed bool
+	mu          sync.Mutex
+	notify      *sync.Cond  // signals workers: queue non-empty or closing
+	q           sched.Queue // bounded queue; ordering policy per Config.Sched
+	seq         uint64      // scheduler sequence — submission-order tie-break
+	jobs        map[string]*Job
+	order       []string                // submission order, for List/ListPage
+	idem        map[string]*Job         // Idempotency-Key → the job it created
+	running     map[string]*Job         // jobs currently on a worker (preemption victims, retry estimates)
+	tenants     map[string]*tenantState // fair-share accounting, keyed by tenant name
+	tenantOrder []string                // first-seen order; bounds the metric registry
+	nextID      int
+	closed      bool
 }
 
 // NewService validates the config, creates the spool directory,
@@ -181,7 +183,7 @@ func NewService(cfg Config) (*Service, error) {
 		s.log = obs.Discard()
 	}
 	if s.store == nil {
-		s.store = store.Mem{}
+		s.store = store.Mem{Dir: cfg.SpoolDir}
 	}
 	// When the store can report fsync latency (the WAL does), feed it
 	// into the histogram; stores without the hook stay silent.
@@ -265,7 +267,7 @@ func (s *Service) Close() {
 func (s *Service) Config() Config { return s.cfg }
 
 // Submit validates the job and enqueues it, returning ErrQueueFull when
-// the bounded FIFO has no room.
+// the bounded FIFO has no room. The problem goes in as an upload would.
 func (s *Service) Submit(prob *solver.Problem, p Params) (*Job, error) {
 	j, _, err := s.SubmitWithKey(prob, p, "")
 	return j, err
@@ -280,15 +282,21 @@ func (s *Service) Submit(prob *solver.Problem, p Params) (*Job, error) {
 // the key free, so the retry the 429 asks for can succeed. The first
 // job wins; parameters of replayed submissions are not compared.
 func (s *Service) SubmitWithKey(prob *solver.Problem, p Params, key string) (*Job, bool, error) {
-	return s.submit(prob, p, "", key)
+	pr, pw := io.Pipe()
+	written := make(chan struct{})
+	go func() { defer close(written); pw.CloseWithError(dataio.Write(pw, prob)) }()
+	ds, err := s.SpoolDataset(pr)
+	pr.Close() // unblocks the writer of a stream the scan gave up on
+	<-written
+	if err != nil {
+		return nil, false, err
+	}
+	return s.SubmitDataset(ds, p, key)
 }
 
-func (s *Service) submit(prob *solver.Problem, p Params, resumedFrom, key string) (*Job, bool, error) {
+func (s *Service) submit(ds *Dataset, p Params, resumedFrom, key string) (*Job, bool, error) {
 	p.setDefaults(s.cfg)
-	if err := prob.Validate(); err != nil {
-		return nil, false, fmt.Errorf("%w: invalid problem: %v", ErrInvalidParams, err)
-	}
-	if err := p.validate(prob); err != nil {
+	if err := p.validate(ds.geom); err != nil {
 		return nil, false, err
 	}
 	if p.Grid && s.grid == nil {
@@ -296,7 +304,7 @@ func (s *Service) submit(prob *solver.Problem, p Params, resumedFrom, key string
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	nj := newTracedJob(&Job{
-		prob: prob, params: p, ctx: ctx, cancel: cancel,
+		data: ds, params: p, ctx: ctx, cancel: cancel,
 		state: Queued, iter: p.StartIter, resumedFrom: resumedFrom,
 		created: time.Now(),
 	})
@@ -717,27 +725,21 @@ func (s *Service) Resume(id string) (*Job, error) {
 	path := old.checkpointPath
 	completed := old.checkpointIter
 	p := old.params
-	prob := old.prob
-	datasetPath := old.datasetPath
+	ds := old.data
 	old.mu.Unlock()
 	if state != Cancelled && state != Failed {
 		return nil, fmt.Errorf("%w: %s is %s (want cancelled or failed)", ErrNotResumable, id, state)
 	}
-	if prob == nil && datasetPath != "" {
-		// The in-memory dataset was released (or never survived a
-		// restart) but the store spooled it at submission — reload.
-		var err error
-		prob, err = s.store.LoadDataset(datasetPath)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: reloading dataset for %s: %w", id, err)
-		}
-	}
-	if path == "" || prob == nil {
+	if path == "" || ds == nil {
 		return nil, fmt.Errorf("%w: %s has no checkpoint", ErrNotResumable, id)
 	}
 	total := p.StartIter + p.Iterations
 	if completed >= total {
 		return nil, fmt.Errorf("%w: %s already completed %d of %d iterations", ErrNotResumable, id, completed, total)
+	}
+	ds, err := s.scanSpool(ds.path) // the same spool; a restored job holds no geometry
+	if err != nil {
+		return nil, fmt.Errorf("jobs: reloading dataset for %s: %w", id, err)
 	}
 	slices, err := s.store.LoadObject(path)
 	if err != nil {
@@ -746,7 +748,7 @@ func (s *Service) Resume(id string) (*Job, error) {
 	p.InitialObject = slices
 	p.StartIter = completed
 	p.Iterations = total - completed
-	j, _, err := s.submit(prob, p, id, "")
+	j, _, err := s.submit(ds, p, id, "")
 	return j, err
 }
 
@@ -945,8 +947,15 @@ func (s *Service) execute(j *Job) ([]*grid.Complex2D, error) {
 	if j.params.Grid {
 		return s.executeGrid(j, spec)
 	}
+	var prob *solver.Problem
+	if err := s.readSpool(j.data.path, func(r io.Reader) (err error) {
+		prob, err = dataio.Read(r)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("jobs: reading the dataset spool: %w", err)
+	}
 	j.beginIterations()
-	r, err := engine.Run(j.prob, j.params.InitialObject, spec, s.hooks(j))
+	r, err := engine.Run(prob, j.params.InitialObject, spec, s.hooks(j))
 	if r == nil {
 		return nil, err
 	}
@@ -1038,7 +1047,7 @@ func (s *Service) snapshot(j *Job, completed int, slices []*grid.Complex2D) erro
 	logged := s.logCheckpoint(j, path, completed)
 	s.met.checkpoints.Add(1)
 	if prev := j.setCheckpoint(path, completed); logged && prev != "" && prev != path {
-		s.store.RemoveObject(prev) // best effort; a stray file is harmless
+		s.store.Remove(prev) // best effort; a stray file is harmless
 	}
 	return nil
 }

@@ -5,9 +5,8 @@
 // — with two implementations.
 //
 // Mem is the historical in-memory behavior: nothing survives the
-// process, checkpoints go straight to the spool directory, and every
-// log call is a no-op. A service configured without a state directory
-// behaves exactly as before this package existed.
+// process, uploads and checkpoints go straight to the spool directory
+// unsynced, and every log call is a no-op.
 //
 // WAL (wal.go) append-logs every transition as CRC-32-framed,
 // length-prefixed records (PTYWALv2 — the house framing style of
@@ -21,18 +20,19 @@ package store
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"time"
 
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/solver"
+	"ptychopath/internal/jobs/store/faultfs"
 )
 
 // Store is the persistence surface of the job service. Log* methods
 // record lifecycle transitions; Spool* methods persist bulk payloads
 // (datasets, frames, warm-start objects) and return the path a later
-// recovery loads them from; Load* reverse the spooling. Implementations
+// recovery loads them from; Open/Load* reverse the spooling. Implementations
 // must be safe for concurrent use — the service logs from its HTTP
 // goroutines and every pool worker.
 type Store interface {
@@ -68,9 +68,9 @@ type Store interface {
 	// cancelled). Durable stores sync before returning.
 	LogFinish(id, state, errMsg string, finished time.Time) error
 
-	// SpoolDataset persists a batch job's dataset (a closed PTYCHS
-	// stream) and returns its path ("" for non-durable stores).
-	SpoolDataset(id string, prob *solver.Problem) (string, error)
+	// SpoolUpload spools an upload under a name of its own: the path
+	// names the whole file fill wrote (synced, by a durable store).
+	SpoolUpload(fill func(io.Writer) error) (string, error)
 	// SpoolInitObject persists a job's warm-start object (OBJCKv1) and
 	// returns its path ("" when slices is nil or the store is not
 	// durable).
@@ -84,9 +84,8 @@ type Store interface {
 	// SpoolStreamEOF appends the end-of-stream marker to the spool.
 	SpoolStreamEOF(id string) error
 
-	// LoadDataset reads a spooled dataset; one in a retired container
-	// is an error, and recovery fails its job.
-	LoadDataset(path string) (*solver.Problem, error)
+	// OpenDataset opens a spooled dataset for reading.
+	OpenDataset(path string) (io.ReadCloser, error)
 	// LoadObject reads a spooled or checkpointed OBJCKv1 object.
 	LoadObject(path string) ([]*grid.Complex2D, error)
 	// LoadStream replays a stream spool: the opening header, every
@@ -97,10 +96,9 @@ type Store interface {
 	// WriteCheckpoint writes an OBJCKv1 checkpoint atomically (tmp +
 	// sync + rename) at path.
 	WriteCheckpoint(path string, slices []*grid.Complex2D) error
-	// RemoveObject deletes a superseded checkpoint file. The service
-	// calls it only after the record naming the SUCCESSOR file is in
-	// the log, so the log never points at a removed file.
-	RemoveObject(path string) error
+	// Remove deletes a superseded checkpoint, once the record naming its
+	// SUCCESSOR is in the log, or the spool of an upload never submitted.
+	Remove(path string) error
 
 	// Sync flushes any buffered log tail to stable storage — the
 	// service calls it from Shutdown so a SIGTERM drain leaves nothing
@@ -190,31 +188,36 @@ type Stats struct {
 	WALBytes int64
 }
 
-// Mem is the non-durable store: every Log/Spool call is a no-op and
-// checkpoints are written with the pre-store atomic path. The zero
-// value is ready to use.
-type Mem struct{}
+// Mem is the non-durable store: every Log call is a no-op, and uploads
+// and checkpoints are written unsynced, uploads into Dir.
+type Mem struct {
+	// Dir receives the upload spools (the service's spool directory).
+	Dir string
+}
 
 var _ Store = Mem{}
 
 func (Mem) Durable() bool               { return false }
 func (Mem) Recover() (*Recovery, error) { return &Recovery{}, nil }
 
-func (Mem) LogSubmit(SubmitRecord) error                { return nil }
-func (Mem) LogStart(string, time.Time) error            { return nil }
-func (Mem) LogIteration(string, int, float64) error     { return nil }
-func (Mem) LogCheckpoint(string, string, int) error     { return nil }
-func (Mem) LogFrames(string, int) error                 { return nil }
-func (Mem) LogEOF(string) error                         { return nil }
+func (Mem) LogSubmit(SubmitRecord) error                      { return nil }
+func (Mem) LogStart(string, time.Time) error                  { return nil }
+func (Mem) LogIteration(string, int, float64) error           { return nil }
+func (Mem) LogCheckpoint(string, string, int) error           { return nil }
+func (Mem) LogFrames(string, int) error                       { return nil }
+func (Mem) LogEOF(string) error                               { return nil }
 func (Mem) LogFinish(string, string, string, time.Time) error { return nil }
 
-func (Mem) SpoolDataset(string, *solver.Problem) (string, error)        { return "", nil }
-func (Mem) SpoolInitObject(string, []*grid.Complex2D) (string, error)   { return "", nil }
-func (Mem) SpoolStreamOpen(string, *dataio.StreamHeader) (string, error) { return "", nil }
-func (Mem) SpoolFrames(string, int, []dataio.Frame) error               { return nil }
-func (Mem) SpoolStreamEOF(string) error                                 { return nil }
+func (m Mem) SpoolUpload(fill func(io.Writer) error) (string, error) {
+	return spoolUpload(faultfs.OS{}, m.Dir, false, fill)
+}
 
-func (Mem) LoadDataset(path string) (*solver.Problem, error)  { return dataio.ReadFile(path) }
+func (Mem) SpoolInitObject(string, []*grid.Complex2D) (string, error)    { return "", nil }
+func (Mem) SpoolStreamOpen(string, *dataio.StreamHeader) (string, error) { return "", nil }
+func (Mem) SpoolFrames(string, int, []dataio.Frame) error                { return nil }
+func (Mem) SpoolStreamEOF(string) error                                  { return nil }
+
+func (Mem) OpenDataset(path string) (io.ReadCloser, error)    { return os.Open(path) }
 func (Mem) LoadObject(path string) ([]*grid.Complex2D, error) { return dataio.ReadObjectFile(path) }
 func (Mem) LoadStream(string) (*dataio.StreamHeader, []dataio.Frame, bool, error) {
 	return nil, nil, false, nil
@@ -224,7 +227,7 @@ func (Mem) WriteCheckpoint(path string, slices []*grid.Complex2D) error {
 	return dataio.WriteObjectFileAtomic(path, slices)
 }
 
-func (Mem) RemoveObject(path string) error { return os.Remove(path) }
+func (Mem) Remove(path string) error { return os.Remove(path) }
 
 func (Mem) Sync() error  { return nil }
 func (Mem) Stats() Stats { return Stats{} }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -545,9 +546,6 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 func (w *WAL) walPath() string  { return filepath.Join(w.dir, "jobs.wal") }
 func (w *WAL) snapPath() string { return filepath.Join(w.dir, "jobs.snap") }
 
-// DatasetPath returns the spool path of a batch job's dataset.
-func (w *WAL) DatasetPath(id string) string { return filepath.Join(w.dir, id+".ptycho") }
-
 // StreamPath returns the spool path of a streaming job's frame journal.
 func (w *WAL) StreamPath(id string) string { return filepath.Join(w.dir, id+".ptychs") }
 
@@ -681,17 +679,15 @@ func (w *WAL) LogFinish(id, state, errMsg string, finished time.Time) error {
 	}, true)
 }
 
-// SpoolDataset persists a batch dataset atomically (tmp + sync +
-// rename): a submit record referencing the path is only written after
-// this returns, so a referenced dataset is always complete.
-func (w *WAL) SpoolDataset(id string, prob *solver.Problem) (string, error) {
-	path := w.DatasetPath(id)
-	if err := w.writeFileAtomic(path, func(f faultfs.File) error {
-		return dataio.Write(f, prob)
-	}); err != nil {
-		return "", fmt.Errorf("store: spooling dataset: %w", err)
-	}
-	return path, nil
+// SpoolUpload writes an upload spool beside the log, synced: a record
+// naming the path only follows, so a referenced dataset is complete.
+func (w *WAL) SpoolUpload(fill func(io.Writer) error) (string, error) {
+	return spoolUpload(w.fs, w.dir, true, fill)
+}
+
+// SpoolDataset spools a problem through SpoolUpload; id plays no part.
+func (w *WAL) SpoolDataset(_ string, prob *solver.Problem) (string, error) {
+	return w.SpoolUpload(func(f io.Writer) error { return dataio.Write(f, prob) })
 }
 
 func (w *WAL) SpoolInitObject(id string, slices []*grid.Complex2D) (string, error) {
@@ -777,14 +773,7 @@ func (w *WAL) SpoolStreamEOF(id string) error {
 	return nil
 }
 
-func (w *WAL) LoadDataset(path string) (*solver.Problem, error) {
-	f, err := w.fs.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return dataio.Read(f)
-}
+func (w *WAL) OpenDataset(path string) (io.ReadCloser, error) { return w.fs.Open(path) }
 
 func (w *WAL) LoadObject(path string) ([]*grid.Complex2D, error) {
 	f, err := w.fs.Open(path)
@@ -834,40 +823,46 @@ func (w *WAL) LoadStream(path string) (*dataio.StreamHeader, []dataio.Frame, boo
 // what the pre-store path skipped — without it a crash shortly after
 // rename can leave a complete-looking file with unwritten pages.
 func (w *WAL) WriteCheckpoint(path string, slices []*grid.Complex2D) error {
-	return w.writeFileAtomic(path, func(f faultfs.File) error {
+	return writeFileAtomic(w.fs, path, true, func(f faultfs.File) error {
 		return dataio.WriteObject(f, slices)
 	})
 }
 
-// RemoveObject deletes a superseded checkpoint file through the
-// filesystem seam (so fault injection sees the removal too).
-func (w *WAL) RemoveObject(path string) error { return w.fs.Remove(path) }
+// Remove deletes a file through the filesystem seam (so fault injection
+// sees the removal too).
+func (w *WAL) Remove(path string) error { return w.fs.Remove(path) }
 
-func (w *WAL) writeFileAtomic(path string, fill func(faultfs.File) error) error {
+// writeFileAtomic writes path through fs as tmp, fill, sync (when
+// asked), rename: the name only ever holds a whole file.
+func writeFileAtomic(fs faultfs.FS, path string, sync bool, fill func(faultfs.File) error) error {
 	tmp := path + ".tmp"
-	f, err := w.fs.Create(tmp)
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := fill(f); err != nil {
-		f.Close()
-		w.fs.Remove(tmp)
-		return err
+	if err = fill(f); err == nil && sync {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		w.fs.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		w.fs.Remove(tmp)
-		return err
+	if err == nil {
+		err = fs.Rename(tmp, path)
 	}
-	if err := w.fs.Rename(tmp, path); err != nil {
-		w.fs.Remove(tmp)
-		return err
+	if err != nil {
+		fs.Remove(tmp)
 	}
-	return nil
+	return err
+}
+
+// spoolUpload spools one upload under a name of its own — the upload's,
+// not a job's, so a spool is whole before any job that reads it exists.
+func spoolUpload(fs faultfs.FS, dir string, sync bool, fill func(io.Writer) error) (string, error) {
+	path := filepath.Join(dir, "upload-"+rand.Text()+".ptycho")
+	if err := writeFileAtomic(fs, path, sync, func(f faultfs.File) error { return fill(f) }); err != nil {
+		return "", fmt.Errorf("store: spooling upload: %w", err)
+	}
+	return path, nil
 }
 
 // Sync flushes the log tail to stable storage.

@@ -55,7 +55,7 @@ func logLifecycle(t testing.TB, w *WAL, id, key string) {
 	}
 	must(w.LogSubmit(SubmitRecord{
 		ID: id, Params: json.RawMessage(`{"iterations":5}`), Key: key,
-		Dataset: w.DatasetPath(id), Created: created,
+		Dataset: filepath.Join(w.dir, id+".ptycho"), Created: created,
 	}))
 	must(w.LogStart(id, created.Add(time.Second)))
 	must(w.LogIteration(id, 1, 0.9))
@@ -146,7 +146,12 @@ func TestWALSpoolRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.LoadDataset(path)
+	f, err := w.OpenDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dataio.Read(f)
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
