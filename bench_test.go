@@ -1,6 +1,6 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation section, plus ablation benches for the design
-// choices DESIGN.md calls out. Paper-scale artifacts (Tables II/III,
+// paper's evaluation section, plus ablation benches for the halo width
+// and the redundant-row count. Paper-scale artifacts (Tables II/III,
 // Fig 7) run the calibrated discrete-event model; functional artifacts
 // (Fig 8, Fig 9) run the real algorithms at laptop scale.
 //

@@ -11,7 +11,7 @@
 // Paper-scale results (tables II/III, fig 7) come from the calibrated
 // discrete-event model of a Summit-like machine; functional results
 // (fig 8, fig 9) run the real algorithms on goroutine workers at laptop
-// scale. See DESIGN.md and EXPERIMENTS.md.
+// scale. ARCHITECTURE.md's package map says which package models what.
 package main
 
 import (
@@ -205,7 +205,7 @@ func fig7b(outDir string, _ bool) error {
 // At this laptop scale the effect is a consistent ~10% excess border
 // error for Halo Voxel Exchange while Gradient Decomposition stays at
 // or below the serial baseline; the paper's visually obvious seams
-// occur at 3072^2 x 100-slice scale (see EXPERIMENTS.md).
+// occur at 3072^2 x 100-slice scale.
 func fig8(outDir string, quick bool) error {
 	scanN, iters := 12, 32
 	if quick {
@@ -353,9 +353,9 @@ func writeCSVs(outDir string, tables map[string][]perfmodel.Row) error {
 	return nil
 }
 
-// ablation prints the design-choice sensitivity studies DESIGN.md calls
-// out: the Gradient Decomposition halo width (memory/communication) and
-// the Halo Voxel Exchange redundant-row count (redundant compute).
+// ablation prints the design-choice sensitivity studies: the Gradient
+// Decomposition halo width (memory/communication) and the Halo Voxel
+// Exchange redundant-row count (redundant compute).
 func ablation(outDir string, _ bool) error {
 	cfg := perfmodel.DefaultConfig(cluster.LargeLeadTitanate())
 	cfg.SimIterations = 1

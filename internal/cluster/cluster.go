@@ -3,13 +3,12 @@
 // intra-node, EDR InfiniBand fat tree between nodes) — together with the
 // calibrated performance coefficients the paper-scale experiments use.
 //
-// Reproduction note (DESIGN.md, repro band 2/5): no V100s or InfiniBand
-// exist in this environment, so runtimes and memory footprints for
-// Tables II/III and Fig 7 come from this model driving the discrete-
-// event simulator in internal/des. The calibration anchors the cache-
-// speedup curve and the waiting-time fraction against the LARGE Lead
-// Titanate dataset (Table III(a)); the small dataset's rows are then
-// predictions, and EXPERIMENTS.md records the deviations.
+// Reproduction note: runtimes and memory footprints for Tables II/III
+// and Fig 7 come from this model driving the discrete-event simulator in
+// internal/des, not from V100s and InfiniBand. The calibration anchors
+// the cache-speedup curve and the waiting-time fraction against the
+// LARGE Lead Titanate dataset (Table III(a)); the small dataset's rows
+// are then predictions.
 package cluster
 
 import (

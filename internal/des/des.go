@@ -9,8 +9,8 @@
 //
 // The paper-scale experiments use this engine to replay the Gradient
 // Decomposition and Halo Voxel Exchange schedules on a simulated Summit
-// (4158 GPUs) that obviously cannot be reproduced physically — the
-// substitution DESIGN.md documents.
+// (4158 GPUs) that obviously cannot be reproduced physically (see
+// ARCHITECTURE.md's package map).
 package des
 
 import (

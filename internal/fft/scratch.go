@@ -32,6 +32,9 @@ func (s *Scratch) workBuf(n int) []complex128 {
 	return s.work[:n]
 }
 
+// Bytes is the arena's current size.
+func (s *Scratch) Bytes() int64 { return int64(cap(s.col)+cap(s.work)) * 16 }
+
 // Warm pre-grows the arena for transforms of a w x h plan so that even
 // the first TransformScratch call performs no allocation. Safe to call
 // with any plan the arena will later serve; the arena keeps the

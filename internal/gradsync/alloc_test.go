@@ -10,42 +10,35 @@ import (
 )
 
 // TestWorkerGradientAllocationFree guards the Gradient Decomposition
-// hot path: the per-location body of worker.iteration — zero the
-// workspace gradients, evaluate the location, accumulate into AccBuf —
-// performs no heap allocations once the worker's arena is warm. Run on
-// a 1x1 mesh so no concurrent rank pollutes the process-global
-// allocation counter AllocsPerRun reads.
+// hot path: worker.location, the per-location body of worker.iteration,
+// performs no heap allocations once the worker's arena is warm — in
+// batch mode and in faithful mode, whose gradient goes through the
+// window scratch. Run on a 1x1 mesh so no concurrent rank pollutes the
+// process-global allocation counter AllocsPerRun reads.
 func TestWorkerGradientAllocationFree(t *testing.T) {
 	prob, _ := buildProblem(t, 4, 4, 0.6, 2)
 	m := mesh(t, prob, 1, 1, tiling.HaloForWindow(prob.WindowN))
-	opt := Options{Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 1}
-	if err := opt.validate(prob); err != nil {
-		t.Fatal(err)
-	}
 	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
 	owned := m.AssignLocations(prob.Pattern)
-	var allocs float64
-	err := simmpi.Run(1, testTimeout, func(comm *simmpi.Comm) error {
-		w := newWorker(comm, prob, &opt, owned, init.Slices)
-		defer w.close()
-		li := w.owned[0]
-		win := prob.Pattern.Locations[li].Window(prob.WindowN)
-		w.ws.ZeroGrads()
-		w.ws.LossGrad(w.slices, win, prob.Meas[li])
-		allocs = testing.AllocsPerRun(10, func() {
-			w.ws.ZeroGrads()
-			w.ws.LossGrad(w.slices, win, prob.Meas[li])
-			for s := range w.acc {
-				w.acc[s].AddScaled(w.ws.Grads()[s], 1)
-			}
+	for _, mode := range []Mode{ModeBatch, ModeFaithful} {
+		opt := Options{Mesh: m, Mode: mode, StepSize: 0.01, Iterations: 1}
+		if err := opt.validate(prob); err != nil {
+			t.Fatal(err)
+		}
+		var allocs float64
+		err := simmpi.Run(1, testTimeout, func(comm *simmpi.Comm) error {
+			w := newWorker(comm, prob, &opt, owned, init.Slices)
+			defer w.close()
+			w.location(0)
+			allocs = testing.AllocsPerRun(10, func() { w.location(0) })
+			return nil
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("gradsync per-location kernel allocates %v, want 0", allocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("gradsync per-location kernel (mode %d) allocates %v, want 0", mode, allocs)
+		}
 	}
 }
 
@@ -88,9 +81,8 @@ func TestIntraPoolPersistsAcrossChunks(t *testing.T) {
 // Reconstruct, so the per-run set-up cancels — stays under 1/16 of the
 // bytes that iteration exchanges. Every payload is packed into the
 // worker's scratch, copied into a recycled buffer and released after
-// unpacking; what remains is the deadline timer of each receive that had
-// to wait and the timer and channel of each barrier inside the cost
-// allreduce. Before payloads were recycled the slope was 2.05x the bytes
+// unpacking, and each rank re-arms one deadline timer for all its waits;
+// what remains is the channel of each barrier inside the cost allreduce. Before payloads were recycled the slope was 2.05x the bytes
 // exchanged (one allocation to pack, one for Send's copy).
 func TestExchangeAllocationSlope(t *testing.T) {
 	prob, _ := buildProblem(t, 4, 4, 0.7, 2)

@@ -162,7 +162,7 @@ type worker struct {
 	slices []*grid.Complex2D // reconstruction on the extended tile
 	acc    []*grid.Complex2D // accumulated gradient buffer (AccBuf_k)
 	packed []complex128      // outgoing payload scratch, grown once to the largest overlap
-	ws     *solver.Workspace // engine + per-location gradient scratch
+	ws     *solver.Workspace // engine + faithful mode's window of gradient scratch
 	owned  []int
 	intra  *intraPool // persistent IntraWorkers goroutine pool (nil if <= 1)
 
@@ -203,23 +203,18 @@ func (w *worker) close() {
 	}
 }
 
-// memBytes estimates the rank's resident memory (complex128 = 16 B,
-// float64 = 8 B).
+// memBytes is what the rank's buffers hold: slices, AccBuf, the
+// measurements it owns and its workspaces — the engine and, in faithful
+// mode, one window of gradient scratch; with IntraWorkers, each
+// sub-worker's engine and tile-sized chunk sums.
 func (w *worker) memBytes() int64 {
-	ext := int64(w.ext.Area()) * 16
-	tileSide := ext * int64(w.prob.Slices) * 3 // slices + acc + workspace grads
-	n2 := int64(w.prob.WindowN * w.prob.WindowN)
-	meas := int64(len(w.owned)) * n2 * 8
-	model := n2 * 16 * int64(w.prob.Slices+4) // psi stack + engine workspaces
-	total := tileSide + meas + model
+	wss := []*solver.Workspace{w.ws}
 	if w.intra != nil {
-		// The rank workspace's gradient arrays never materialize (all
-		// chunks go through the pool); each persistent sub-worker instead
-		// holds its own tile-sized gradient arrays plus a model workspace.
-		total -= ext * int64(w.prob.Slices)
-		total += int64(len(w.intra.subs)) * (ext*int64(w.prob.Slices) + model)
+		for _, sub := range w.intra.subs {
+			wss = append(wss, sub.ws)
+		}
 	}
-	return total
+	return w.prob.MemBytes(w.owned, wss, w.slices, w.acc)
 }
 
 // unpackAdd adds the payload into region r of each buffer.
@@ -355,7 +350,6 @@ func (w *worker) iteration() (float64, error) {
 	}
 	var cost float64
 	n := len(w.owned)
-	step := complex(w.opt.StepSize, 0)
 	done := 0
 	for round := 0; round < rounds; round++ {
 		computeStart := time.Now()
@@ -366,19 +360,7 @@ func (w *worker) iteration() (float64, error) {
 			done = upto
 		} else {
 			for ; done < upto; done++ {
-				li := w.owned[done]
-				loc := w.prob.Pattern.Locations[li]
-				w.ws.ZeroGrads()
-				f := w.ws.LossGrad(w.slices, loc.Window(w.prob.WindowN), w.prob.Meas[li])
-				cost += f
-				for s := range w.acc {
-					w.acc[s].AddScaled(w.ws.Grads()[s], 1) // AccBuf += grad (line 7)
-				}
-				if w.opt.Mode == ModeFaithful {
-					for s := range w.slices {
-						w.slices[s].AddScaled(w.ws.Grads()[s], -step) // line 8
-					}
-				}
+				cost += w.location(done)
 			}
 		}
 		w.computeNS += time.Since(computeStart).Nanoseconds()
@@ -390,6 +372,25 @@ func (w *worker) iteration() (float64, error) {
 		w.applyAcc()
 	}
 	return cost, nil
+}
+
+// location evaluates owned location i and adds its gradient into
+// AccBuf (Alg 1 line 7), returning its loss. Batch mode accumulates
+// straight into AccBuf; faithful mode also descends the slices at once
+// (line 8), so the gradient goes through the window scratch and both
+// updates touch only the window's part of the tile.
+func (w *worker) location(i int) float64 {
+	li := w.owned[i]
+	win := w.prob.Pattern.Locations[li].Window(w.prob.WindowN)
+	if w.opt.Mode != ModeFaithful {
+		return w.ws.Eng.LossGrad(w.slices, win, w.prob.Meas[li], w.acc)
+	}
+	f, g := w.ws.LossGradWindow(w.slices, win, w.prob.Meas[li])
+	for s := range g {
+		w.acc[s].AddScaledRegion(g[s], win, 1)
+		w.slices[s].AddScaledRegion(g[s], win, -complex(w.opt.StepSize, 0))
+	}
+	return f
 }
 
 // intraSub is one member of the persistent IntraWorkers pool: a
@@ -461,10 +462,7 @@ func (w *worker) gradientChunkParallel(lo, hi int) float64 {
 		// accumulating straight into AccBuf.
 		var cost float64
 		for i := lo; i < hi; i++ {
-			li := w.owned[i]
-			loc := w.prob.Pattern.Locations[li]
-			cost += w.ws.Eng.LossGrad(w.slices, loc.Window(w.prob.WindowN),
-				w.prob.Meas[li], w.acc)
+			cost += w.location(i)
 		}
 		return cost
 	}
@@ -517,7 +515,6 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	out := &collective.RankOutcome{
 		Locations: len(w.owned),
 		Owned:     len(w.owned),
-		MemBytes:  w.memBytes(),
 	}
 	hist := make([]float64, 0, opt.Iterations)
 	var prevComputeNS, prevCommNS int64
@@ -561,6 +558,7 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	}
 	out.Slices = w.slices
 	out.CostHistory = hist
+	out.MemBytes = w.memBytes()
 	out.ComputeNS = w.computeNS
 	out.CommNS = w.commNS
 	out.SentBytes = comm.SentBytes()
@@ -606,9 +604,8 @@ func ParallelGradient(prob *solver.Problem, full []*grid.Complex2D, mesh *tiling
 	err := simmpi.Run(ranks, timeout, func(comm *simmpi.Comm) error {
 		w := newWorker(comm, prob, &opt, owned, full)
 		defer w.close()
-		for _, li := range w.owned {
-			loc := prob.Pattern.Locations[li]
-			w.ws.Eng.LossGrad(w.slices, loc.Window(prob.WindowN), prob.Meas[li], w.acc)
+		for i := range w.owned {
+			w.location(i)
 		}
 		if err := w.runPasses(); err != nil {
 			return err

@@ -393,3 +393,51 @@ func TestUnevenLocationDistribution(t *testing.T) {
 		t.Skip("distribution happened to be even; geometry changed?")
 	}
 }
+
+// TestRankMemoryHoldsTwoTileStacks: a 2x2 n32 gd rank reports the
+// buffers it holds — its slices and AccBuf, the two tile-sized stacks
+// of perfmodel.MemoryGDGB, plus the measurements it owns and
+// window-sized engine buffers (probe, S wavefronts, FFT scratch), and in
+// faithful mode one window of gradient scratch. No third tile-sized
+// gradient stack.
+func TestRankMemoryHoldsTwoTileStacks(t *testing.T) {
+	const radius = 16.0
+	pat, err := scan.Raster(scan.RasterConfig{
+		Cols: 4, Rows: 4, StepPix: scan.StepForOverlap(radius, 0.7), RadiusPix: radius, MarginPix: radius + 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 5)
+	prob, err := solver.Simulate(solver.SimulateConfig{
+		Optics: physics.PaperOptics(), Pattern: pat, Object: obj, WindowN: 32, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mesh(t, prob, 2, 2, tiling.HaloForWindow(prob.WindowN))
+	owned := m.AssignLocations(prob.Pattern)
+	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
+	window := int64(prob.WindowN*prob.WindowN) * 16 * int64(prob.Slices)
+	engine := prob.NewEngine().MemBytes() + window // probe + FFT scratch, then the wavefronts
+	for _, mode := range []Mode{ModeBatch, ModeFaithful} {
+		res, err := Reconstruct(prob, init.Slices, Options{
+			Mesh: m, Mode: mode, StepSize: 0.01, Iterations: 1, Timeout: testTimeout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, got := range res.PerRankMemBytes {
+			r, c := m.RowCol(rank)
+			stack := int64(m.Extended(r, c).Area()) * 16 * int64(prob.Slices)
+			want := 2*stack + int64(len(owned[rank])*prob.WindowN*prob.WindowN)*8 + engine
+			if mode == ModeFaithful {
+				want += window
+			}
+			if got != want {
+				t.Errorf("mode %d rank %d reports %d B, want %d (%.2f tile stacks beyond the measurements and engine)",
+					mode, rank, got, want, float64(got-want+2*stack)/float64(stack))
+			}
+		}
+	}
+}

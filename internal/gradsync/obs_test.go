@@ -85,17 +85,8 @@ func TestWorkerGradientAllocationFreeTraced(t *testing.T) {
 	err := simmpi.Run(1, testTimeout, func(comm *simmpi.Comm) error {
 		w := newWorker(comm, prob, &opt, owned, init.Slices)
 		defer w.close()
-		li := w.owned[0]
-		win := prob.Pattern.Locations[li].Window(prob.WindowN)
-		w.ws.ZeroGrads()
-		w.ws.LossGrad(w.slices, win, prob.Meas[li])
-		allocs = testing.AllocsPerRun(10, func() {
-			w.ws.ZeroGrads()
-			w.ws.LossGrad(w.slices, win, prob.Meas[li])
-			for s := range w.acc {
-				w.acc[s].AddScaled(w.ws.Grads()[s], 1)
-			}
-		})
+		w.location(0)
+		allocs = testing.AllocsPerRun(10, func() { w.location(0) })
 		return nil
 	})
 	if err != nil {

@@ -10,36 +10,27 @@ import (
 )
 
 // TestHaloGradientAllocationFree guards the Halo Voxel Exchange hot
-// path: the per-location body of the reconstruction loop — zero the
-// workspace gradients, evaluate the location, descend the local tile —
-// performs no heap allocations once the rank's arena is warm.
+// path: hworker.descend, the per-location body of the reconstruction
+// loop — evaluate the location into the window scratch, descend the
+// window's part of the tile — performs no heap allocations once the
+// rank's arena is warm.
 func TestHaloGradientAllocationFree(t *testing.T) {
 	prob, _ := buildProblem(t, 4, 4, 0.6, 2)
 	m := mesh(t, prob, 1, 1, tiling.HaloForWindow(prob.WindowN))
 	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
 
-	// Mirror the worker setup of Reconstruct: slices on the widened
+	// Mirror the worker setup of RunRank: slices on the widened
 	// extended tile plus one Workspace for the whole run.
 	ext := m.ExtendedWithHalo(0, 0, m.Halo)
-	ws := prob.NewWorkspace(ext)
-	tile := make([]*grid.Complex2D, prob.Slices)
-	for s := range tile {
-		tile[s] = grid.NewComplex2D(ext)
-		tile[s].CopyRegion(init.Slices[s], ext)
+	w := &hworker{prob: prob, opt: &Options{StepSize: 0.01}, ws: prob.NewWorkspace(ext)}
+	w.slices = make([]*grid.Complex2D, prob.Slices)
+	for s := range w.slices {
+		w.slices[s] = grid.NewComplex2D(ext)
+		w.slices[s].CopyRegion(init.Slices[s], ext)
 	}
 
-	li := 0
-	win := prob.Pattern.Locations[li].Window(prob.WindowN)
-	step := complex(0.01, 0)
-	ws.ZeroGrads()
-	ws.LossGrad(tile, win, prob.Meas[li])
-	if got := testing.AllocsPerRun(20, func() {
-		ws.ZeroGrads()
-		ws.LossGrad(tile, win, prob.Meas[li])
-		for s := range tile {
-			tile[s].AddScaled(ws.Grads()[s], -step)
-		}
-	}); got != 0 {
+	w.descend(0)
+	if got := testing.AllocsPerRun(20, func() { w.descend(0) }); got != 0 {
 		t.Errorf("halo per-location kernel allocates %v, want 0", got)
 	}
 }
@@ -50,9 +41,8 @@ func TestHaloGradientAllocationFree(t *testing.T) {
 // Reconstruct, so the per-run set-up cancels — stays under 1/16 of the
 // bytes that iteration exchanges. Every pasted region is packed into the
 // rank's scratch, copied into a recycled buffer and released after
-// unpacking; what remains is the deadline timer of each receive that had
-// to wait and the timer and channel of each barrier inside the cost
-// allreduce. Before payloads were recycled the slope was 2.07x the bytes
+// unpacking, and each rank re-arms one deadline timer for all its waits;
+// what remains is the channel of each barrier inside the cost allreduce. Before payloads were recycled the slope was 2.07x the bytes
 // exchanged (one allocation to pack, one for Send's copy).
 func TestExchangeAllocationSlope(t *testing.T) {
 	prob, _ := buildProblem(t, 8, 8, 0.7, 3)

@@ -141,7 +141,7 @@ type hworker struct {
 	r, c   int
 	ext    grid.Rect // tile + exchange halo
 	slices []*grid.Complex2D
-	ws     *solver.Workspace // per-rank gradient scratch arena
+	ws     *solver.Workspace // engine + one window of gradient scratch
 	packed []complex128      // outgoing payload scratch, grown once to the largest pasted region
 	owned  []int             // own locations
 	all    []int             // own + extra locations (reconstructed redundantly)
@@ -198,16 +198,12 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	// loop below never touches the heap after warm-up.
 	w.ws = prob.NewWorkspace(ext)
 
-	n2 := int64(prob.WindowN * prob.WindowN)
 	out := &collective.RankOutcome{
 		Locations: len(w.all),
 		Owned:     len(w.owned),
-		MemBytes: int64(ext.Area())*16*int64(prob.Slices)*2 +
-			int64(len(w.all))*n2*8 + n2*16*int64(prob.Slices+4),
 	}
 
 	hist := make([]float64, 0, opt.Iterations)
-	step := complex(opt.StepSize, 0)
 	for iter := 0; iter < opt.Iterations; iter++ {
 		var cost float64
 		nloc := len(w.all)
@@ -215,17 +211,11 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 		for ex := 0; ex < exchanges; ex++ {
 			upto := (ex + 1) * nloc / exchanges
 			for ; done < upto; done++ {
-				li := w.all[done]
-				loc := prob.Pattern.Locations[li]
-				w.ws.ZeroGrads()
-				f := w.ws.LossGrad(w.slices, loc.Window(prob.WindowN), prob.Meas[li])
+				f := w.descend(w.all[done])
 				// Cost is reported over owned locations only, so the
 				// histories are comparable with Gradient Decomposition.
 				if done < len(w.owned) {
 					cost += f
-				}
-				for s := range w.slices {
-					w.slices[s].AddScaled(w.ws.Grads()[s], -step)
 				}
 			}
 			if err := w.exchangeVoxels(haloW); err != nil {
@@ -254,9 +244,23 @@ func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D
 	}
 	out.Slices = w.slices
 	out.CostHistory = hist
+	out.MemBytes = prob.MemBytes(w.all, []*solver.Workspace{w.ws}, w.slices)
 	out.SentBytes = comm.SentBytes()
 	out.SentMessages = comm.SentMessages()
 	return out, nil
+}
+
+// descend evaluates location li and takes the local gradient step on
+// the slices, returning its loss. The gradient goes through the
+// workspace's window scratch, so only the window's part of the tile is
+// cleared and updated.
+func (w *hworker) descend(li int) float64 {
+	win := w.prob.Pattern.Locations[li].Window(w.prob.WindowN)
+	f, g := w.ws.LossGradWindow(w.slices, win, w.prob.Meas[li])
+	for s := range g {
+		w.slices[s].AddScaledRegion(g[s], win, -complex(w.opt.StepSize, 0))
+	}
+	return f
 }
 
 // Reconstruct runs the Halo Voxel Exchange baseline over an in-process

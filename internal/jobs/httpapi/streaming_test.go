@@ -138,6 +138,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 	var evMu sync.Mutex
 	events := map[string]int{}
 	sseDone := make(chan error, 1)
+	subscribed := make(chan struct{}) // closed at the feed's first event
 	go func() {
 		resp, err := http.Get(jobURL + "/events")
 		if err != nil {
@@ -153,12 +154,24 @@ func TestStreamingEndToEnd(t *testing.T) {
 		for sc.Scan() {
 			if name, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
 				evMu.Lock()
+				if len(events) == 0 {
+					close(subscribed)
+				}
 				events[name]++
 				evMu.Unlock()
 			}
 		}
 		sseDone <- sc.Err()
 	}()
+	// The frames events are only seen by a subscriber connected before
+	// the chunks are posted.
+	select {
+	case <-subscribed:
+	case err := <-sseDone:
+		t.Fatalf("SSE feed ended before its first event: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("SSE feed sent no event")
+	}
 
 	// Feed three chunks, each folded while the job iterates.
 	n := len(frames)

@@ -38,24 +38,24 @@ import (
 
 // Engine evaluates the forward model and gradients for a fixed probe,
 // propagator and window size. An Engine is the wavefield half of the
-// per-worker scratch arena: it owns the exit-wave stack, the far-field
-// and residual (chi) buffers and an fft.Scratch, so steady-state
+// per-worker scratch arena: it owns the probe, S wavefront buffers (the
+// last doubles as far field and chi) and an fft.Scratch, so steady-state
 // Loss/LossGrad calls perform zero heap allocations. It is
 // NOT safe for concurrent use; parallel workers each construct their
 // own (construction is cheap — FFT plans are cached globally).
 type Engine struct {
 	n     int
-	probe *grid.Complex2D // anchored at (0,0), n x n, read-only
+	probe *grid.Complex2D // anchored at (0,0), n x n; psi[0]
 	h     *grid.Complex2D // Fresnel kernel, n x n, read-only; nil = no propagation
 	plan  *fft.Plan2D
 	scr   fft.Scratch // per-engine FFT workspace arena
 	dark  float64     // |D| below this is a dark pixel: no gradient
 
-	// Scratch: per-slice wavefronts psi[0..S] kept from the last forward
-	// evaluation for use by the backward pass.
-	psi   []*grid.Complex2D
-	fwork *grid.Complex2D // far-field / residual workspace
-	bwork *grid.Complex2D // backward wave workspace
+	// psi[0..S-1] are the wavefronts entering each slice, kept from the
+	// last forward evaluation for the backward pass; psi[0] is the probe.
+	// The forward pass transforms psi[S] in place into the far field, and
+	// the backward pass, which never reads psi[S], writes chi over it.
+	psi []*grid.Complex2D
 }
 
 // NewEngine builds an engine for the given probe and propagation kernel.
@@ -77,9 +77,8 @@ func NewEngine(probe, h *grid.Complex2D) *Engine {
 		probe: grid.NewComplex2DSize(n, n),
 		h:     h,
 		plan:  fft.NewPlan2D(n, n, false),
-		fwork: grid.NewComplex2DSize(n, n),
-		bwork: grid.NewComplex2DSize(n, n),
 	}
+	e.psi = []*grid.Complex2D{e.probe}
 	e.SetProbe(probe)
 	e.scr.Warm(e.plan)
 	return e
@@ -112,6 +111,16 @@ func (e *Engine) ensurePsi(s int) {
 	}
 }
 
+// MemBytes is what the engine's buffers hold: the probe, the wavefront
+// stack as far as it has grown, and the FFT scratch.
+func (e *Engine) MemBytes() int64 {
+	var b int64
+	for _, p := range e.psi {
+		b += int64(len(p.Data)) * 16
+	}
+	return b + e.scr.Bytes()
+}
+
 // mulWindow multiplies the n x n wave b in place by the window win of
 // slice, read where it lies; outside the slice's bounds is vacuum
 // (t = 1) and b stays as it is.
@@ -126,15 +135,14 @@ func mulWindow(b []complex128, n int, slice *grid.Complex2D, win grid.Rect) {
 	}
 }
 
-// forward runs the multi-slice recursion, leaving psi[s] for s=0..S
-// populated and returning the far-field D (stored in fwork).
+// forward runs the multi-slice recursion, leaving psi[s] for s=0..S-1
+// populated and returning the far-field D, which is psi[S] transformed.
 func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2D {
 	s := len(slices)
 	if s == 0 {
 		panic("multislice: empty slice stack")
 	}
 	e.ensurePsi(s)
-	copy(e.psi[0].Data, e.probe.Data)
 	for i, sl := range slices {
 		next := e.psi[i+1]
 		copy(next.Data, e.psi[i].Data)
@@ -147,9 +155,8 @@ func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2
 			e.plan.TransformScratch(next, fft.Inverse, &e.scr)
 		}
 	}
-	copy(e.fwork.Data, e.psi[s].Data)
-	e.plan.TransformScratch(e.fwork, fft.Forward, &e.scr)
-	return e.fwork
+	e.plan.TransformScratch(e.psi[s], fft.Forward, &e.scr)
+	return e.psi[s]
 }
 
 // Simulate computes the far-field amplitude |G(p, V)| for the window win
@@ -219,8 +226,8 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 	d := e.forward(slices, win)
 
 	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|, zero on dark pixels,
-	// written conjugated into b; one |D| serves the loss and chi.
-	b := e.bwork.Data
+	// written conjugated over D; one |D| serves the loss and chi.
+	b := d.Data
 	var f float64
 	for i, v := range d.Data {
 		m := amplitude(v)
@@ -234,7 +241,7 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 		b[i] = complex(k*real(v), -k*imag(v))
 	}
 	// psi_bar_S = F^H chi; b = conj(psi_bar_S) = F(conj chi).
-	e.plan.TransformScratch(e.bwork, fft.Forward, &e.scr)
+	e.plan.TransformScratch(d, fft.Forward, &e.scr)
 
 	// Backward slice loop: b holds conj(psi_bar) after slice i.
 	invN2 := 1 / float64(n*n)
@@ -244,11 +251,11 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 			// psi_bar' = F^-1 conj(h) F psi_bar. On the conjugate that
 			// is b' = F(h F^-1 b) with F^-1 b = conj(F(conj b))/N; the
 			// step below left b conjugated for the first transform.
-			e.plan.TransformScratch(e.bwork, fft.Forward, &e.scr)
+			e.plan.TransformScratch(d, fft.Forward, &e.scr)
 			for j, hj := range e.h.Data {
 				b[j] = hj * complex(invN2*real(b[j]), -invN2*imag(b[j]))
 			}
-			e.plan.TransformScratch(e.bwork, fft.Forward, &e.scr)
+			e.plan.TransformScratch(d, fft.Forward, &e.scr)
 		}
 		// g_t(i) = conj(psi_i) * psi_bar' = conj(psi_i * b)  (psi_i =
 		// wave entering slice i).

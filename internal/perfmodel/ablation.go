@@ -1,8 +1,8 @@
 package perfmodel
 
-// Ablations for the design choices DESIGN.md calls out: the Gradient
-// Decomposition halo width (memory/communication trade-off) and the
-// Halo Voxel Exchange redundant-row count (compute/quality trade-off).
+// Ablations for two design choices: the Gradient Decomposition halo
+// width (memory/communication trade-off) and the Halo Voxel Exchange
+// redundant-row count (compute/quality trade-off).
 
 // HaloPoint is one row of the halo-width sensitivity sweep.
 type HaloPoint struct {

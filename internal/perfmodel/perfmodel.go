@@ -6,9 +6,9 @@
 //
 // Runtimes come from replaying each algorithm's communication schedule
 // on the discrete-event simulator (internal/des) with compute times from
-// the calibrated model in internal/cluster; memory footprints come from
-// the analytic accounting below. DESIGN.md and EXPERIMENTS.md document
-// the calibration and the paper-vs-model deviations.
+// the calibrated model in internal/cluster (whose package comment
+// states the calibration); memory footprints come from the analytic
+// accounting below.
 package perfmodel
 
 import (

@@ -155,6 +155,30 @@ func (l *FreeList) Len() int {
 	return len(l.bufs)
 }
 
+// Deadline is the reusable deadline timer of an endpoint on which one
+// goroutine at a time waits: re-armed for every blocking call instead of
+// a new timer per wait. With go 1.23+ timer semantics, Reset and Stop
+// discard an expiry not yet received, so it never fires stale. The zero
+// value is ready to use.
+type Deadline struct{ t *time.Timer }
+
+// After arms the timer for d and returns its channel.
+func (dl *Deadline) After(d time.Duration) <-chan time.Time {
+	if dl.t == nil {
+		dl.t = time.NewTimer(d)
+	} else {
+		dl.t.Reset(d)
+	}
+	return dl.t.C
+}
+
+// Stop disarms the timer.
+func (dl *Deadline) Stop() {
+	if dl.t != nil {
+		dl.t.Stop()
+	}
+}
+
 // Msg is an in-flight message.
 type Msg struct {
 	Src  int
@@ -192,6 +216,10 @@ type mailbox struct {
 	// free recycles the payloads the rank that owns this mailbox has
 	// released, for the copies its own Sends make.
 	free FreeList
+
+	// deadline times the owning rank's Recv and Barrier waits; only that
+	// rank's goroutine touches it.
+	deadline Deadline
 
 	// Outgoing counters of the rank that OWNS this mailbox (not traffic
 	// into it) — the per-endpoint view Transport requires.
@@ -294,11 +322,10 @@ func (c *Comm) Recv(src, tag int) ([]complex128, error) {
 			return nil, fmt.Errorf("%w: rank %d waiting for src=%d tag=%d",
 				ErrTimeout, c.rank, src, tag)
 		}
-		timer := time.NewTimer(wait)
 		select {
 		case <-box.signal:
-			timer.Stop()
-		case <-timer.C:
+			box.deadline.Stop()
+		case <-box.deadline.After(wait):
 			return nil, fmt.Errorf("%w: rank %d waiting for src=%d tag=%d",
 				ErrTimeout, c.rank, src, tag)
 		}
@@ -322,12 +349,12 @@ func (c *Comm) Barrier() error {
 	ch := w.barrierCh
 	w.barrierMu.Unlock()
 
-	timer := time.NewTimer(w.timeout)
-	defer timer.Stop()
+	dl := &w.boxes[c.rank].deadline
+	defer dl.Stop()
 	select {
 	case <-ch:
 		return nil
-	case <-timer.C:
+	case <-dl.After(w.timeout):
 		return fmt.Errorf("%w: rank %d in barrier generation %d", ErrTimeout, c.rank, gen)
 	}
 }

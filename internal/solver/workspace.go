@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"fmt"
+
 	"ptychopath/internal/grid"
 	"ptychopath/internal/multislice"
 )
@@ -8,12 +10,13 @@ import (
 // Workspace is the per-worker scratch arena of the gradient hot path.
 // It bundles everything one reconstruction worker (the stand-in for one
 // GPU) needs to evaluate per-location gradients without touching the
-// heap: a multislice engine (probe/exit-wave/chi buffers plus FFT
-// scratch) and one gradient accumulation array per object slice sized
-// to the worker's bounds. All three engines — Serial, Gradient
-// Decomposition and Halo Voxel Exchange — build exactly one Workspace
-// per worker and reuse it for the whole run, which is what makes their
-// steady-state gradient kernels allocation-free.
+// heap: a multislice engine (probe/wavefront buffers plus FFT scratch)
+// and, built only for the callers that use them, either one gradient
+// accumulation array per object slice sized to the worker's bounds or
+// one window of per-location gradient scratch. All three engines —
+// Serial, Gradient Decomposition and Halo Voxel Exchange — build exactly
+// one Workspace per worker and reuse it for the whole run, which is what
+// makes their steady-state gradient kernels allocation-free.
 //
 // A Workspace is NOT safe for concurrent use; concurrent workers (for
 // example the IntraWorkers goroutine pool in gradsync) each own one.
@@ -25,14 +28,14 @@ type Workspace struct {
 	bounds grid.Rect
 	slices int
 	grads  []*grid.Complex2D // built on first Grads() call
+	win    []*grid.Complex2D // n x n each, built on first LossGradWindow call
 }
 
 // NewWorkspace builds the per-worker arena for this problem with
 // gradient arrays covering bounds (the full image for the serial
 // solver, the extended tile for parallel workers). The gradient arrays
-// materialize on first use, so callers that only need the engine — the
-// gradsync tiny-chunk fallback and ParallelGradient accumulate straight
-// into their own buffers — pay nothing for them.
+// materialize on first use, so callers that only need the engine or the
+// window scratch — gradsync and halo ranks — pay nothing for them.
 func (p *Problem) NewWorkspace(bounds grid.Rect) *Workspace {
 	return &Workspace{Eng: p.NewEngine(), bounds: bounds, slices: p.Slices}
 }
@@ -63,4 +66,51 @@ func (ws *Workspace) ZeroGrads() {
 // allocation-free per-location kernel.
 func (ws *Workspace) LossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D) float64 {
 	return ws.Eng.LossGrad(slices, win, yAmp, ws.Grads())
+}
+
+// LossGradWindow evaluates one probe location into the window scratch —
+// one n x n array per slice, re-anchored at win and cleared — and
+// returns the loss and that scratch, valid until the next call. Callers
+// that apply each location's gradient on its own use it so that only
+// the window is cleared and swept, never the worker's whole bounds.
+func (ws *Workspace) LossGradWindow(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D) (float64, []*grid.Complex2D) {
+	if ws.win == nil {
+		ws.win = make([]*grid.Complex2D, ws.slices)
+		for i := range ws.win {
+			ws.win[i] = grid.NewComplex2D(win)
+		}
+	}
+	for _, g := range ws.win {
+		if win.Area() != len(g.Data) {
+			panic(fmt.Sprintf("solver: window %v does not fit the %d-element scratch", win, len(g.Data)))
+		}
+		g.Bounds = win
+		g.Zero()
+	}
+	return ws.Eng.LossGrad(slices, win, yAmp, ws.win), ws.win
+}
+
+// MemBytes is what a worker holds: the measurements of the locations
+// locs, the buffers of its workspaces as built so far — the engine's,
+// and whichever of the gradient arrays and the window scratch have been
+// used — and its own object-sized stacks.
+func (p *Problem) MemBytes(locs []int, wss []*Workspace, stacks ...[]*grid.Complex2D) int64 {
+	var b int64
+	for _, li := range locs {
+		b += int64(len(p.Meas[li].Data)) * 8
+	}
+	add := func(arrs []*grid.Complex2D) {
+		for _, a := range arrs {
+			b += int64(len(a.Data)) * 16
+		}
+	}
+	for _, st := range stacks {
+		add(st)
+	}
+	for _, ws := range wss {
+		b += ws.Eng.MemBytes()
+		add(ws.grads)
+		add(ws.win)
+	}
+	return b
 }

@@ -38,7 +38,8 @@ type Client struct {
 	wbuf []byte
 
 	mu            sync.Mutex
-	signal        chan struct{} // pulsed on every state change; single waiter
+	signal        chan struct{}   // pulsed on every state change; single waiter
+	deadline      simmpi.Deadline // times the single waiter's await
 	inbox         []message
 	setups        []*Setup
 	shard         *shardPipe // of the Setup WaitSetup last returned; nil without one
@@ -156,8 +157,9 @@ type shardPipe struct {
 	err    error         // io.EOF after a complete shard, else why it broke off
 
 	// Reader side only.
-	timeout time.Duration
-	cur     []byte // unread rest of the lent frame
+	timeout  time.Duration
+	deadline simmpi.Deadline
+	cur      []byte // unread rest of the lent frame
 }
 
 func newShardPipe() *shardPipe {
@@ -197,15 +199,14 @@ func (p *shardPipe) end(err error) {
 // calls Read again, and the read loop must not wait for it to.
 func (p *shardPipe) Read(b []byte) (int, error) {
 	if len(p.cur) == 0 {
-		timer := time.NewTimer(p.timeout)
-		defer timer.Stop()
+		defer p.deadline.Stop()
 		select {
 		case f, ok := <-p.frames:
 			if !ok {
 				return 0, p.err
 			}
 			p.cur = f
-		case <-timer.C:
+		case <-p.deadline.After(p.timeout):
 			return 0, fmt.Errorf("%w: waiting for the next shard frame", simmpi.ErrTimeout)
 		}
 	}
@@ -381,11 +382,10 @@ func (c *Client) await(ready func() bool, what func() string) error {
 		if wait <= 0 {
 			return fmt.Errorf("%w: rank %d %s", simmpi.ErrTimeout, c.rank, what())
 		}
-		timer := time.NewTimer(wait)
 		select {
 		case <-c.signal:
-			timer.Stop()
-		case <-timer.C:
+			c.deadline.Stop()
+		case <-c.deadline.After(wait):
 			return fmt.Errorf("%w: rank %d %s", simmpi.ErrTimeout, c.rank, what())
 		}
 		c.mu.Lock()
