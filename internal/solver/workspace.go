@@ -74,6 +74,9 @@ func (ws *Workspace) LossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *gri
 // that apply each location's gradient on its own use it so that only
 // the window is cleared and swept, never the worker's whole bounds.
 func (ws *Workspace) LossGradWindow(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D) (float64, []*grid.Complex2D) {
+	if n := ws.Eng.N(); win.W() != n || win.H() != n {
+		panic(fmt.Sprintf("solver: window %v is not %d x %d", win, n, n))
+	}
 	if ws.win == nil {
 		ws.win = make([]*grid.Complex2D, ws.slices)
 		for i := range ws.win {
@@ -81,9 +84,6 @@ func (ws *Workspace) LossGradWindow(slices []*grid.Complex2D, win grid.Rect, yAm
 		}
 	}
 	for _, g := range ws.win {
-		if win.Area() != len(g.Data) {
-			panic(fmt.Sprintf("solver: window %v does not fit the %d-element scratch", win, len(g.Data)))
-		}
 		g.Bounds = win
 		g.Zero()
 	}
