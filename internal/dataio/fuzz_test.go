@@ -216,6 +216,12 @@ func FuzzReadObject(f *testing.F) {
 	f.Add(valid[:8+5*8+7])
 	f.Add(valid[:8+5*8+2*8*8*8]) // after slice 0 of 2
 	f.Add(valid[:len(valid)-1])
+	// A region encoded in place, as grid ranks and warm starts send it.
+	region, err := AppendObjectRegion(nil, obj.Slices, grid.NewRect(1, 2, 7, 5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(region)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		slices, err := ReadObject(bytes.NewReader(data))

@@ -31,6 +31,7 @@ const objHeaderLen = 8 + 5*8
 const (
 	maxObjectSlices = 1 << 16
 	maxObjectDim    = 1 << 16
+	objectPrealloc  = 1 << 20 // values (16 MiB) per slice before its rows arrive
 )
 
 // ErrSliceMismatch is returned by WriteObject when the slices do not
@@ -96,12 +97,28 @@ func AppendObject(dst []byte, slices []*grid.Complex2D) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	if need := objHeaderLen + len(slices)*16*bounds.Area(); cap(dst)-len(dst) < need {
+	return AppendObjectRegion(dst, slices, bounds)
+}
+
+// AppendObjectRegion appends exactly what AppendObject appends for the
+// slices extracted to region, reading their rows in place. A region
+// that is empty or leaves the slices' bounds is ErrSliceMismatch.
+func AppendObjectRegion(dst []byte, slices []*grid.Complex2D, region grid.Rect) ([]byte, error) {
+	bounds, err := checkObject(slices)
+	if err != nil {
+		return dst, err
+	}
+	if region.Empty() || !bounds.ContainsRect(region) {
+		return dst, fmt.Errorf("%w: region %v outside bounds %v", ErrSliceMismatch, region, bounds)
+	}
+	if need := objHeaderLen + len(slices)*16*region.Area(); cap(dst)-len(dst) < need {
 		dst = append(make([]byte, 0, len(dst)+need), dst...)
 	}
-	dst = appendObjectHeader(dst, len(slices), bounds)
+	dst = appendObjectHeader(dst, len(slices), region)
 	for _, s := range slices {
-		dst = wire.AppendComplex128s(dst, s.Data)
+		for y := region.Y0; y < region.Y1; y++ {
+			dst = wire.AppendComplex128s(dst, s.Row(y)[region.X0-bounds.X0:region.X1-bounds.X0])
+		}
 	}
 	return dst, nil
 }
@@ -131,13 +148,22 @@ func ReadObject(r io.Reader) ([]*grid.Complex2D, error) {
 	}
 	bounds := grid.RectWH(int(header[1]), int(header[2]), w, h)
 	out := make([]*grid.Complex2D, n)
-	buf := make([]byte, 16*w*h) // one slice of staging, reused
+	row := make([]byte, 16*w) // one row of staging, reused
 	for s := 0; s < n; s++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("dataio: reading object slice %d: %w", s, err)
+		// Up to objectPrealloc values are allocated on the header's word;
+		// past that the slice doubles only as its rows arrive.
+		data := make([]complex128, 0, min(w*h, objectPrealloc))
+		for y := 0; y < h; y++ {
+			if _, err := io.ReadFull(br, row); err != nil {
+				return nil, fmt.Errorf("dataio: reading object slice %d: %w", s, err)
+			}
+			if cap(data)-len(data) < w {
+				data = append(make([]complex128, 0, min(w*h, 2*cap(data))), data...)
+			}
+			data = data[:len(data)+w]
+			wire.Complex128s(data[len(data)-w:], row)
 		}
-		out[s] = grid.NewComplex2D(bounds)
-		wire.Complex128s(out[s].Data, buf)
+		out[s] = &grid.Complex2D{Bounds: bounds, Data: data}
 	}
 	return out, nil
 }

@@ -205,7 +205,8 @@ func Run(prob *solver.Problem, init []*grid.Complex2D, s Spec, h Hooks) (*Result
 // RunRank executes one rank of a parallel run against an arbitrary
 // transport endpoint. Every rank of comm's world calls it with the same
 // spec and either the shared full problem and init, or just its own
-// share of them as Shards describes it.
+// share of them as Shards describes it. A nil init starts the rank from
+// vacuum over its Shards region.
 func RunRank(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2D, s Spec, h Hooks) (*collective.RankOutcome, error) {
 	_, out, err := dispatch(comm, prob, init, s, h)
 	return out, err
@@ -225,8 +226,8 @@ type Shard struct {
 // order), with an init covering shards[r].Region, is all rank r needs:
 // RunRank on it is bit-identical to RunRank on the full problem, because
 // the engines assign locations to tiles by position and the subset puts
-// the same ones, in the same order, on rank r. This is the only place
-// that knows which engine needs what.
+// the same ones, in the same order, on rank r. This and Spec.region are
+// the only place that knows which engine needs what.
 func Shards(prob *solver.Problem, s Spec) ([]Shard, error) {
 	mesh, err := s.check(prob)
 	if err != nil {
@@ -238,18 +239,25 @@ func Shards(prob *solver.Problem, s Spec) ([]Shard, error) {
 	owned := mesh.AssignLocations(prob.Pattern)
 	shards := make([]Shard, mesh.NumTiles())
 	for rank := range shards {
-		r, c := mesh.RowCol(rank)
-		if s.Algorithm == "gd" {
-			shards[rank] = Shard{Locations: owned[rank], Region: mesh.Extended(r, c)}
-			continue
+		locs := owned[rank]
+		if s.Algorithm == "hve" {
+			// hve also evaluates the neighbours' locations near its border.
+			r, c := mesh.RowCol(rank)
+			locs = append(slices.Clone(locs), mesh.ExtraRowLocations(prob.Pattern, owned, r, c, s.hveExtraRows())...)
+			slices.Sort(locs)
 		}
-		// hve also evaluates the neighbours' locations near its border.
-		locs := append(slices.Clone(owned[rank]),
-			mesh.ExtraRowLocations(prob.Pattern, owned, r, c, s.hveExtraRows())...)
-		slices.Sort(locs)
-		shards[rank] = Shard{Locations: locs, Region: mesh.ExtendedWithHalo(r, c, mesh.Halo)}
+		shards[rank] = Shard{Locations: locs, Region: s.region(mesh, rank)}
 	}
 	return shards, nil
+}
+
+// region is the part of the object one rank of a parallel run reads.
+func (s Spec) region(mesh *tiling.Mesh, rank int) grid.Rect {
+	r, c := mesh.RowCol(rank)
+	if s.Algorithm == "gd" {
+		return mesh.Extended(r, c)
+	}
+	return mesh.ExtendedWithHalo(r, c, mesh.Halo)
 }
 
 // hveExtraRows resolves the HVEExtraRows default.
@@ -284,7 +292,11 @@ func dispatch(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2
 		return nil, nil, err
 	}
 	if init == nil {
-		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+		bounds := prob.ImageBounds()
+		if comm != nil && mesh != nil && comm.Rank() < mesh.NumTiles() {
+			bounds = s.region(mesh, comm.Rank())
+		}
+		init = phantom.Vacuum(bounds, prob.Slices).Slices
 	}
 	h = h.offset(s.StartIter)
 	var par *collective.Result

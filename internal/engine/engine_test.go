@@ -205,29 +205,36 @@ func engineMatrix(t *testing.T, n int) {
 				}
 
 				// (b') Sharding adds nothing: each rank handed only its
-				// Shards share — its locations, its region of the init —
-				// computes the same tile.
+				// Shards share — its locations, and its region of the
+				// init or none at all (a vacuum start) — computes the
+				// same tile.
 				shards, err := Shards(prob, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded := make([]*collective.RankOutcome, len(shards))
-				err = simmpi.Run(len(shards), testTimeout, func(comm *simmpi.Comm) error {
-					sh := shards[comm.Rank()]
-					out, err := RunRank(comm, subProblem(prob, sh.Locations), cropped(vacuum, sh.Region), spec, Hooks{})
-					sharded[comm.Rank()] = out
-					return err
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err = Assemble(prob, spec, sharded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameObject(t, "sharded RunRank+Assemble vs Run", res.Slices, ref.Slices)
-				if !slices.Equal(res.CostHistory, ref.CostHistory) {
-					t.Fatalf("sharded ranks' cost history %v, Run %v", res.CostHistory, ref.CostHistory)
+				for _, vacuumStart := range []bool{false, true} {
+					sharded := make([]*collective.RankOutcome, len(shards))
+					err = simmpi.Run(len(shards), testTimeout, func(comm *simmpi.Comm) error {
+						sh := shards[comm.Rank()]
+						init := cropped(vacuum, sh.Region)
+						if vacuumStart {
+							init = nil
+						}
+						out, err := RunRank(comm, subProblem(prob, sh.Locations), init, spec, Hooks{})
+						sharded[comm.Rank()] = out
+						return err
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err = Assemble(prob, spec, sharded)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameObject(t, fmt.Sprintf("sharded RunRank+Assemble (vacuum start %v) vs Run", vacuumStart), res.Slices, ref.Slices)
+					if !slices.Equal(res.CostHistory, ref.CostHistory) {
+						t.Fatalf("sharded ranks' cost history %v, Run %v", res.CostHistory, ref.CostHistory)
+					}
 				}
 				seen := make([]int, prob.Pattern.N())
 				for rank, sh := range shards {
@@ -421,5 +428,48 @@ func TestSpecJSONKeysAreTheWALs(t *testing.T) {
 	}
 	if want := `{"algorithm":"serial","iterations":4,"step_size":0.01}`; string(b) != want {
 		t.Errorf("Spec JSON %s, want %s", b, want)
+	}
+}
+
+// TestRankVacuumCoversItsRegion: a rank given no init builds its vacuum
+// over its Shards region, as the grid sends a warm start's tile, not
+// over the whole image. Measured as the bytes the ranks allocate beyond
+// the same run handed those tiles.
+func TestRankVacuumCoversItsRegion(t *testing.T) {
+	prob := problem(t, 16)
+	spec := Spec{Algorithm: "gd", MeshRows: 3, MeshCols: 3, Iterations: 1, StepSize: testStep, Timeout: testTimeout}
+	shards, err := Shards(prob, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vacuum := phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	inits := make([][]*grid.Complex2D, len(shards))
+	var region, full uint64
+	for r, sh := range shards {
+		inits[r] = cropped(vacuum, sh.Region)
+		region += uint64(prob.Slices * 16 * sh.Region.Area())
+		full += uint64(prob.Slices * 16 * prob.ImageBounds().Area())
+	}
+	allocated := func(vacuumStart bool) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := simmpi.Run(len(shards), testTimeout, func(comm *simmpi.Comm) error {
+			init := inits[comm.Rank()]
+			if vacuumStart {
+				init = nil
+			}
+			_, err := RunRank(comm, prob, init, spec, Hooks{})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(false) // warm the FFT plans and free lists
+	given, own := allocated(false), allocated(true)
+	if own > given+(region+full)/2 {
+		t.Fatalf("the ranks' own vacuum cost %d B more than handed tiles; their regions total %d B, a whole image each %d B",
+			own-given, region, full)
 	}
 }

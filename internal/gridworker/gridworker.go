@@ -5,7 +5,8 @@
 // uses, driven over the TCP transport instead of the in-process world —
 // and ships the rank's interior tile back for stitching. A rank holds
 // only what the coordinator sharded out to it: the measurements of the
-// locations it evaluates and its own tile of the initial object.
+// locations it evaluates and, on a warm start, its own tile of the
+// initial object.
 //
 // cmd/ptychoworker is a thin flag wrapper around Run; the capstone
 // tests drive Run directly over loopback TCP.
@@ -166,9 +167,11 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	if err != nil {
 		return fail(fmt.Errorf("decoding shard: %w", err))
 	}
-	init, err := dataio.ReadObject(bytes.NewReader(setup.Init))
-	if err != nil {
-		return fail(fmt.Errorf("decoding initial object: %w", err))
+	var init []*grid.Complex2D // none: a vacuum start, the engine builds the tile
+	if len(setup.Init) > 0 {
+		if init, err = dataio.ReadObject(bytes.NewReader(setup.Init)); err != nil {
+			return fail(fmt.Errorf("decoding initial object: %w", err))
+		}
 	}
 
 	// Progress plumbing: the engine invokes OnIteration and OnSnapshot on
@@ -204,16 +207,13 @@ func runSession(ctx context.Context, c *transport.Client, setup *transport.Setup
 	if err != nil {
 		return fail(err)
 	}
-	// Only the interior goes back: the stitch copies nothing else.
+	// Only the interior goes back, encoded in place: the stitch copies
+	// nothing else.
 	mesh, err := engine.NewMesh(prob, spec)
 	if err != nil {
 		return fail(err)
 	}
-	interior := mesh.Tile(mesh.RowCol(setup.Rank))
-	for i, a := range out.Slices {
-		out.Slices[i] = a.Extract(interior)
-	}
-	tile, err := dataio.AppendObject(nil, out.Slices)
+	tile, err := dataio.AppendObjectRegion(nil, out.Slices, mesh.Tile(mesh.RowCol(setup.Rank)))
 	if err != nil {
 		return fail(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
 	"ptychopath/internal/scan"
+	"ptychopath/internal/simmpi"
 	"ptychopath/internal/solver"
 	"ptychopath/internal/transport"
 	"ptychopath/internal/wire"
@@ -21,10 +23,12 @@ import (
 
 // TestBadSetupFailsInBand: a session the worker cannot run — a Spec
 // naming an unknown algorithm, a shard with a flipped byte (caught by
-// the PTYCHS chunk CRC), a shard that stops before its 'E' chunk — comes
-// back as RankResult.Err (the session fails with the rank's message),
-// never as a dropped connection: the same two connections then serve a
-// good session.
+// the PTYCHS chunk CRC), a shard that stops before its 'E' chunk, an
+// initial object that does not decode — comes back as RankResult.Err
+// (the session fails with the rank's message), never as a dropped
+// connection: the same two connections then serve a good session, a
+// vacuum start with no init tile, whose ranks match engine.RunRank on
+// the full problem.
 func TestBadSetupFailsInBand(t *testing.T) {
 	pat, err := scan.Raster(scan.RasterConfig{Cols: 4, Rows: 4, StepPix: 5, RadiusPix: 6, MarginPix: 6})
 	if err != nil {
@@ -43,13 +47,10 @@ func TestBadSetupFailsInBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each rank's share as the coordinator sends it: init tile and a
-	// PTYCHS stream of two chunks.
-	inits, streams := make([][]byte, ranks), make([][]byte, ranks)
+	// Each rank's share as the coordinator sends it on a vacuum start:
+	// no init tile and a PTYCHS stream of two chunks.
+	streams := make([][]byte, ranks)
 	for r, sh := range shards {
-		if inits[r], err = dataio.AppendObject(nil, phantom.Vacuum(sh.Region, prob.Slices).Slices); err != nil {
-			t.Fatal(err)
-		}
 		var frames []dataio.Frame
 		for _, i := range sh.Locations {
 			frames = append(frames, dataio.Frame{Loc: pat.Locations[i], Meas: prob.Meas[i]})
@@ -95,8 +96,9 @@ func TestBadSetupFailsInBand(t *testing.T) {
 		}
 		return hub.Workers()
 	}
-	// session runs one session in which rank 1's shard is mangled.
-	session := func(alg string, mangle func([]byte) []byte) ([]*transport.RankResult, error) {
+	// session runs one session in which rank 1's shard is mangled and
+	// rank 1 is sent init.
+	session := func(alg string, init []byte, mangle func([]byte) []byte) ([]*transport.RankResult, error) {
 		t.Helper()
 		spec := spec
 		spec.Algorithm = alg
@@ -106,13 +108,13 @@ func TestBadSetupFailsInBand(t *testing.T) {
 		}
 		setups := make([]*transport.Setup, ranks)
 		for r := range setups {
-			stream := streams[r]
+			stream, rankInit := streams[r], []byte(nil)
 			if r == 1 {
-				stream = mangle(bytes.Clone(stream))
+				stream, rankInit = mangle(bytes.Clone(stream)), init
 			}
 			setups[r] = &transport.Setup{
 				JobID: "t", Algorithm: alg, TimeoutMS: 30_000,
-				Spec: specJSON, Init: inits[r], Shard: bytes.NewReader(stream),
+				Spec: specJSON, Init: rankInit, Shard: bytes.NewReader(stream),
 			}
 		}
 		sess, err := hub.StartSession(setups, transport.SessionCallbacks{})
@@ -124,17 +126,23 @@ func TestBadSetupFailsInBand(t *testing.T) {
 	intact := func(b []byte) []byte { return b }
 
 	before := waitIdle()
+	tile, err := dataio.AppendObject(nil, phantom.Vacuum(shards[1].Region, prob.Slices).Slices)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []struct {
 		name, alg, want string
+		init            []byte
 		mangle          func([]byte) []byte
 	}{
-		{"unknown algorithm", "nope", `unknown algorithm "nope"`, intact},
-		{"flipped shard byte", "gd", "decoding shard: " + dataio.ErrChunkCorrupt.Error(),
+		{"unknown algorithm", "nope", `unknown algorithm "nope"`, nil, intact},
+		{"flipped shard byte", "gd", "decoding shard: " + dataio.ErrChunkCorrupt.Error(), nil,
 			func(b []byte) []byte { b[len(b)-100] ^= 0x20; return b }},
-		{"shard truncated before 'E'", "gd", "decoding shard: stream ends before its 'E' chunk",
+		{"shard truncated before 'E'", "gd", "decoding shard: stream ends before its 'E' chunk", nil,
 			func(b []byte) []byte { return b[:len(b)-wire.ChunkOverhead] }},
+		{"truncated init", "gd", "decoding initial object: ", tile[:len(tile)-1], intact},
 	} {
-		if _, err := session(bad.alg, bad.mangle); err == nil || !strings.Contains(err.Error(), bad.want) {
+		if _, err := session(bad.alg, bad.init, bad.mangle); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Fatalf("%s: session error %v, want %q", bad.name, err, bad.want)
 		}
 		waitIdle()
@@ -146,14 +154,34 @@ func TestBadSetupFailsInBand(t *testing.T) {
 				i, before[i].ID, after[i].ID)
 		}
 	}
-	results, err := session("gd", intact)
+	results, err := session("gd", nil, intact)
 	if err != nil {
-		t.Fatalf("good session after three bad ones: %v", err)
+		t.Fatalf("good session after four bad ones: %v", err)
 	}
-	for r, res := range results {
-		if res.Err != "" || len(res.CostHistory) != 3 || len(res.Tile) == 0 || res.Locations != len(shards[r].Locations) {
-			t.Errorf("rank %d result: err %q, %d costs, %d tile bytes, %d locations",
-				r, res.Err, len(res.CostHistory), len(res.Tile), res.Locations)
+	// The vacuum start against the same ranks in this process on the
+	// full problem: same costs, same interior bytes.
+	mesh, err := engine.NewMesh(prob, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vacuum := phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	if err := simmpi.Run(ranks, 30*time.Second, func(comm *simmpi.Comm) error {
+		out, err := engine.RunRank(comm, prob, vacuum, spec, engine.Hooks{})
+		if err != nil {
+			return err
 		}
+		r, res := comm.Rank(), results[comm.Rank()]
+		want, err := dataio.AppendObjectRegion(nil, out.Slices, mesh.Tile(mesh.RowCol(r)))
+		if err != nil {
+			return err
+		}
+		if res.Err != "" || !slices.Equal(res.CostHistory, out.CostHistory) || !bytes.Equal(res.Tile, want) ||
+			res.Locations != len(shards[r].Locations) {
+			t.Errorf("rank %d result: err %q, costs %v (want %v), %d tile bytes (match %v), %d locations",
+				r, res.Err, res.CostHistory, out.CostHistory, len(res.Tile), bytes.Equal(res.Tile, want), res.Locations)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

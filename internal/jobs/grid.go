@@ -14,7 +14,6 @@ import (
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
-	"ptychopath/internal/phantom"
 	"ptychopath/internal/transport"
 )
 
@@ -25,10 +24,11 @@ import (
 // per leased worker endpoint, traffic routed over the CRC-framed TCP
 // transport. The coordinator shards the job with engine.Shards: a rank
 // is sent the measurements it evaluates, cut from the job's spool as
-// they are, and its own tile of the initial object, streamed while it
-// decodes, and never sees the rest of the dataset — the paper's
-// memory-per-GPU claim (Table II/III) at the process boundary. The
-// coordinator decodes none of it. Progress, snapshots and
+// they are and streamed while it decodes, and never sees the rest of
+// the dataset — the paper's memory-per-GPU claim (Table II/III) at the
+// process boundary. A warm start also sends each rank its own tile of
+// the initial object; a vacuum start sends none, and the rank builds
+// its own. The coordinator decodes none of it. Progress, snapshots and
 // checkpoints reuse the exact machinery of local jobs: the worker
 // running rank 0 relays per-iteration cost and periodic stitched
 // snapshots, and the coordinator writes the same OBJCKv1 checkpoints,
@@ -87,13 +87,11 @@ func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, erro
 	var cuts sync.WaitGroup
 	defer cuts.Wait() // after the pipes below close
 	for r, sh := range shards {
-		tile := phantom.Vacuum(sh.Region, prob.Slices).Slices
-		for i, full := range p.InitialObject {
-			tile[i].CopyRegion(full, sh.Region)
-		}
-		init, err := dataio.AppendObject(nil, tile)
-		if err != nil {
-			return nil, fmt.Errorf("grid: encoding initial object: %w", err)
+		var init []byte // a vacuum start ships no tile
+		if p.InitialObject != nil {
+			if init, err = dataio.AppendObjectRegion(nil, p.InitialObject, sh.Region); err != nil {
+				return nil, fmt.Errorf("grid: encoding initial object: %w", err)
+			}
 		}
 		// The rank's shard, cut from the spool into a pipe the hub reads;
 		// closing it on every way out stops the cut and frees the spool.
@@ -135,7 +133,8 @@ func (s *Service) executeGrid(j *Job, spec engine.Spec) ([]*grid.Complex2D, erro
 			snapMu.Lock()
 			lastSnap = slices
 			snapMu.Unlock()
-			return hooks.OnSnapshot(iter, slices)
+			// Decoded fresh for this snapshot: nothing else holds it.
+			return s.snapshot(j, iter+1, slices)
 		},
 	})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"ptychopath/internal/collective"
 	"ptychopath/internal/dataio"
 	"ptychopath/internal/engine"
+	"ptychopath/internal/grid"
 	"ptychopath/internal/gridworker"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
@@ -108,10 +109,11 @@ func TestGridBitIdentical(t *testing.T) {
 }
 
 // TestGridShardsSixteenRanks is the memory half of the capstone, on a
-// 4x4 mesh: every one of the 16 ranks is sent its own measurements, the
-// dataset's opening and its own tile of the initial object — within 20 %
-// — and nothing of the other fifteen shares, and the stitched result is
-// still the in-process one.
+// 4x4 mesh: every one of the 16 ranks is sent its own measurements and
+// the dataset's opening — within 20 % — and nothing of the other
+// fifteen shares, and the stitched result is still the in-process one.
+// A vacuum start sends no initial object at all (each rank builds its
+// own tile); a warm start adds the rank's own tile of it, and only that.
 func TestGridShardsSixteenRanks(t *testing.T) {
 	pat, err := scan.Raster(scan.RasterConfig{Cols: 12, Rows: 12, StepPix: 5, RadiusPix: 6, MarginPix: 6})
 	if err != nil {
@@ -124,6 +126,20 @@ func TestGridShardsSixteenRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name string
+		init []*grid.Complex2D
+	}{
+		{"vacuum", nil},
+		{"warm", phantom.RandomObject(pat.ImageW, pat.ImageH, 2, 7).Slices},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkSixteenRankShares(t, prob, tc.init) })
+	}
+}
+
+// checkSixteenRankShares runs one 16-rank grid job from init and checks
+// its object and what each rank was sent.
+func checkSixteenRankShares(t *testing.T, prob *solver.Problem, init []*grid.Complex2D) {
 	const ranks = 16
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 4, Timeout: 30 * time.Second, GridAddr: "127.0.0.1:0"})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,7 +147,8 @@ func TestGridShardsSixteenRanks(t *testing.T) {
 	go gridworker.Run(ctx, s.GridAddr(), gridworker.Options{Name: "w", Ranks: ranks})
 	waitFor(t, "grid workers registered", func() bool { return len(s.GridWorkers()) == ranks })
 
-	params := Params{Algorithm: "gd", Iterations: 2, StepSize: 0.02, MeshRows: 4, MeshCols: 4, Grid: true}
+	params := Params{Algorithm: "gd", Iterations: 2, StepSize: 0.02, MeshRows: 4, MeshCols: 4, Grid: true,
+		InitialObject: init}
 	j, err := s.Submit(prob, params)
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +163,11 @@ func TestGridShardsSixteenRanks(t *testing.T) {
 	spec := params.spec()
 	spec.Timeout = 30 * time.Second
 	outs := make([]*collective.RankOutcome, ranks)
-	vacuum := phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	if init == nil {
+		init = phantom.Vacuum(prob.ImageBounds(), prob.Slices).Slices
+	}
 	if err := simmpi.Run(ranks, spec.Timeout, func(comm *simmpi.Comm) error {
-		out, err := engine.RunRank(comm, prob, vacuum, spec, engine.Hooks{})
+		out, err := engine.RunRank(comm, prob, init, spec, engine.Hooks{})
 		outs[comm.Rank()] = out
 		return err
 	}); err != nil {
@@ -180,13 +199,16 @@ func TestGridShardsSixteenRanks(t *testing.T) {
 	}
 	for rank, w := range s.GridWorkers() {
 		sh := shards[rank]
-		share := len(sh.Locations)*(32+8*n2) + opening + 48 + prob.Slices*16*sh.Region.Area()
+		share := len(sh.Locations)*(32+8*n2) + opening
+		if params.InitialObject != nil {
+			share += 48 + prob.Slices*16*sh.Region.Area()
+		}
 		// A gd pass comes back over the overlap it went out on, so what
 		// a rank's peers routed to it is what it sent them.
 		setup := w.BytesOut - outs[rank].SentBytes
 		if setup < int64(share) || float64(setup) > 1.2*float64(share) {
-			t.Errorf("rank %d was sent %d B of set-up; its share (%d locations, opening, %v of the init) is %d B",
-				rank, setup, len(sh.Locations), sh.Region, share)
+			t.Errorf("rank %d was sent %d B of set-up; its share (%d locations, opening, init %v) is %d B",
+				rank, setup, len(sh.Locations), params.InitialObject != nil, share)
 		}
 	}
 }

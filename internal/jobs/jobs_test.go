@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"ptychopath/internal/dataio"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
 	"ptychopath/internal/scan"
@@ -102,6 +104,51 @@ func TestLifecycleDone(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSnapshotOwnership: the service copies an object only where the
+// engine keeps mutating it. A preview published from a live OnSnapshot
+// stays as it was when the engine moves on; an object handed over for
+// good — the engine's result at a terminal state, a grid snapshot
+// decoded off the wire — is published and checkpointed as it is.
+func TestSnapshotOwnership(t *testing.T) {
+	prob := tinyProblem(t)
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 4})
+	j, err := s.Submit(prob, Params{Algorithm: "serial", Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job done", func() bool { return j.State() == Done })
+	b := prob.ImageBounds()
+
+	live := phantom.RandomObject(b.W(), b.H(), prob.Slices, 3).Slices
+	want := slices.Clone(live[0].Data)
+	if err := s.hooks(j).OnSnapshot(4, live); err != nil {
+		t.Fatal(err)
+	}
+	live[0].Data[0] += 1 // the engine moves on
+	if snap, iter := j.Snapshot(); iter != 5 || !slices.Equal(snap[0].Data, want) {
+		t.Fatalf("preview at iteration %d changed when the engine mutated its live slices", iter)
+	}
+
+	owned := phantom.RandomObject(b.W(), b.H(), prob.Slices, 4).Slices
+	if err := s.snapshot(j, 6, owned); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := j.Snapshot()
+	for i := range owned {
+		if snap[i] != owned[i] {
+			t.Fatalf("slice %d of a handed-over object was copied before it was published", i)
+		}
+	}
+	path, _ := j.CheckpointPath()
+	got, err := dataio.ReadObjectFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got[0].Data, owned[0].Data) {
+		t.Fatal("the checkpoint does not hold the handed-over object")
 	}
 }
 

@@ -869,7 +869,7 @@ func (s *Service) requeuePreempted(j *Job, slices []*grid.Complex2D) bool {
 		return false
 	}
 	if slices != nil {
-		// j.snapshot is the clone s.snapshot just published; its
+		// j.snapshot is the object s.snapshot just took over; its
 		// arrays are immutable from here on, safe to warm-start from.
 		j.params.InitialObject = j.snapshot
 		j.params.StartIter = completed
@@ -930,8 +930,9 @@ func (s *Service) hooks(j *Job) engine.Hooks {
 		OnRankStats: func(rank, iter int, computeNS, commNS int64) {
 			s.recordRankStats(j, rank, iter+1, computeNS, commNS)
 		},
+		// The one copy: the engine keeps mutating a live snapshot's slices.
 		OnSnapshot: func(iter int, slices []*grid.Complex2D) error {
-			return s.snapshot(j, iter+1, slices)
+			return s.snapshot(j, iter+1, cloneSlices(slices))
 		},
 	}
 }
@@ -1019,10 +1020,11 @@ func (s *Service) Shutdown() {
 	}
 }
 
-// snapshot publishes a preview copy of the object and writes the
+// snapshot publishes the object as the job's preview and writes the
 // job's OBJCKv1 checkpoint atomically (tmp + sync + rename), then logs
 // the checkpoint to the store — the durable anchor recovery warm-starts
-// from.
+// from. It takes ownership of slices: nothing may mutate them after the
+// call.
 //
 // Each checkpoint gets its own file (job-0001-i8.objck): a checkpoint
 // record in the log always names a file whose content is exactly the
@@ -1033,11 +1035,10 @@ func (s *Service) Shutdown() {
 // bytes. The superseded file is removed only after the new record is
 // in the log, so the log never points at a missing file.
 func (s *Service) snapshot(j *Job, completed int, slices []*grid.Complex2D) error {
-	cp := cloneSlices(slices)
-	j.setSnapshot(cp, completed)
+	j.setSnapshot(slices, completed)
 	path := filepath.Join(s.cfg.SpoolDir, fmt.Sprintf("%s-i%d.objck", j.id, completed))
 	start := time.Now()
-	err := s.store.WriteCheckpoint(path, cp)
+	err := s.store.WriteCheckpoint(path, slices)
 	d := time.Since(start)
 	s.hist.checkpoint.Observe(d)
 	j.tr.Record("checkpoint", j.rootSpan, obs.RankCoordinator, completed, start, d)

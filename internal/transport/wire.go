@@ -292,7 +292,8 @@ type Setup struct {
 
 	// Spec is the run description, the same on every rank.
 	Spec []byte
-	// Init is the rank's tile of the warm-start object.
+	// Init is the rank's tile of a warm start's object; empty on a
+	// vacuum start, where the rank builds its own.
 	Init []byte
 	// Shard carries the rank's measurements. The coordinator supplies a
 	// source the hub reads from after the SETUP headers are out, one
