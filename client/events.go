@@ -41,8 +41,10 @@ func (c *Client) Events(ctx context.Context, id string) (*EventStream, error) {
 		return nil, &Error{Status: resp.StatusCode, Code: CodeInternal,
 			Detail: fmt.Sprintf("events endpoint answered %q, not an SSE feed", ct)}
 	}
+	// Events are a few hundred bytes: start at bufio's default buffer
+	// and let a longer line grow it, up to 1 MB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	return &EventStream{body: resp.Body, sc: sc}, nil
 }
 

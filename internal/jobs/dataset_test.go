@@ -103,6 +103,53 @@ func queuedHeap(t *testing.T, prob *solver.Problem, n int, recovered bool) (heap
 	return heap
 }
 
+// TestFinishedJobsHoldNoObject: a finished job's object is its final
+// checkpoint file, not a heap copy, so sixteen finished jobs take about
+// the heap one does — under store.Mem and under the WAL, which both
+// write every checkpoint into the spool directory.
+func TestFinishedJobsHoldNoObject(t *testing.T) {
+	prob := gridSetupProblem(t)
+	for _, durable := range []bool{false, true} {
+		one := finishedHeap(t, prob, 1, durable)
+		sixteen := finishedHeap(t, prob, 16, durable)
+		t.Logf("durable=%v: heap in use %.1f MB with 1 finished job, %.1f MB with 16",
+			durable, float64(one)/(1<<20), float64(sixteen)/(1<<20))
+		if sixteen > one+2<<20 {
+			t.Errorf("durable=%v: 16 finished jobs hold %.1f MB more heap than 1 (bound 2 MB)",
+				durable, float64(sixteen-one)/(1<<20))
+		}
+	}
+}
+
+// finishedHeap runs n 2-iteration serial jobs to Done on a service
+// backed by store.Mem or, durable, by the WAL, then measures the heap
+// with the service and its jobs still alive. Like queuedHeap it runs as
+// a subtest, so the next measurement starts without this service.
+func finishedHeap(t *testing.T, prob *solver.Problem, n int, durable bool) (heap uint64) {
+	cfg := Config{Workers: 2, QueueDepth: 16}
+	t.Run(fmt.Sprintf("finished=%d/durable=%v", n, durable), func(t *testing.T) {
+		var s *Service
+		if durable {
+			s = openLife(t, t.TempDir(), cfg).svc
+		} else {
+			s = newTestService(t, cfg)
+		}
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			j, err := s.Submit(prob, Params{Algorithm: "serial", Iterations: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs[i] = j
+		}
+		for _, j := range jobs {
+			waitFor(t, "job done", func() bool { return j.State() == Done })
+		}
+		heap = heapInUse()
+	})
+	return heap
+}
+
 // openSpoolHandles counts this process's descriptors open on path.
 func openSpoolHandles(t *testing.T, path string) int {
 	t.Helper()

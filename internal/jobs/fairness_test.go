@@ -86,7 +86,7 @@ func TestInteractivePreemptionBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "reference done", func() bool { return rj.State() == Done })
-	want, wantIter := rj.Snapshot()
+	want, wantIter := mustObject(t, rj)
 
 	s := newTestService(t, Config{
 		Workers: 1, QueueDepth: 8, CheckpointEvery: 2,
@@ -124,7 +124,7 @@ func TestInteractivePreemptionBitIdentical(t *testing.T) {
 		t.Errorf("bulk finished at iteration %d, want %d", info.Iter, iters)
 	}
 
-	got, gotIter := bulk.Snapshot()
+	got, gotIter := mustObject(t, bulk)
 	if gotIter != wantIter {
 		t.Fatalf("final snapshot at iter %d, reference at %d", gotIter, wantIter)
 	}

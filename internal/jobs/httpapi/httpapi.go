@@ -638,18 +638,11 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, resumed.Info(0))
 }
 
-// handlePreview renders the latest snapshot as a grayscale PNG — the
+// handlePreview renders the latest object as a grayscale PNG — the
 // live view an operator (or beamline GUI) polls while a job runs.
 func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request) {
-	j, err := s.job(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	snap, _ := j.Snapshot()
-	if snap == nil {
-		writeErr(w, &httpError{status: http.StatusNotFound, code: client.CodeNoSnapshot,
-			msg: "no snapshot yet (before first checkpoint)"})
+	snap, _, ok := s.object(w, r)
+	if !ok {
 		return
 	}
 	si, err := queryInt(r, "slice", 0)
@@ -675,35 +668,38 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request) {
 	png.Encode(w, img)
 }
 
-// handleObject streams the latest snapshot as OBJCKv1 — the same bytes
+// handleObject streams the latest object as OBJCKv1 — the same bytes
 // a checkpoint file holds, for archival or offline analysis.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
-	j, err := s.job(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	snap, iter := j.Snapshot()
-	if path, ck := j.CheckpointPath(); snap == nil && path != "" {
-		// A job restored from the WAL after a restart has no in-memory
-		// snapshot, but its OBJCKv1 checkpoint file survived — serve
-		// that, so /object keeps working across crashes. The log says
-		// the file was written: failing to read it back is the server's
-		// fault, not "no snapshot yet".
-		if snap, err = dataio.ReadObjectFile(path); err != nil {
-			writeErr(w, fmt.Errorf("reading the iteration-%d checkpoint of %s: %w", ck, j.ID(), err))
-			return
-		}
-		iter = ck
-	}
-	if snap == nil {
-		writeErr(w, &httpError{status: http.StatusNotFound, code: client.CodeNoSnapshot,
-			msg: "no snapshot yet (before first checkpoint)"})
+	snap, iter, ok := s.object(w, r)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Ptycho-Iterations", strconv.Itoa(iter))
 	dataio.WriteObject(w, snap)
+}
+
+// object looks up the request's job and its latest object, answering
+// the request itself (false) when there is none. A finished job's
+// object is its checkpoint file: the log says the file was written, so
+// failing to read it back is the server's fault, not "no snapshot yet".
+func (s *Server) object(w http.ResponseWriter, r *http.Request) ([]*grid.Complex2D, int, bool) {
+	j, err := s.job(r)
+	if err != nil {
+		writeErr(w, err)
+		return nil, 0, false
+	}
+	snap, iter, err := j.Object()
+	if err == nil && snap == nil {
+		err = &httpError{status: http.StatusNotFound, code: client.CodeNoSnapshot,
+			msg: "no snapshot yet (before first checkpoint)"}
+	}
+	if err != nil {
+		writeErr(w, err)
+		return nil, 0, false
+	}
+	return snap, iter, true
 }
 
 // handleGrid reports the worker-grid coordinator's state: whether a

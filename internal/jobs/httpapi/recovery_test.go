@@ -8,10 +8,12 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"image/png"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,5 +200,64 @@ func TestObjectOfRecoveredJobWithDamagedCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(p.Detail, "iteration-4 checkpoint") || !strings.Contains(p.Detail, io.ErrUnexpectedEOF.Error()) {
 		t.Fatalf("detail %q names neither the checkpoint iteration nor the read error", p.Detail)
+	}
+}
+
+// TestRestoredDoneJobServesPreviewAndObject: a finished job's preview
+// and object come from its final checkpoint file, so a Done job
+// restored from the WAL after a restart answers both endpoints — the
+// object with the checkpoint file's exact bytes and iteration.
+func TestRestoredDoneJobServesPreviewAndObject(t *testing.T) {
+	var upload bytes.Buffer
+	if err := dataio.Write(&upload, testProblem(t)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+
+	ts1, _, crash1 := durableServer(t, dir)
+	var job jobs.Info
+	if resp := postSubmit(t, ts1.URL+"/v1/jobs", `{"algorithm":"serial","iterations":4}`, upload.Bytes(), &job); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	job = pollInfo(t, ts1.URL+"/v1/jobs/"+job.ID, "job done", func(i jobs.Info) bool { return i.State == "done" })
+	crash1()
+
+	ts2, _, _ := durableServer(t, dir)
+	get := func(endpoint string) (*http.Response, []byte) {
+		resp, err := http.Get(ts2.URL + "/v1/jobs/" + job.ID + endpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	resp, body := get("/preview.png")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "image/png" {
+		t.Fatalf("GET /preview.png of the restored job: status %d, type %q (%s)",
+			resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	if _, err := png.Decode(bytes.NewReader(body)); err != nil {
+		t.Fatalf("preview of the restored job is not a PNG: %v", err)
+	}
+
+	resp, body = get("/object")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /object of the restored job: status %d (%s)", resp.StatusCode, body)
+	}
+	if job.CheckpointIter != 4 || resp.Header.Get("X-Ptycho-Iterations") != strconv.Itoa(job.CheckpointIter) {
+		t.Fatalf("object at iteration %q, checkpoint at %d, want both 4",
+			resp.Header.Get("X-Ptycho-Iterations"), job.CheckpointIter)
+	}
+	file, err := os.ReadFile(job.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) == 0 || !bytes.Equal(body, file) {
+		t.Fatalf("served object (%d bytes) differs from the checkpoint file (%d bytes)", len(body), len(file))
 	}
 }

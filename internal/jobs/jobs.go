@@ -345,7 +345,7 @@ type Job struct {
 	iter           int // completed iterations, including StartIter
 	cost           float64
 	costHistory    []float64
-	snapshot       []*grid.Complex2D // latest object copy; arrays immutable once published
+	snapshot       []*grid.Complex2D // latest object copy; arrays immutable once published; finish releases it
 	snapshotIter   int
 	checkpointPath string
 	checkpointIter int
@@ -408,14 +408,24 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Snapshot returns the latest object snapshot (nil before the first
-// checkpoint) and the completed-iteration count it corresponds to. The
-// returned slices are never mutated afterwards — safe to read without
-// copying.
-func (j *Job) Snapshot() ([]*grid.Complex2D, int) {
+// Object returns the job's latest object (nil before the first
+// snapshot) and the completed-iteration count it holds: the in-heap
+// copy while the job has one, otherwise its OBJCKv1 checkpoint file —
+// a finished job's and a WAL-restored job's only copy. The returned
+// slices are never mutated afterwards — safe to read without copying.
+func (j *Job) Object() ([]*grid.Complex2D, int, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshot, j.snapshotIter
+	snap, iter := j.snapshot, j.snapshotIter
+	path, ck := j.checkpointPath, j.checkpointIter
+	j.mu.Unlock()
+	if snap != nil || path == "" {
+		return snap, iter, nil
+	}
+	slices, err := dataio.ReadObjectFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading the iteration-%d checkpoint of %s: %w", ck, j.id, err)
+	}
+	return slices, ck, nil
 }
 
 // CheckpointPath returns the latest OBJCKv1 checkpoint file ("" before
@@ -630,11 +640,12 @@ func (j *Job) setCheckpoint(path string, completed int) string {
 }
 
 // finish transitions to a terminal state and releases memory the
-// terminal job no longer needs: the warm-start object always, and the
-// dataset's geometry once the job can never be resumed (Done, or
-// terminal without a checkpoint). The latest snapshot stays for
-// previews; the OBJCKv1 checkpoint file is the durable artifact, and
-// the spool stays on disk beside it.
+// terminal job no longer needs: the warm-start object always, the
+// latest snapshot once its checkpoint file holds the same iteration
+// (Object reads the file from then on), and the dataset's geometry
+// once the job can never be resumed (Done, or terminal without a
+// checkpoint). A job whose final checkpoint write failed keeps its
+// snapshot, since its file is older; the spool stays on disk.
 func (j *Job) finish(state State, err error) {
 	j.mu.Lock()
 	j.finishLocked(state, err)
@@ -656,6 +667,9 @@ func (j *Job) finishLocked(state State, err error) {
 	}
 	j.tr.EndAt(j.rootSpan, j.finished)
 	j.params.InitialObject = nil
+	if j.checkpointPath != "" && j.checkpointIter == j.snapshotIter {
+		j.snapshot = nil
+	}
 	if state == Done || j.checkpointPath == "" {
 		j.data = nil
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/physics"
 	"ptychopath/internal/scan"
@@ -32,6 +33,21 @@ func tinyProblem(t *testing.T) *solver.Problem {
 		t.Fatal(err)
 	}
 	return prob
+}
+
+// mustObject reads a job's object through Job.Object and fails the
+// test on an error or an empty object, so comparing two objects can
+// never pass by comparing nothing.
+func mustObject(t *testing.T, j *Job) ([]*grid.Complex2D, int) {
+	t.Helper()
+	obj, iter, err := j.Object()
+	if err != nil {
+		t.Fatalf("object of %s: %v", j.ID(), err)
+	}
+	if len(obj) == 0 || len(obj[0].Data) == 0 {
+		t.Fatalf("job %s has no object", j.ID())
+	}
+	return obj, iter
 }
 
 func newTestService(t *testing.T, cfg Config) *Service {
@@ -79,16 +95,32 @@ func TestLifecycleDone(t *testing.T) {
 	if info.Error != "" {
 		t.Errorf("unexpected error %q", info.Error)
 	}
-	snap, iter := j.Snapshot()
-	if snap == nil || iter != 10 {
-		t.Fatalf("snapshot at iter %d, want final object at 10", iter)
+	// The final object is served from the checkpoint file, and the
+	// finished job no longer holds its own copy.
+	obj, iter := mustObject(t, j)
+	if iter != 10 {
+		t.Fatalf("object at iter %d, want final object at 10", iter)
 	}
 	path, ckIter := j.CheckpointPath()
 	if ckIter != 10 {
 		t.Errorf("checkpoint iter %d, want 10", ckIter)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("checkpoint file: %v", err)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("checkpoint file: %v", err)
+	}
+	var served bytes.Buffer
+	if err := dataio.WriteObject(&served, obj); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served.Bytes(), file) {
+		t.Error("object read at Done differs from the checkpoint file")
+	}
+	j.mu.Lock()
+	held := j.snapshot
+	j.mu.Unlock()
+	if held != nil {
+		t.Error("a finished job still holds its object in the heap")
 	}
 
 	var buf bytes.Buffer
@@ -128,7 +160,7 @@ func TestSnapshotOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	live[0].Data[0] += 1 // the engine moves on
-	if snap, iter := j.Snapshot(); iter != 5 || !slices.Equal(snap[0].Data, want) {
+	if snap, iter := mustObject(t, j); iter != 5 || !slices.Equal(snap[0].Data, want) {
 		t.Fatalf("preview at iteration %d changed when the engine mutated its live slices", iter)
 	}
 
@@ -136,7 +168,7 @@ func TestSnapshotOwnership(t *testing.T) {
 	if err := s.snapshot(j, 6, owned); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := j.Snapshot()
+	snap, _ := mustObject(t, j)
 	for i := range owned {
 		if snap[i] != owned[i] {
 			t.Fatalf("slice %d of a handed-over object was copied before it was published", i)
@@ -261,7 +293,10 @@ func TestCancelResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := resumed.Snapshot()
+	snap, _ := mustObject(t, resumed)
+	if len(snap) != len(ref.Slices) {
+		t.Fatalf("resumed object has %d slices, uninterrupted %d", len(snap), len(ref.Slices))
+	}
 	for si, ss := range snap {
 		for i, v := range ss.Data {
 			if v != ref.Slices[si].Data[i] {

@@ -70,23 +70,10 @@ func (l *life) stop() {
 	l.st.Close()
 }
 
-// objectBytes serializes a job's final object: the in-memory snapshot
-// when one exists, otherwise the checkpoint file (restored-history
-// jobs hold no snapshot, only the file recovery preserved).
+// objectBytes serializes a job's final object as Job.Object serves it.
 func objectBytes(t *testing.T, j *Job) []byte {
 	t.Helper()
-	slices, _ := j.Snapshot()
-	if slices == nil {
-		path, _ := j.CheckpointPath()
-		if path == "" {
-			t.Fatal("job has neither snapshot nor checkpoint")
-		}
-		var err error
-		slices, err = dataio.ReadObjectFile(path)
-		if err != nil {
-			t.Fatalf("reading checkpoint: %v", err)
-		}
-	}
+	slices, _ := mustObject(t, j)
 	var buf bytes.Buffer
 	if err := dataio.WriteObject(&buf, slices); err != nil {
 		t.Fatal(err)

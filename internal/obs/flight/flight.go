@@ -29,26 +29,27 @@ type Event struct {
 }
 
 // DefaultDepth is the ring capacity used when NewRecorder is given a
-// non-positive one: enough to hold the tail of a failing run without
-// ever mattering for memory.
+// non-positive one: enough to hold the tail of a failing run.
 const DefaultDepth = 128
 
-// Recorder is a fixed-capacity ring of Events. Safe for concurrent
-// use; a nil *Recorder no-ops.
+// Recorder is a bounded ring of Events: it grows with what it records
+// up to its depth, then evicts the oldest. Safe for concurrent use; a
+// nil *Recorder no-ops.
 type Recorder struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int  // index of the next write
-	full bool // the ring has wrapped at least once
+	mu    sync.Mutex
+	depth int
+	buf   []Event // grows to depth, then wraps
+	next  int     // once full, the index of the oldest event (the next overwrite)
 }
 
 // NewRecorder returns a recorder keeping the last depth events
-// (DefaultDepth when depth <= 0).
+// (DefaultDepth when depth <= 0). It holds no ring until the first
+// event: a job that records little costs little.
 func NewRecorder(depth int) *Recorder {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	return &Recorder{buf: make([]Event, depth)}
+	return &Recorder{depth: depth}
 }
 
 // Record appends one event, evicting the oldest when full. A zero
@@ -61,25 +62,25 @@ func (r *Recorder) Record(e Event) {
 		e.Time = time.Now()
 	}
 	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
+	if len(r.buf) < r.depth {
+		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.next] = e
+		r.next = (r.next + 1) % r.depth
 	}
 	r.mu.Unlock()
 }
 
 // Events returns a copy of the recorded events, oldest first (nil on
-// a nil recorder).
+// a nil or empty recorder).
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
+	if len(r.buf) == 0 {
+		return nil
 	}
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
@@ -93,8 +94,5 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
+	return len(r.buf)
 }

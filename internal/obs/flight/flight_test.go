@@ -73,3 +73,39 @@ func TestConcurrentRecord(t *testing.T) {
 		}
 	}
 }
+
+func TestFreshRecorderHoldsNoRing(t *testing.T) {
+	r := NewRecorder(0)
+	if r.buf != nil || r.Len() != 0 || r.Events() != nil {
+		t.Fatalf("fresh recorder holds %d-slot ring, Len %d, Events %v; want nothing", cap(r.buf), r.Len(), r.Events())
+	}
+	r.Record(Event{Kind: "state"})
+	if cap(r.buf) >= DefaultDepth {
+		t.Fatalf("one event allocated a %d-slot ring", cap(r.buf))
+	}
+}
+
+// TestDefaultDepthWrap walks a default recorder through the wrap:
+// below, at and past DefaultDepth, Events holds the last min(n, depth)
+// events oldest first, and each event past the depth evicts the oldest.
+func TestDefaultDepthWrap(t *testing.T) {
+	r := NewRecorder(0)
+	for n := 1; n <= 3*DefaultDepth+1; n++ {
+		r.Record(Event{Kind: "iteration", Iter: n})
+		switch n {
+		case 1, DefaultDepth - 1, DefaultDepth, DefaultDepth + 1, 2 * DefaultDepth, 3*DefaultDepth + 1:
+		default:
+			continue
+		}
+		got := r.Events()
+		want := min(n, DefaultDepth)
+		if len(got) != want || r.Len() != want {
+			t.Fatalf("after %d events: %d held (Len %d), want %d", n, len(got), r.Len(), want)
+		}
+		for i, e := range got {
+			if e.Iter != n-want+1+i {
+				t.Fatalf("after %d events: event %d is iter %d, want %d (oldest first)", n, i, e.Iter, n-want+1+i)
+			}
+		}
+	}
+}

@@ -69,12 +69,11 @@ type Trace struct {
 	spans []Span
 }
 
-// NewTrace returns an empty trace carrying the given request ID.
+// NewTrace returns an empty trace carrying the given request ID. Its
+// spans grow with what is recorded: a finished job keeps its trace for
+// /trace, so a short job's trace should hold only the spans it has.
 func NewTrace(requestID string) *Trace {
-	// Typical job: a handful of coordinator spans plus compute+comm
-	// per rank per iteration. Preallocate a page's worth so early
-	// iterations never grow the slice.
-	return &Trace{id: requestID, spans: make([]Span, 0, 64)}
+	return &Trace{id: requestID}
 }
 
 // ID returns the trace's request ID ("" on a nil trace).
