@@ -32,6 +32,8 @@ const (
 	testIters   = 6
 	testStep    = 0.01
 	testTimeout = time.Minute
+	// testProbeStep is the probe refinement step of the serial-probe case.
+	testProbeStep = 0.05
 )
 
 // problem is a 4x4-scan, n-pixel-window, 2-slice dataset: from n = 16
@@ -72,6 +74,8 @@ var cases = []struct {
 		}
 		return r.Slices, r.CostHistory
 	}},
+	{"serial-sequential", Spec{Algorithm: "serial", SerialSequential: true}, directSerial(solver.Sequential, 0)},
+	{"serial-probe", Spec{Algorithm: "serial", ProbeRefineStep: testProbeStep}, directSerial(solver.Batch, testProbeStep)},
 	{"gd-2x2", Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 1}, directGD(gradsync.ModeBatch, 1, 0)},
 	{"gd-2x2-rounds4-intra2", Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 4, IntraWorkers: 2}, directGD(gradsync.ModeBatch, 4, 2)},
 	{"gd-2x2-faithful", Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 1, FaithfulAlg1: true}, directGD(gradsync.ModeFaithful, 1, 0)},
@@ -90,6 +94,18 @@ var cases = []struct {
 		}
 		return r.Slices, r.CostHistory
 	}},
+}
+
+func directSerial(mode solver.UpdateMode, probeStep float64) func(*testing.T, *solver.Problem, []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
+	return func(t *testing.T, prob *solver.Problem, init []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
+		r, err := solver.Reconstruct(prob, init, solver.Options{
+			StepSize: testStep, Iterations: testIters, Mode: mode, ProbeStepSize: probeStep,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Slices, r.CostHistory
+	}
 }
 
 func directGD(mode gradsync.Mode, rounds, intra int) func(*testing.T, *solver.Problem, []*grid.Complex2D) ([]*grid.Complex2D, []float64) {
@@ -261,8 +277,9 @@ func engineMatrix(t *testing.T, n int) {
 			// resume from the partial object with StartIter k. Not so for
 			// faithful Alg. 1: its per-location local updates also land in
 			// each rank's halo, which the stitched object does not carry,
-			// so a resumed run starts from different halos.
-			if spec.FaithfulAlg1 {
+			// so a resumed run starts from different halos. Nor for probe
+			// refinement: the object alone does not carry the refined probe.
+			if spec.FaithfulAlg1 || spec.ProbeRefineStep > 0 {
 				return
 			}
 			const k = 2
