@@ -42,7 +42,7 @@ func main() {
 	rounds := flag.Int("rounds", 1, "communication rounds per iteration (Alg 1's T)")
 	faithful := flag.Bool("faithful", false, "use the paper's literal Alg 1 (local + accumulated updates)")
 	noAPPP := flag.Bool("no-appp", false, "disable asynchronous pipelining (barrier-separated passes)")
-	workers := flag.Int("workers", 1, "goroutines per gd worker for gradient computation (batch mode)")
+	workers := flag.Int("workers", 0, "goroutines evaluating the locations of the serial run or of each gd rank (batch mode; 0: all cores for serial, 1 for gd); never changes the result")
 	pngPrefix := flag.String("png", "", "write <prefix>_phase.png and <prefix>_mag.png of slice 0")
 	save := flag.String("save", "", "write the reconstructed object to this checkpoint file (OBJCKv1)")
 	resume := flag.String("resume", "", "start from an object checkpoint instead of vacuum")

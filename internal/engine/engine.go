@@ -67,8 +67,11 @@ type Spec struct {
 	// RoundsPerIteration is the communication frequency of the parallel
 	// algorithms (Alg. 1's T as a count; 0 means 1).
 	RoundsPerIteration int `json:"rounds_per_iteration,omitempty"`
-	// IntraWorkers is the goroutine count each gd rank uses for its own
-	// gradients (batch mode only; <= 1 disables).
+	// IntraWorkers is how many goroutines evaluate the locations of the
+	// serial engine or of each gd rank (batch mode only). Gradients are
+	// added in location order, so it never changes a result. 0 means
+	// GOMAXPROCS for serial, where one rank is the whole run, and 1 for
+	// gd, whose ranks are already goroutines.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 	// SnapshotEvery is the iteration period of Hooks.OnSnapshot; 0
 	// disables snapshots.
@@ -307,8 +310,8 @@ func dispatch(comm simmpi.Transport, prob *solver.Problem, init []*grid.Complex2
 		}
 		opt := solver.Options{
 			StepSize: s.StepSize, Iterations: s.Iterations,
-			ProbeStepSize: s.ProbeRefineStep,
-			OnIteration:   h.OnIteration, Ctx: h.Ctx,
+			ProbeStepSize: s.ProbeRefineStep, Workers: s.IntraWorkers,
+			OnIteration: h.OnIteration, Ctx: h.Ctx,
 			SnapshotEvery: s.SnapshotEvery, OnSnapshot: h.OnSnapshot,
 		}
 		if s.SerialSequential {

@@ -94,6 +94,7 @@ var cases = []struct {
 		}
 		return r.Slices, r.CostHistory
 	}},
+	{"gd-2x2-intra3", Spec{Algorithm: "gd", MeshRows: 2, MeshCols: 2, RoundsPerIteration: 1, IntraWorkers: 3}, directGD(gradsync.ModeBatch, 1, 3)},
 }
 
 func directSerial(mode solver.UpdateMode, probeStep float64) func(*testing.T, *solver.Problem, []*grid.Complex2D) ([]*grid.Complex2D, []float64) {

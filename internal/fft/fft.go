@@ -1,7 +1,7 @@
 // Package fft implements complex discrete Fourier transforms in pure Go.
 //
 // The package provides cached 1-D plans, 2-D transforms built on
-// row/column passes with optional goroutine parallelism, and the
+// row/column passes on the calling goroutine, and the
 // fftshift helpers used by diffraction physics.
 //
 // A plan runs one of two kernels, chosen from the length alone:

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ptychopath/internal/grid"
@@ -12,23 +11,21 @@ import (
 // 1-D transforms along rows and then columns. A Plan2D is safe for
 // concurrent use; per-call scratch comes from an internal pool.
 type Plan2D struct {
-	w, h     int
-	rowPlan  *Plan
-	colPlan  *Plan
-	parallel bool
-	scratch  sync.Pool // *Scratch, for calls without one
+	w, h    int
+	rowPlan *Plan
+	colPlan *Plan
+	scratch sync.Pool // *Scratch, for calls without one
 }
 
-// NewPlan2D returns a plan for w x h transforms. Set parallel to spread
-// row/column passes across GOMAXPROCS goroutines, which pays off for
-// transforms of roughly 256x256 and larger.
-func NewPlan2D(w, h int, parallel bool) *Plan2D {
+// NewPlan2D returns a plan for w x h transforms. The third argument is
+// ignored: every transform runs on the calling goroutine, and callers
+// parallelize over transforms instead.
+func NewPlan2D(w, h int, _ bool) *Plan2D {
 	p := &Plan2D{
-		w:        w,
-		h:        h,
-		rowPlan:  NewPlan(w),
-		colPlan:  NewPlan(h),
-		parallel: parallel,
+		w:       w,
+		h:       h,
+		rowPlan: NewPlan(w),
+		colPlan: NewPlan(h),
 	}
 	p.scratch.New = func() any { return new(Scratch) }
 	return p
@@ -49,19 +46,13 @@ func (p *Plan2D) Transform(a *grid.Complex2D, dir Direction) {
 	if a.W() != p.w || a.H() != p.h {
 		panic(fmt.Sprintf("fft: plan %dx%d, array %dx%d", p.w, p.h, a.W(), a.H()))
 	}
-	if p.parallel {
-		p.rowsParallel(a, dir)
-		p.colsParallel(a, dir)
-		return
-	}
 	p.transformSerial(a, dir, nil)
 }
 
 // TransformScratch applies the 2-D transform in place drawing every
 // workspace buffer from the per-worker arena s, making steady-state
 // calls allocation-free. The transform always runs on the calling
-// goroutine (an arena is inherently single-threaded), regardless of the
-// plan's parallel flag. A nil s falls back to the internal pool.
+// goroutine. A nil s falls back to the internal pool.
 func (p *Plan2D) TransformScratch(a *grid.Complex2D, dir Direction, s *Scratch) {
 	if a.W() != p.w || a.H() != p.h {
 		panic(fmt.Sprintf("fft: plan %dx%d, array %dx%d", p.w, p.h, a.W(), a.H()))
@@ -99,70 +90,6 @@ func (p *Plan2D) transformSerial(a *grid.Complex2D, dir Direction, s *Scratch) {
 	if pooled {
 		p.scratch.Put(s)
 	}
-}
-
-func (p *Plan2D) rowsParallel(a *grid.Complex2D, dir Direction) {
-	data := a.Data
-	w := p.w
-	apply := func(y0, y1 int) {
-		s := p.scratch.Get().(*Scratch)
-		for y := y0; y < y1; y++ {
-			p.rowPlan.TransformScratch(data[y*w:(y+1)*w], dir, s)
-		}
-		p.scratch.Put(s)
-	}
-	p.split(p.h, apply)
-}
-
-// colsParallel gathers each column into a buffer of its own length:
-// the strided whole-array form would need a w x h buffer per goroutine.
-func (p *Plan2D) colsParallel(a *grid.Complex2D, dir Direction) {
-	data := a.Data
-	w, h := p.w, p.h
-	apply := func(x0, x1 int) {
-		s := p.scratch.Get().(*Scratch)
-		col := s.colBuf(h)
-		for x := x0; x < x1; x++ {
-			for y := 0; y < h; y++ {
-				col[y] = data[y*w+x]
-			}
-			p.colPlan.TransformScratch(col, dir, s)
-			for y := 0; y < h; y++ {
-				data[y*w+x] = col[y]
-			}
-		}
-		p.scratch.Put(s)
-	}
-	p.split(w, apply)
-}
-
-// split partitions [0, n) across workers; only reached from the
-// parallel row/column passes (serial plans route through
-// transformSerial), and falls back to one goroutine when n is too small
-// to amortize goroutine overhead.
-func (p *Plan2D) split(n int, apply func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 64 {
-		apply(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			apply(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Shift applies fftshift in place: quadrants are swapped so the

@@ -79,35 +79,32 @@ func TestPlan2DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlan2DParallelMatchesSerial(t *testing.T) {
-	// The parallel passes transform one row and one gathered column at
-	// a time for every kernel, so these also check the serial strided,
-	// transposing passes against plain 1-D transforms.
+func TestPlan2DMatchesRowColumnTransforms(t *testing.T) {
+	// The 2-D sweep's strided, transposing passes against plain 1-D
+	// transforms of every row and then every gathered column, at sizes
+	// too large for the naive DFT.
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][2]int{{128, 128}, {96, 80}, {68, 64}} {
 		w, h := dims[0], dims[1]
 		a := randArray(rng, w, h)
-		serial := a.Clone()
-		NewPlan2D(w, h, false).Transform(serial, Forward)
-		par := a.Clone()
-		NewPlan2D(w, h, true).Transform(par, Forward)
-		if serial.MaxDiff(par) > 1e-10 {
-			t.Fatalf("%dx%d: parallel/serial mismatch: %g", w, h, serial.MaxDiff(par))
+		want := a.Clone()
+		rows, cols := NewPlan(w), NewPlan(h)
+		for y := 0; y < h; y++ {
+			rows.Transform(want.Data[y*w:(y+1)*w], Forward)
 		}
-	}
-}
-
-// TestParallelScratchIsOneColumn pins what a parallel plan pools per
-// goroutine: a column and a 1-D work buffer, not the w x h ping-pong
-// of the serial sweep (1 MB against 4 KB at 256x256).
-func TestParallelScratchIsOneColumn(t *testing.T) {
-	const w, h = 256, 128
-	p := NewPlan2D(w, h, true)
-	p.Transform(randArray(rand.New(rand.NewSource(6)), w, h), Forward)
-	for i := 0; i < 8; i++ {
-		s := p.scratch.Get().(*Scratch)
-		if cap(s.col) > h || cap(s.work) > w {
-			t.Fatalf("pooled scratch holds col %d, work %d; want at most %d, %d", cap(s.col), cap(s.work), h, w)
+		col := make([]complex128, h)
+		for x := 0; x < w; x++ {
+			for y := range col {
+				col[y] = want.Data[y*w+x]
+			}
+			cols.Transform(col, Forward)
+			for y, v := range col {
+				want.Data[y*w+x] = v
+			}
+		}
+		NewPlan2D(w, h, false).Transform(a, Forward)
+		if d := a.MaxDiff(want); d > 1e-10 {
+			t.Fatalf("%dx%d: 2-D transform differs from the row/column transforms by %g", w, h, d)
 		}
 	}
 }
@@ -219,15 +216,6 @@ func BenchmarkFFT1D1024(b *testing.B) {
 func BenchmarkFFT2D128(b *testing.B) {
 	p := NewPlan2D(128, 128, false)
 	a := grid.NewComplex2DSize(128, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Transform(a, Forward)
-	}
-}
-
-func BenchmarkFFT2D256Parallel(b *testing.B) {
-	p := NewPlan2D(256, 256, true)
-	a := grid.NewComplex2DSize(256, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Transform(a, Forward)

@@ -12,7 +12,7 @@ package fft
 // each own their own arena; sharing one between goroutines corrupts
 // in-flight transforms.
 type Scratch struct {
-	col  []complex128 // 2-D transform: the other half of the whole-array ping-pong; parallel path: one gathered column
+	col  []complex128 // 2-D transform: the other half of the whole-array ping-pong
 	work []complex128 // 1-D work buffer: mixed-radix ping-pong, or Bluestein convolution and its ping-pong
 }
 

@@ -10,11 +10,11 @@ import (
 )
 
 // TestWorkerGradientAllocationFree guards the Gradient Decomposition
-// hot path: worker.location, the per-location body of worker.iteration,
-// performs no heap allocations once the worker's arena is warm — in
-// batch mode and in faithful mode, whose gradient goes through the
-// window scratch. Run on a 1x1 mesh so no concurrent rank pollutes the
-// process-global allocation counter AllocsPerRun reads.
+// hot path: one location's step — a one-location sweep of the pool in
+// batch mode, worker.location in faithful mode, whose gradient goes
+// through the window scratch — performs no heap allocations once the
+// worker's arena is warm. Run on a 1x1 mesh so no concurrent rank
+// pollutes the process-global allocation counter AllocsPerRun reads.
 func TestWorkerGradientAllocationFree(t *testing.T) {
 	prob, _ := buildProblem(t, 4, 4, 0.6, 2)
 	m := mesh(t, prob, 1, 1, tiling.HaloForWindow(prob.WindowN))
@@ -29,8 +29,12 @@ func TestWorkerGradientAllocationFree(t *testing.T) {
 		err := simmpi.Run(1, testTimeout, func(comm *simmpi.Comm) error {
 			w := newWorker(comm, prob, &opt, owned, init.Slices)
 			defer w.close()
-			w.location(0)
-			allocs = testing.AllocsPerRun(10, func() { w.location(0) })
+			step := func() { w.location(0) }
+			if mode == ModeBatch {
+				step = func() { w.pool.Sweep(w.owned[:1], 0) }
+			}
+			step()
+			allocs = testing.AllocsPerRun(10, step)
 			return nil
 		})
 		if err != nil {
@@ -42,31 +46,40 @@ func TestWorkerGradientAllocationFree(t *testing.T) {
 	}
 }
 
-// TestIntraPoolPersistsAcrossChunks checks the IntraWorkers pool is
-// built once per worker and its sub-workspaces are reused: dispatching
-// two chunks through the pool allocates nothing after the first.
+// TestIntraPoolPersistsAcrossChunks checks a rank's IntraWorkers pool is
+// built once for the run: a whole iteration with IntraWorkers 2 — two
+// rounds, so two sweeps of the pool — starts no goroutine and allocates
+// nothing once warm, and closing the rank ends the pool's goroutine.
 func TestIntraPoolPersistsAcrossChunks(t *testing.T) {
 	prob, _ := buildProblem(t, 4, 4, 0.6, 1)
 	m := mesh(t, prob, 1, 1, tiling.HaloForWindow(prob.WindowN))
-	opt := Options{Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 1, IntraWorkers: 2}
+	opt := Options{Mesh: m, Mode: ModeBatch, StepSize: 0.01, Iterations: 1, RoundsPerIteration: 2, IntraWorkers: 2}
 	if err := opt.validate(prob); err != nil {
 		t.Fatal(err)
 	}
 	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
 	owned := m.AssignLocations(prob.Pattern)
 	err := simmpi.Run(1, testTimeout, func(comm *simmpi.Comm) error {
+		before := runtime.NumGoroutine()
 		w := newWorker(comm, prob, &opt, owned, init.Slices)
-		defer w.close()
-		if w.intra == nil || len(w.intra.subs) != 2 {
-			t.Errorf("expected a 2-sub persistent pool, got %+v", w.intra)
-			return nil
+		if got := runtime.NumGoroutine(); got != before+1 {
+			t.Errorf("a rank with IntraWorkers 2 runs %d goroutines beyond its own, want 1", got-before)
 		}
-		n := len(w.owned)
-		before := w.intra.subs[0].ws
-		w.gradientChunkParallel(0, n)
-		w.gradientChunkParallel(0, n)
-		if w.intra.subs[0].ws != before {
-			t.Error("sub-worker workspace was reallocated between chunks")
+		iteration := func() {
+			if _, err := w.iteration(); err != nil {
+				t.Error(err)
+			}
+		}
+		iteration()
+		if allocs := testing.AllocsPerRun(10, iteration); allocs != 0 {
+			t.Errorf("a gd rank iteration with IntraWorkers 2 allocates %v, want 0", allocs)
+		}
+		if got := runtime.NumGoroutine(); got != before+1 {
+			t.Errorf("after the iterations the rank runs %d goroutines beyond its own, want 1", got-before)
+		}
+		w.close()
+		if got := runtime.NumGoroutine(); got != before {
+			t.Errorf("a closed rank leaves %d goroutines running", got-before)
 		}
 		return nil
 	})

@@ -75,11 +75,11 @@ type Options struct {
 	// Timeout bounds every blocking communication (0 = default).
 	Timeout time.Duration
 	// IntraWorkers is the number of goroutines each rank uses to
-	// compute its locations' gradients concurrently — the functional
-	// stand-in for a GPU's internal parallelism. Only ModeBatch
-	// supports it (per-location sequential updates are order-dependent
-	// by definition); values <= 1 mean single-threaded. Results match
-	// the single-threaded run up to floating-point summation order.
+	// evaluate its locations — the functional stand-in for a GPU's
+	// internal parallelism. Only ModeBatch supports it (per-location
+	// sequential updates are order-dependent by definition); values
+	// <= 1 mean single-threaded. Gradients are added into AccBuf in
+	// location order, so every value gives the same result bit for bit.
 	IntraWorkers int
 	// StopBelowCost, when positive, stops the reconstruction early once
 	// the global cost falls below it. The decision uses the all-reduced
@@ -149,9 +149,9 @@ const (
 	tagHB = 4
 )
 
-// worker is the per-rank state. All gradient scratch lives in ws (and,
-// when IntraWorkers is enabled, in the persistent intra pool), so the
-// per-location hot loop is allocation-free in steady state.
+// worker is the per-rank state. All gradient scratch lives in ws and
+// the location pool's engines, so the per-location hot loop is
+// allocation-free in steady state.
 type worker struct {
 	comm   simmpi.Transport
 	mesh   *tiling.Mesh
@@ -163,8 +163,8 @@ type worker struct {
 	acc    []*grid.Complex2D // accumulated gradient buffer (AccBuf_k)
 	packed []complex128      // outgoing payload scratch, grown once to the largest overlap
 	ws     *solver.Workspace // engine + faithful mode's window of gradient scratch
+	pool   *solver.Pool      // batch mode's sweep of owned locations into AccBuf
 	owned  []int
-	intra  *intraPool // persistent IntraWorkers goroutine pool (nil if <= 1)
 
 	computeNS int64 // wall-clock spent in gradient computation
 	commNS    int64 // wall-clock spent in the directional passes
@@ -188,33 +188,20 @@ func newWorker(comm simmpi.Transport, prob *solver.Problem, opt *Options,
 		w.slices[s].CopyRegion(init[s], ext)
 		w.acc[s] = grid.NewComplex2D(ext)
 	}
-	if opt.IntraWorkers > 1 {
-		w.intra = newIntraPool(w, opt.IntraWorkers)
-	}
+	w.pool = prob.NewPool(w.ws.Eng, max(opt.IntraWorkers, 1), w.slices, w.acc, nil)
 	return w
 }
 
-// close releases the worker's goroutine pool. Must be called when the
-// rank is done (idempotent via nil check).
-func (w *worker) close() {
-	if w.intra != nil {
-		w.intra.close()
-		w.intra = nil
-	}
-}
+// close ends the location pool's goroutines. Must be called when the
+// rank is done.
+func (w *worker) close() { w.pool.Close() }
 
 // memBytes is what the rank's buffers hold: slices, AccBuf, the
-// measurements it owns and its workspaces — the engine and, in faithful
-// mode, one window of gradient scratch; with IntraWorkers, each
-// sub-worker's engine and tile-sized chunk sums.
+// measurements it owns and its workspace — the engine and, in faithful
+// mode, one window of gradient scratch — plus, with IntraWorkers, one
+// engine per further goroutine.
 func (w *worker) memBytes() int64 {
-	wss := []*solver.Workspace{w.ws}
-	if w.intra != nil {
-		for _, sub := range w.intra.subs {
-			wss = append(wss, sub.ws)
-		}
-	}
-	return w.prob.MemBytes(w.owned, wss, w.slices, w.acc)
+	return w.prob.MemBytes(w.owned, []*solver.Workspace{w.ws}, w.slices, w.acc) + w.pool.MemBytes()
 }
 
 // unpackAdd adds the payload into region r of each buffer.
@@ -355,13 +342,13 @@ func (w *worker) iteration() (float64, error) {
 		computeStart := time.Now()
 		// This round covers owned locations [done, upto).
 		upto := (round + 1) * n / rounds
-		if w.opt.IntraWorkers > 1 {
-			cost += w.gradientChunkParallel(done, upto)
-			done = upto
-		} else {
+		if w.opt.Mode == ModeFaithful {
 			for ; done < upto; done++ {
 				cost += w.location(done)
 			}
+		} else {
+			cost = w.pool.Sweep(w.owned[done:upto], cost)
+			done = upto
 		}
 		w.computeNS += time.Since(computeStart).Nanoseconds()
 		commStart := time.Now()
@@ -374,113 +361,21 @@ func (w *worker) iteration() (float64, error) {
 	return cost, nil
 }
 
-// location evaluates owned location i and adds its gradient into
-// AccBuf (Alg 1 line 7), returning its loss. Batch mode accumulates
-// straight into AccBuf; faithful mode also descends the slices at once
-// (line 8), so the gradient goes through the window scratch and both
-// updates touch only the window's part of the tile.
+// location is one step of faithful mode: it evaluates owned location
+// i, adds its gradient into AccBuf (Alg 1 line 7) and descends the
+// slices at once (line 8), returning its loss. The gradient goes
+// through the window scratch, so both updates touch only the window's
+// part of the tile. Batch mode sweeps its locations through the pool,
+// straight into AccBuf.
 func (w *worker) location(i int) float64 {
 	li := w.owned[i]
 	win := w.prob.Pattern.Locations[li].Window(w.prob.WindowN)
-	if w.opt.Mode != ModeFaithful {
-		return w.ws.Eng.LossGrad(w.slices, win, w.prob.Meas[li], w.acc)
-	}
 	f, g := w.ws.LossGradWindow(w.slices, win, w.prob.Meas[li])
 	for s := range g {
 		w.acc[s].AddScaledRegion(g[s], win, 1)
 		w.slices[s].AddScaledRegion(g[s], win, -complex(w.opt.StepSize, 0))
 	}
 	return f
-}
-
-// intraSub is one member of the persistent IntraWorkers pool: a
-// long-lived goroutine owning its own Workspace (engine + local
-// accumulation arrays), fed location ranges over an unbuffered channel.
-// Keeping the goroutines and their arenas alive for the whole run is
-// what makes intra-parallel gradient computation allocation-free in
-// steady state — the seed respawned goroutines and reallocated
-// tile-sized buffers on every communication round.
-type intraSub struct {
-	ws   *solver.Workspace
-	work chan [2]int  // owned-location index range [lo, hi)
-	done chan float64 // cost of the completed range
-}
-
-// intraPool is the per-rank pool. Sub-workers are dispatched and
-// drained in index order, so the merge into AccBuf is deterministic and
-// bit-identical to the seed's spawn-per-chunk implementation.
-type intraPool struct {
-	subs []*intraSub
-}
-
-func newIntraPool(w *worker, nw int) *intraPool {
-	pool := &intraPool{subs: make([]*intraSub, nw)}
-	for j := range pool.subs {
-		sub := &intraSub{
-			ws:   w.prob.NewWorkspace(w.ext),
-			work: make(chan [2]int),
-			done: make(chan float64),
-		}
-		pool.subs[j] = sub
-		go func() {
-			for r := range sub.work {
-				// Zero here, not on the dispatcher: nw tile-sized stacks
-				// clear in parallel instead of serially before dispatch.
-				sub.ws.ZeroGrads()
-				var cost float64
-				for i := r[0]; i < r[1]; i++ {
-					li := w.owned[i]
-					loc := w.prob.Pattern.Locations[li]
-					cost += sub.ws.LossGrad(w.slices, loc.Window(w.prob.WindowN), w.prob.Meas[li])
-				}
-				sub.done <- cost
-			}
-		}()
-	}
-	return pool
-}
-
-// close shuts down the pool's goroutines. Safe only when no chunk is in
-// flight.
-func (p *intraPool) close() {
-	for _, s := range p.subs {
-		close(s.work)
-	}
-}
-
-// gradientChunkParallel spreads the owned locations [lo, hi) across the
-// persistent IntraWorkers pool, each sub-worker accumulating into its
-// own workspace, then merges into w.acc in deterministic sub-worker
-// order.
-func (w *worker) gradientChunkParallel(lo, hi int) float64 {
-	nw := len(w.intra.subs)
-	if span := hi - lo; span < nw {
-		nw = span
-	}
-	if nw <= 1 {
-		// Tiny chunks: one pass on the rank's own workspace engine,
-		// accumulating straight into AccBuf.
-		var cost float64
-		for i := lo; i < hi; i++ {
-			cost += w.location(i)
-		}
-		return cost
-	}
-	for j := 0; j < nw; j++ {
-		sub := w.intra.subs[j]
-		from := lo + (hi-lo)*j/nw
-		to := lo + (hi-lo)*(j+1)/nw
-		sub.work <- [2]int{from, to}
-	}
-	var cost float64
-	for j := 0; j < nw; j++ {
-		sub := w.intra.subs[j]
-		cost += <-sub.done
-		for s := range w.acc {
-			w.acc[s].AddScaled(sub.ws.Grads()[s], 1)
-		}
-	}
-	return cost
 }
 
 // RunRank executes one rank of the Gradient Decomposition
@@ -604,9 +499,7 @@ func ParallelGradient(prob *solver.Problem, full []*grid.Complex2D, mesh *tiling
 	err := simmpi.Run(ranks, timeout, func(comm *simmpi.Comm) error {
 		w := newWorker(comm, prob, &opt, owned, full)
 		defer w.close()
-		for i := range w.owned {
-			w.location(i)
-		}
+		w.pool.Sweep(w.owned, 0)
 		if err := w.runPasses(); err != nil {
 			return err
 		}

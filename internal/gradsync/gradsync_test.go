@@ -397,9 +397,9 @@ func TestUnevenLocationDistribution(t *testing.T) {
 // TestRankMemoryHoldsTwoTileStacks: a 2x2 n32 gd rank reports the
 // buffers it holds — its slices and AccBuf, the two tile-sized stacks
 // of perfmodel.MemoryGDGB, plus the measurements it owns and
-// window-sized engine buffers (probe, S wavefronts, FFT scratch), and in
-// faithful mode one window of gradient scratch. No third tile-sized
-// gradient stack.
+// window-sized engine buffers (probe, S wavefronts, FFT scratch), in
+// faithful mode one window of gradient scratch, and with IntraWorkers 2
+// one more engine. No third tile-sized gradient stack.
 func TestRankMemoryHoldsTwoTileStacks(t *testing.T) {
 	const radius = 16.0
 	pat, err := scan.Raster(scan.RasterConfig{
@@ -420,9 +420,13 @@ func TestRankMemoryHoldsTwoTileStacks(t *testing.T) {
 	init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
 	window := int64(prob.WindowN*prob.WindowN) * 16 * int64(prob.Slices)
 	engine := prob.NewEngine().MemBytes() + window // probe + FFT scratch, then the wavefronts
-	for _, mode := range []Mode{ModeBatch, ModeFaithful} {
+	for _, run := range []struct {
+		mode  Mode
+		intra int
+	}{{ModeBatch, 0}, {ModeFaithful, 0}, {ModeBatch, 2}} {
+		mode := run.mode
 		res, err := Reconstruct(prob, init.Slices, Options{
-			Mesh: m, Mode: mode, StepSize: 0.01, Iterations: 1, Timeout: testTimeout,
+			Mesh: m, Mode: mode, StepSize: 0.01, Iterations: 1, IntraWorkers: run.intra, Timeout: testTimeout,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -434,9 +438,12 @@ func TestRankMemoryHoldsTwoTileStacks(t *testing.T) {
 			if mode == ModeFaithful {
 				want += window
 			}
+			if run.intra == 2 {
+				want += engine
+			}
 			if got != want {
-				t.Errorf("mode %d rank %d reports %d B, want %d (%.2f tile stacks beyond the measurements and engine)",
-					mode, rank, got, want, float64(got-want+2*stack)/float64(stack))
+				t.Errorf("mode %d intra %d rank %d reports %d B, want %d (%.2f tile stacks beyond the measurements and engine)",
+					mode, run.intra, rank, got, want, float64(got-want+2*stack)/float64(stack))
 			}
 		}
 	}

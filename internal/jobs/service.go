@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -942,6 +943,11 @@ func (s *Service) hooks(j *Job) engine.Hooks {
 func (s *Service) execute(j *Job) ([]*grid.Complex2D, error) {
 	spec := j.params.spec()
 	spec.Timeout = s.cfg.Timeout
+	if spec.IntraWorkers == 0 && !j.params.Grid {
+		// A job in this process gets its share of the cores for the
+		// goroutines of its serial run or of each gd rank.
+		spec.IntraWorkers = max(1, runtime.GOMAXPROCS(0)/s.cfg.Workers)
+	}
 	if j.streaming {
 		return s.executeStream(j, spec)
 	}

@@ -55,7 +55,11 @@ type Engine struct {
 	// last forward evaluation for the backward pass; psi[0] is the probe.
 	// The forward pass transforms psi[S] in place into the far field, and
 	// the backward pass, which never reads psi[S], writes chi over it.
+	// Evaluate leaves its gradient in psi[1..S] for Accumulate, which
+	// also reads the window and the slices it was evaluated at.
 	psi []*grid.Complex2D
+	win grid.Rect
+	obj []*grid.Complex2D
 }
 
 // NewEngine builds an engine for the given probe and propagation kernel.
@@ -104,8 +108,9 @@ func (e *Engine) SetProbe(p *grid.Complex2D) {
 	e.dark = 1e-12 * math.Sqrt(energy)
 }
 
-// ensurePsi sizes the wavefront stack for S slices.
-func (e *Engine) ensurePsi(s int) {
+// Reserve sizes the wavefront stack for s slices, which the first
+// evaluation grows to otherwise.
+func (e *Engine) Reserve(s int) {
 	for len(e.psi) < s+1 {
 		e.psi = append(e.psi, grid.NewComplex2DSize(e.n, e.n))
 	}
@@ -142,7 +147,7 @@ func (e *Engine) forward(slices []*grid.Complex2D, win grid.Rect) *grid.Complex2
 	if s == 0 {
 		panic("multislice: empty slice stack")
 	}
-	e.ensurePsi(s)
+	e.Reserve(s)
 	for i, sl := range slices {
 		next := e.psi[i+1]
 		copy(next.Data, e.psi[i].Data)
@@ -197,11 +202,14 @@ func amplitudeLoss(d *grid.Complex2D, yAmp *grid.Float2D) float64 {
 // Wirtinger gradient dF/d(conj t_s) into grads (one array per slice,
 // same bounds as the object slices), restricted to the window region
 // clipped to the gradient arrays' bounds. It returns the loss value.
+// It is Evaluate followed by Accumulate.
 //
 // The gradient convention matches central finite differences:
 // d f / d Re(t) == 2*Re(g), d f / d Im(t) == 2*Im(g).
 func (e *Engine) LossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D, grads []*grid.Complex2D) float64 {
-	return e.lossGrad(slices, win, yAmp, grads, nil)
+	f := e.Evaluate(slices, win, yAmp)
+	e.Accumulate(grads, nil)
+	return f
 }
 
 // LossGradProbe is LossGrad extended with the gradient of the loss with
@@ -213,17 +221,21 @@ func (e *Engine) LossGradProbe(slices []*grid.Complex2D, win grid.Rect, yAmp *gr
 	if probeGrad.W() != e.n || probeGrad.H() != e.n {
 		panic(fmt.Sprintf("multislice: probe gradient must be %dx%d", e.n, e.n))
 	}
-	return e.lossGrad(slices, win, yAmp, grads, probeGrad)
+	f := e.Evaluate(slices, win, yAmp)
+	e.Accumulate(grads, probeGrad)
+	return f
 }
 
-func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D,
-	grads []*grid.Complex2D, probeGrad *grid.Complex2D) float64 {
-	if len(grads) != len(slices) {
-		panic(fmt.Sprintf("multislice: %d gradient arrays for %d slices", len(grads), len(slices)))
-	}
+// Evaluate runs the forward pass, the residual and the backward pass at
+// one probe location and returns its loss. The location's gradient stays
+// in the engine until Accumulate adds it: for i >= 1 the wave entering
+// slice i, which nothing reads after step i of the backward pass, is
+// overwritten with b·psi_i, and psi[S] is left holding slice 0's b.
+func (e *Engine) Evaluate(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Float2D) float64 {
 	s := len(slices)
 	n := e.n
 	d := e.forward(slices, win)
+	e.win, e.obj = win, slices
 
 	// chi = dF/d(conj D) = (|D| - |y|) * D / |D|, zero on dark pixels,
 	// written conjugated over D; one |D| serves the loss and chi.
@@ -257,35 +269,60 @@ func (e *Engine) lossGrad(slices []*grid.Complex2D, win grid.Rect, yAmp *grid.Fl
 			}
 			e.plan.TransformScratch(d, fft.Forward, &e.scr)
 		}
+		if i == 0 {
+			break
+		}
 		// g_t(i) = conj(psi_i) * psi_bar' = conj(psi_i * b)  (psi_i =
-		// wave entering slice i).
-		g := grads[i]
+		// wave entering slice i); psi_i * b is kept for Accumulate.
+		psi := e.psi[i].Data
+		for j, v := range b {
+			psi[j] = v * psi[j]
+		}
+		// psi_bar_{i-1} = conj(t_i) * psi_bar', so b *= t_i.
+		mulWindow(b, n, slices[i], win)
+		if e.h != nil {
+			conjAll(b)
+		}
+	}
+	return f
+}
+
+// Accumulate adds the gradient of the last Evaluate into grads (one
+// array per slice), clipped to their bounds, and, when probeGrad is not
+// nil, the probe gradient into probeGrad. Call it once per Evaluate.
+func (e *Engine) Accumulate(grads []*grid.Complex2D, probeGrad *grid.Complex2D) {
+	s := len(e.obj)
+	if len(grads) != s {
+		panic(fmt.Sprintf("multislice: %d gradient arrays for %d slices", len(grads), s))
+	}
+	n, win := e.n, e.win
+	b := e.psi[s].Data
+	for i, g := range grads {
 		inter := win.Intersect(g.Bounds)
 		for y := inter.Y0; y < inter.Y1; y++ {
 			gRow := g.Row(y)[inter.X0-g.Bounds.X0:][:inter.W()]
 			off := (y-win.Y0)*n + inter.X0 - win.X0
-			psi, bRow := e.psi[i].Data[off:][:len(gRow)], b[off:][:len(gRow)]
-			for x, v := range bRow {
+			psi := e.psi[i].Data[off:][:len(gRow)]
+			if i > 0 {
+				for x, v := range psi {
+					gRow[x] += complex(real(v), -imag(v))
+				}
+				continue
+			}
+			for x, v := range b[off:][:len(gRow)] {
 				v *= psi[x]
 				gRow[x] += complex(real(v), -imag(v))
 			}
 		}
-		// psi_bar_{i-1} = conj(t_i) * psi_bar', so b *= t_i.
-		if i > 0 || probeGrad != nil {
-			mulWindow(b, n, slices[i], win)
-		}
-		if e.h != nil && i > 0 {
-			conjAll(b)
-		}
 	}
-	// After the i == 0 step, conj(b) = conj(t_0) * psi_bar'_0 = dF/d(conj
-	// psi_0) = dF/d(conj p) since psi_0 is the probe itself.
+	// conj(t_0 * b) = conj(t_0) * psi_bar'_0 = dF/d(conj psi_0) = dF/d(conj
+	// p) since psi_0 is the probe itself.
 	if probeGrad != nil {
+		mulWindow(b, n, e.obj[0], win)
 		for j, v := range b {
 			probeGrad.Data[j] += complex(real(v), -imag(v))
 		}
 	}
-	return f
 }
 
 func conjAll(x []complex128) {

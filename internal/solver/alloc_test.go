@@ -46,3 +46,19 @@ func TestWorkspaceGradientMatchesEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchIterationAllocationFree: a steady-state batch iteration on
+// two goroutines — the pool's sweep, the ordered accumulation and the
+// update, with and without probe refinement — allocates nothing.
+func TestBatchIterationAllocationFree(t *testing.T) {
+	prob, _ := smallProblem(t, 2, 0)
+	for _, probeStep := range []float64{0, 0.05} {
+		init := phantom.Vacuum(prob.ImageBounds(), prob.Slices)
+		st := prob.NewStepper(init.Slices, Options{StepSize: 0.01, ProbeStepSize: probeStep, Workers: 2})
+		st.Batch()
+		if got := testing.AllocsPerRun(10, func() { st.Batch() }); got != 0 {
+			t.Errorf("batch iteration (probe step %g) on 2 workers allocates %v, want 0", probeStep, got)
+		}
+		st.Close()
+	}
+}

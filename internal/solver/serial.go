@@ -40,6 +40,11 @@ type Options struct {
 	// StopBelowCost, when positive, ends the run early once the
 	// iteration cost falls below it.
 	StopBelowCost float64
+	// Workers is how many goroutines evaluate a Batch iteration's
+	// locations (0 = GOMAXPROCS). Gradients are added in location
+	// order, so every count gives the same result bit for bit.
+	// Sequential mode runs on the calling goroutine.
+	Workers int
 	// OnIteration, when non-nil, receives the iteration index and the
 	// cost F(V) measured during that iteration's gradient evaluations.
 	OnIteration func(iter int, cost float64)
@@ -87,84 +92,25 @@ func Reconstruct(prob *Problem, init []*grid.Complex2D, opt Options) (*Result, e
 	if opt.ProbeStepSize < 0 {
 		return nil, fmt.Errorf("solver: probe step size must be non-negative, got %g", opt.ProbeStepSize)
 	}
+	if opt.Mode != Batch && opt.Mode != Sequential {
+		return nil, fmt.Errorf("solver: unknown update mode %d", opt.Mode)
+	}
 	slices := make([]*grid.Complex2D, len(init))
 	for i, s := range init {
 		slices[i] = s.Clone()
 	}
-	// One Workspace for the whole run: the engine's wavefield buffers,
-	// FFT scratch and the gradient arrays are allocated here once and
-	// reused by every probe location of every iteration.
-	ws := prob.NewWorkspace(slices[0].Bounds)
-	eng := ws.Eng
-	grads := ws.Grads()
-	step := complex(opt.StepSize, 0)
+	st := prob.NewStepper(slices, opt)
+	defer st.Close()
 	hist := make([]float64, 0, opt.Iterations)
-
-	refineProbe := opt.ProbeStepSize > 0
-	var probe, probeGrad *grid.Complex2D
-	var probeStep complex128
-	if refineProbe {
-		probe = eng.Probe().Clone()
-		probeGrad = grid.NewComplex2D(probe.Bounds)
-		probeStep = complex(opt.ProbeStepSize, 0)
+	result := func() *Result {
+		return &Result{Slices: slices, CostHistory: hist, RefinedProbe: st.probe}
 	}
-	lossGrad := func(i int, win grid.Rect) float64 {
-		if refineProbe {
-			return eng.LossGradProbe(slices, win, prob.Meas[i], grads, probeGrad)
-		}
-		return eng.LossGrad(slices, win, prob.Meas[i], grads)
-	}
-	// The probe step is auto-scaled from the largest gradient met so
-	// far: that update moves the probe peak by ProbeStepSize x its own
-	// magnitude, and later updates use the same scale so the step
-	// decays with the gradient (plain GD semantics, calibrated units).
-	// Without this the raw probe gradient (which carries an N^2
-	// detector-plane factor) needs ~1e-6 steps. The first gradient
-	// alone will not do: from a vacuum start it holds bright-field
-	// residuals only (the dark field is dark, see multislice) and the
-	// second is many times larger.
-	probeScale := complex(0, 0)
-	applyProbe := func() {
-		if !refineProbe {
-			return
-		}
-		if gMax := probeGrad.MaxAbs(); gMax > 0 {
-			if s := probeStep * complex(probe.MaxAbs()/gMax, 0); probeScale == 0 || real(s) < real(probeScale) {
-				probeScale = s
-			}
-		}
-		probe.AddScaled(probeGrad, -probeScale)
-		probeGrad.Zero()
-		eng.SetProbe(probe)
-	}
-
 	for iter := 0; iter < opt.Iterations; iter++ {
 		var cost float64
-		switch opt.Mode {
-		case Batch:
-			for _, g := range grads {
-				g.Zero()
-			}
-			for i, l := range prob.Pattern.Locations {
-				cost += lossGrad(i, l.Window(prob.WindowN))
-			}
-			for s := range slices {
-				slices[s].AddScaled(grads[s], -step)
-			}
-			applyProbe()
-		case Sequential:
-			for i, l := range prob.Pattern.Locations {
-				for _, g := range grads {
-					g.Zero()
-				}
-				cost += lossGrad(i, l.Window(prob.WindowN))
-				for s := range slices {
-					slices[s].AddScaled(grads[s], -step)
-				}
-				applyProbe()
-			}
-		default:
-			return nil, fmt.Errorf("solver: unknown update mode %d", opt.Mode)
+		if opt.Mode == Batch {
+			cost = st.Batch()
+		} else {
+			cost = st.sequential()
 		}
 		hist = append(hist, cost)
 		if opt.OnIteration != nil {
@@ -179,16 +125,97 @@ func Reconstruct(prob *Problem, init []*grid.Complex2D, opt Options) (*Result, e
 			break
 		}
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			res := &Result{Slices: slices, CostHistory: hist}
-			if refineProbe {
-				res.RefinedProbe = probe
-			}
-			return res, opt.Ctx.Err()
+			return result(), opt.Ctx.Err()
 		}
 	}
-	res := &Result{Slices: slices, CostHistory: hist}
-	if refineProbe {
-		res.RefinedProbe = probe
-	}
-	return res, nil
+	return result(), nil
 }
+
+// Stepper is one serial reconstruction in progress: the object it
+// descends in place, one Workspace for the whole run (engine, FFT
+// scratch and gradient arrays, allocated once), the location pool of
+// batch iterations and, under probe refinement, the probe.
+type Stepper struct {
+	prob   *Problem
+	slices []*grid.Complex2D
+	ws     *Workspace
+	pool   *Pool
+	step   complex128
+
+	probe, probeGrad      *grid.Complex2D // nil without probe refinement
+	probeStep, probeScale complex128
+}
+
+// NewStepper prepares descending slices (in place) with opt's step
+// sizes; a batch iteration runs on opt.Workers goroutines, a sequential
+// one on the caller's. Close it when the run ends.
+func (p *Problem) NewStepper(slices []*grid.Complex2D, opt Options) *Stepper {
+	ws := p.NewWorkspace(slices[0].Bounds)
+	st := &Stepper{prob: p, slices: slices, ws: ws, step: complex(opt.StepSize, 0)}
+	if opt.ProbeStepSize > 0 {
+		st.probe = ws.Eng.Probe().Clone()
+		st.probeGrad = grid.NewComplex2D(st.probe.Bounds)
+		st.probeStep = complex(opt.ProbeStepSize, 0)
+	}
+	workers := opt.Workers
+	if opt.Mode == Sequential {
+		workers = 1
+	}
+	st.pool = p.NewPool(ws.Eng, workers, slices, ws.Grads(), st.probeGrad)
+	return st
+}
+
+// Batch runs one batch iteration — every location's gradient, added in
+// location order, then one update — and returns its cost.
+func (st *Stepper) Batch() float64 {
+	st.ws.ZeroGrads()
+	cost := st.pool.SweepAll(0)
+	st.descend()
+	return cost
+}
+
+// sequential runs one iteration of per-location updates in acquisition
+// order and returns its cost.
+func (st *Stepper) sequential() float64 {
+	eng := st.ws.Eng
+	var cost float64
+	for i, l := range st.prob.Pattern.Locations {
+		st.ws.ZeroGrads()
+		cost += eng.Evaluate(st.slices, l.Window(st.prob.WindowN), st.prob.Meas[i])
+		eng.Accumulate(st.ws.Grads(), st.probeGrad)
+		st.descend()
+	}
+	return cost
+}
+
+// descend applies the accumulated gradients to the object and, under
+// probe refinement, to the probe.
+//
+// The probe step is auto-scaled from the largest gradient met so far:
+// that update moves the probe peak by ProbeStepSize x its own
+// magnitude, and later updates use the same scale so the step decays
+// with the gradient (plain GD semantics, calibrated units). Without
+// this the raw probe gradient (which carries an N^2 detector-plane
+// factor) needs ~1e-6 steps. The first gradient alone will not do:
+// from a vacuum start it holds bright-field residuals only (the dark
+// field is dark, see multislice) and the second is many times larger.
+func (st *Stepper) descend() {
+	grads := st.ws.Grads()
+	for s := range st.slices {
+		st.slices[s].AddScaled(grads[s], -st.step)
+	}
+	if st.probe == nil {
+		return
+	}
+	if gMax := st.probeGrad.MaxAbs(); gMax > 0 {
+		if s := st.probeStep * complex(st.probe.MaxAbs()/gMax, 0); st.probeScale == 0 || real(s) < real(st.probeScale) {
+			st.probeScale = s
+		}
+	}
+	st.probe.AddScaled(st.probeGrad, -st.probeScale)
+	st.probeGrad.Zero()
+	st.pool.SetProbe(st.probe)
+}
+
+// Close ends the batch pool's goroutines.
+func (st *Stepper) Close() { st.pool.Close() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/scan"
@@ -26,9 +27,9 @@ func appendFrames(t *testing.T, prob *solver.Problem, frames []dataio.Frame) {
 // TestStreamingKernelAllocationFree guards the hot path under the
 // streaming engine: folding frames grows the active set, but the
 // per-location gradient kernel — and in fact the whole streaming
-// iteration — must stay at zero heap allocations, because the engine
-// reuses one solver.Workspace for the life of the run exactly like the
-// batch engines.
+// iteration, on two goroutines — must stay at zero heap allocations,
+// because the engine reuses one solver.Stepper for the life of the run
+// exactly like the batch solver.
 func TestStreamingKernelAllocationFree(t *testing.T) {
 	prob := acquisition(t, 2)
 	frames := dataio.FramesFromProblem(prob)
@@ -36,7 +37,8 @@ func TestStreamingKernelAllocationFree(t *testing.T) {
 
 	grown := hdr.NewProblem()
 	init := phantom.Vacuum(grown.ImageBounds(), grown.Slices).Slices
-	eng := newSerialEngine(grown, init, 0.01)
+	eng := newSerialEngine(grown, init, engine.Spec{StepSize: 0.01, IntraWorkers: 2})
+	defer eng.st.Close()
 
 	// First fold, then warm the workspace.
 	appendFrames(t, grown, frames[:8])
@@ -50,16 +52,6 @@ func TestStreamingKernelAllocationFree(t *testing.T) {
 	eng.iterate()
 	if got := testing.AllocsPerRun(20, func() { eng.iterate() }); got != 0 {
 		t.Errorf("streaming iteration allocates %v after second fold, want 0", got)
-	}
-
-	// And the per-location kernel alone is allocation-free too.
-	loc := grown.Pattern.Locations[0]
-	win := loc.Window(grown.WindowN)
-	if got := testing.AllocsPerRun(20, func() {
-		eng.ws.ZeroGrads()
-		eng.ws.LossGrad(eng.slices, win, grown.Meas[0])
-	}); got != 0 {
-		t.Errorf("per-location kernel allocates %v under the streaming engine, want 0", got)
 	}
 
 	// The engine's state is still a valid object.

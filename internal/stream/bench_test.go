@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ptychopath/internal/dataio"
+	"ptychopath/internal/engine"
 	"ptychopath/internal/grid"
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/scan"
@@ -138,7 +139,8 @@ func BenchmarkStreamingIteration(b *testing.B) {
 	if err := grown.AppendLocations(locs, meas); err != nil {
 		b.Fatal(err)
 	}
-	eng := newSerialEngine(grown, phantom.Vacuum(grown.ImageBounds(), grown.Slices).Slices, 0.01)
+	eng := newSerialEngine(grown, phantom.Vacuum(grown.ImageBounds(), grown.Slices).Slices, engine.Spec{StepSize: 0.01})
+	defer eng.st.Close()
 	eng.iterate()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -153,43 +153,25 @@ func (r *recorder) snapshotDue() bool {
 		r.done > 0 && r.done%r.opt.Spec.SnapshotEvery == 0
 }
 
-// serialEngine runs the exact batch gradient-descent step of
-// internal/solver over the growing active set: one Workspace for the
-// whole run, so the per-location kernel stays allocation-free no
-// matter how many folds have happened.
+// serialEngine runs the batch step of internal/solver — the same
+// solver.Stepper, so the same operation order — over the growing active
+// set, which is what makes a streaming run bit-identical to a batch run
+// warm-started from any post-fold checkpoint. One Stepper for the whole
+// run keeps the iteration allocation-free no matter how many folds have
+// happened (guarded by TestStreamingKernelAllocationFree).
 type serialEngine struct {
-	prob   *solver.Problem
 	slices []*grid.Complex2D
-	ws     *solver.Workspace
-	step   complex128
+	st     *solver.Stepper
 }
 
-func newSerialEngine(prob *solver.Problem, init []*grid.Complex2D, stepSize float64) *serialEngine {
+func newSerialEngine(prob *solver.Problem, init []*grid.Complex2D, spec engine.Spec) *serialEngine {
 	return &serialEngine{
-		prob:   prob,
 		slices: init,
-		ws:     prob.NewWorkspace(init[0].Bounds),
-		step:   complex(stepSize, 0),
+		st:     prob.NewStepper(init, solver.Options{StepSize: spec.StepSize, Workers: spec.IntraWorkers}),
 	}
 }
 
-// iterate runs ONE batch iteration — identical operation order to the
-// Batch branch of solver.Reconstruct, which is what makes a streaming
-// run bit-identical to a batch run warm-started from any post-fold
-// checkpoint. No allocations in steady state (guarded by
-// TestStreamingKernelAllocationFree).
-func (e *serialEngine) iterate() float64 {
-	e.ws.ZeroGrads()
-	var cost float64
-	for i, l := range e.prob.Pattern.Locations {
-		cost += e.ws.LossGrad(e.slices, l.Window(e.prob.WindowN), e.prob.Meas[i])
-	}
-	grads := e.ws.Grads()
-	for s := range e.slices {
-		e.slices[s].AddScaled(grads[s], -e.step)
-	}
-	return cost
-}
+func (e *serialEngine) iterate() float64 { return e.st.Batch() }
 
 // run executes up to n iterations, honoring cancellation and the
 // snapshot cadence at every iteration boundary.
@@ -286,7 +268,9 @@ func Run(hdr *dataio.StreamHeader, in *Ingest, opt Options) (*Result, error) {
 	}
 	var eng stepper = &gdEngine{prob: prob, cur: init}
 	if opt.Spec.Algorithm == "serial" {
-		eng = newSerialEngine(prob, init, opt.Spec.StepSize)
+		se := newSerialEngine(prob, init, opt.Spec)
+		defer se.st.Close()
+		eng = se
 	}
 	var err error
 
