@@ -24,7 +24,9 @@ type SubmitRequest struct {
 	// RoundsPerIteration is the communication frequency of the parallel
 	// algorithms. Default 1.
 	RoundsPerIteration int `json:"rounds_per_iteration,omitempty"`
-	// IntraWorkers is the per-rank goroutine count for gd batch mode.
+	// IntraWorkers is how many goroutines evaluate the locations of a
+	// serial run or of each gd rank. It never changes a result. Default:
+	// the server's share of cores.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 	// CheckpointEvery is the iteration period of OBJCKv1 checkpoints
 	// and preview snapshots; 0 selects the server default.

@@ -31,7 +31,7 @@ func TestWorkerGradientAllocationFree(t *testing.T) {
 			defer w.close()
 			step := func() { w.location(0) }
 			if mode == ModeBatch {
-				step = func() { w.pool.Sweep(w.owned[:1], 0) }
+				step = func() { w.pool.Sweep(0, 1, 0) }
 			}
 			step()
 			allocs = testing.AllocsPerRun(10, step)

@@ -188,7 +188,7 @@ func newWorker(comm simmpi.Transport, prob *solver.Problem, opt *Options,
 		w.slices[s].CopyRegion(init[s], ext)
 		w.acc[s] = grid.NewComplex2D(ext)
 	}
-	w.pool = prob.NewPool(w.ws.Eng, max(opt.IntraWorkers, 1), w.slices, w.acc, nil)
+	w.pool = prob.NewPool(w.ws.Eng, max(opt.IntraWorkers, 1), w.owned, w.slices, w.acc, nil)
 	return w
 }
 
@@ -347,7 +347,7 @@ func (w *worker) iteration() (float64, error) {
 				cost += w.location(done)
 			}
 		} else {
-			cost = w.pool.Sweep(w.owned[done:upto], cost)
+			cost = w.pool.Sweep(done, upto, cost)
 			done = upto
 		}
 		w.computeNS += time.Since(computeStart).Nanoseconds()
@@ -499,7 +499,7 @@ func ParallelGradient(prob *solver.Problem, full []*grid.Complex2D, mesh *tiling
 	err := simmpi.Run(ranks, timeout, func(comm *simmpi.Comm) error {
 		w := newWorker(comm, prob, &opt, owned, full)
 		defer w.close()
-		w.pool.Sweep(w.owned, 0)
+		w.pool.Sweep(0, len(w.owned), 0)
 		if err := w.runPasses(); err != nil {
 			return err
 		}

@@ -89,7 +89,9 @@ type Params struct {
 	// RoundsPerIteration is the communication frequency of the parallel
 	// algorithms. Default 1.
 	RoundsPerIteration int `json:"rounds_per_iteration,omitempty"`
-	// IntraWorkers is the per-rank goroutine count for gd batch mode.
+	// IntraWorkers is how many goroutines evaluate the locations of a
+	// serial run or of each gd rank; it never changes a result. 0 takes
+	// the job's share of the cores for an in-process job, 1 for a grid job.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 	// CheckpointEvery is the iteration period of OBJCKv1 checkpoints and
 	// preview snapshots; 0 selects the service default.

@@ -9,41 +9,39 @@ import (
 	"ptychopath/internal/multislice"
 )
 
-// Pool evaluates a list of probe locations on several goroutines and
-// adds their gradients and losses into one set of arrays strictly in
-// list order, so every worker count gives the one-goroutine result bit
-// for bit. Member 0 is the caller's engine and runs on the calling
+// Pool evaluates a run's probe locations on several goroutines and adds
+// their gradients and losses into one set of arrays strictly in list
+// order, so every worker count gives the one-goroutine result bit for
+// bit. Member 0 is the caller's engine and runs on the calling
 // goroutine; each other member is a goroutine with an engine of its own
 // and no image- or tile-sized array, alive until Close. A member claims
 // the next location, evaluates it, waits (yielding) for its turn, adds
 // it, then claims again; a steady-state sweep allocates nothing.
 type Pool struct {
-	prob      *Problem
-	engs      []*multislice.Engine
-	slices    []*grid.Complex2D
-	grads     []*grid.Complex2D
-	probeGrad *grid.Complex2D
+	prob          *Problem
+	locs          []int // the run's list; nil: entry k is location k
+	slices, grads []*grid.Complex2D
+	probeGrad     *grid.Complex2D
+	engs          []*multislice.Engine
+	wake          chan struct{} // one token per helper a sweep wakes
+	done          sync.WaitGroup
 
-	wake chan struct{} // one token per helper a sweep wakes; closed by Close
-	done sync.WaitGroup
-
-	// The sweep in flight: set before the tokens go out.
-	locs       []int
-	all        bool // every location of prob, not locs
-	n          int
+	// The sweep in flight, set before the tokens go out.
+	hi         int
 	next, turn atomic.Int64
 	cost       float64 // written only by the member whose turn it is
 }
 
-// NewPool builds the location pool of one run with workers members
-// (0 means GOMAXPROCS): eng is member 0, and a sweep adds into grads
-// (one array per slice) and, when probeGrad is not nil, the probe
-// gradient. Close it when the run ends.
-func (p *Problem) NewPool(eng *multislice.Engine, workers int, slices, grads []*grid.Complex2D, probeGrad *grid.Complex2D) *Pool {
+// NewPool builds the location pool of one run with workers members (0
+// means GOMAXPROCS), eng being member 0. A sweep evaluates entries of
+// locs (nil: every location of the problem) and adds into grads (one
+// array per slice) and, when probeGrad is not nil, the probe gradient.
+// Close it when the run ends.
+func (p *Problem) NewPool(eng *multislice.Engine, workers int, locs []int, slices, grads []*grid.Complex2D, probeGrad *grid.Complex2D) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pl := &Pool{prob: p, engs: []*multislice.Engine{eng}, slices: slices, grads: grads, probeGrad: probeGrad}
+	pl := &Pool{prob: p, locs: locs, slices: slices, grads: grads, probeGrad: probeGrad, engs: []*multislice.Engine{eng}}
 	if workers > 1 {
 		pl.wake = make(chan struct{}, workers-1)
 	}
@@ -56,8 +54,8 @@ func (p *Problem) NewPool(eng *multislice.Engine, workers int, slices, grads []*
 	return pl
 }
 
-// member is a helper goroutine: one sweep's work per token, then exit
-// once wake is closed.
+// member is a helper goroutine: one sweep's work per token, until wake
+// is closed.
 func (pl *Pool) member(e *multislice.Engine, wake <-chan struct{}) {
 	for range wake {
 		pl.work(e)
@@ -66,25 +64,14 @@ func (pl *Pool) member(e *multislice.Engine, wake <-chan struct{}) {
 	pl.done.Done()
 }
 
-// Sweep evaluates the locations locs and adds each one's gradient, and
-// its loss into cost, in list order. It returns the cost.
-func (pl *Pool) Sweep(locs []int, cost float64) float64 {
-	pl.locs, pl.all, pl.n = locs, false, len(locs)
-	return pl.sweep(cost)
-}
-
-// SweepAll is Sweep over every location of the problem, in order.
-func (pl *Pool) SweepAll(cost float64) float64 {
-	pl.all, pl.n = true, len(pl.prob.Meas)
-	return pl.sweep(cost)
-}
-
-func (pl *Pool) sweep(cost float64) float64 {
-	pl.cost = cost
-	pl.next.Store(0)
-	pl.turn.Store(0)
-	helpers := min(len(pl.engs), pl.n) - 1
-	pl.done.Add(max(helpers, 0))
+// Sweep evaluates entries lo..hi-1 of the run's list and adds each one's
+// gradient, and its loss into cost, in list order. It returns the cost.
+func (pl *Pool) Sweep(lo, hi int, cost float64) float64 {
+	pl.hi, pl.cost = hi, cost
+	pl.next.Store(int64(lo))
+	pl.turn.Store(int64(lo))
+	helpers := max(min(len(pl.engs), hi-lo)-1, 0)
+	pl.done.Add(helpers)
 	for range helpers {
 		pl.wake <- struct{}{}
 	}
@@ -95,17 +82,12 @@ func (pl *Pool) sweep(cost float64) float64 {
 
 // work is one member's part of a sweep.
 func (pl *Pool) work(e *multislice.Engine) {
-	for {
-		k := int(pl.next.Add(1)) - 1
-		if k >= pl.n {
-			return
-		}
+	for k := int(pl.next.Add(1)) - 1; k < pl.hi; k = int(pl.next.Add(1)) - 1 {
 		li := k
-		if !pl.all {
+		if pl.locs != nil {
 			li = pl.locs[k]
 		}
-		win := pl.prob.Pattern.Locations[li].Window(pl.prob.WindowN)
-		f := e.Evaluate(pl.slices, win, pl.prob.Meas[li])
+		f := e.Evaluate(pl.slices, pl.prob.Pattern.Locations[li].Window(pl.prob.WindowN), pl.prob.Meas[li])
 		for pl.turn.Load() != int64(k) {
 			runtime.Gosched()
 		}
@@ -122,8 +104,7 @@ func (pl *Pool) SetProbe(p *grid.Complex2D) {
 	}
 }
 
-// MemBytes is what the helper members' engines hold; member 0's engine
-// belongs to the caller.
+// MemBytes is what the helpers' engines hold; member 0's is the caller's.
 func (pl *Pool) MemBytes() int64 {
 	var b int64
 	for _, e := range pl.engs[1:] {
@@ -132,8 +113,8 @@ func (pl *Pool) MemBytes() int64 {
 	return b
 }
 
-// Close ends the helper goroutines and waits for them to exit.
-// It must not run during a sweep.
+// Close ends the helper goroutines and waits for them to exit. It must
+// not run during a sweep.
 func (pl *Pool) Close() {
 	if pl.wake == nil {
 		return

@@ -161,7 +161,7 @@ func (p *Problem) NewStepper(slices []*grid.Complex2D, opt Options) *Stepper {
 	if opt.Mode == Sequential {
 		workers = 1
 	}
-	st.pool = p.NewPool(ws.Eng, workers, slices, ws.Grads(), st.probeGrad)
+	st.pool = p.NewPool(ws.Eng, workers, nil, slices, ws.Grads(), st.probeGrad)
 	return st
 }
 
@@ -169,7 +169,7 @@ func (p *Problem) NewStepper(slices []*grid.Complex2D, opt Options) *Stepper {
 // location order, then one update — and returns its cost.
 func (st *Stepper) Batch() float64 {
 	st.ws.ZeroGrads()
-	cost := st.pool.SweepAll(0)
+	cost := st.pool.Sweep(0, len(st.prob.Meas), 0)
 	st.descend()
 	return cost
 }

@@ -72,9 +72,11 @@ type ReconstructOptions struct {
 	// HVEExtraRows is the baseline's redundant probe-location rows
 	// (paper: 2). Default 1 at laptop scale.
 	HVEExtraRows int
-	// IntraWorkers is how many goroutines each Gradient Decomposition
-	// worker uses for its own gradient computations (the stand-in for
-	// GPU-internal parallelism). Batch mode only; <= 1 disables.
+	// IntraWorkers is how many goroutines evaluate the locations of the
+	// Serial run or of each Gradient Decomposition worker (the stand-in
+	// for GPU-internal parallelism). Gradients are added in location
+	// order, so it never changes a result. 0 means all of GOMAXPROCS for
+	// Serial and 1 for Gradient Decomposition; batch mode only.
 	IntraWorkers int
 	// OnIteration receives (iteration, cost) as the run progresses.
 	OnIteration func(iter int, cost float64)
