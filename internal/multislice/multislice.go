@@ -88,6 +88,15 @@ func NewEngine(probe, h *grid.Complex2D) *Engine {
 	return e
 }
 
+// Helper returns an engine for another goroutine evaluating the same
+// locations: it shares e's probe, which only SetProbe writes, and owns
+// its wavefront and FFT buffers.
+func (e *Engine) Helper() *Engine {
+	h := &Engine{n: e.n, probe: e.probe, h: e.h, plan: e.plan, dark: e.dark, psi: []*grid.Complex2D{e.probe}}
+	h.scr.Warm(h.plan)
+	return h
+}
+
 // N returns the window size.
 func (e *Engine) N() int { return e.n }
 

@@ -14,9 +14,10 @@ import (
 // order, so every worker count gives the one-goroutine result bit for
 // bit. Member 0 is the caller's engine and runs on the calling
 // goroutine; each other member is a goroutine with an engine of its own
-// and no image- or tile-sized array, alive until Close. A member claims
-// the next location, evaluates it, waits (yielding) for its turn, adds
-// it, then claims again; a steady-state sweep allocates nothing.
+// (sharing member 0's probe) and no image- or tile-sized array, alive
+// until Close. A member claims the next location, evaluates it, waits
+// (yielding) for its turn, adds it, then claims again; a steady-state
+// sweep allocates nothing.
 type Pool struct {
 	prob          *Problem
 	locs          []int // the run's list; nil: entry k is location k
@@ -46,7 +47,7 @@ func (p *Problem) NewPool(eng *multislice.Engine, workers int, locs []int, slice
 		pl.wake = make(chan struct{}, workers-1)
 	}
 	for range workers - 1 {
-		e := multislice.NewEngine(eng.Probe(), p.Prop)
+		e := eng.Helper()
 		e.Reserve(p.Slices) // MemBytes counts it whether or not it gets a location
 		pl.engs = append(pl.engs, e)
 		go pl.member(e, pl.wake)
@@ -104,11 +105,12 @@ func (pl *Pool) SetProbe(p *grid.Complex2D) {
 	}
 }
 
-// MemBytes is what the helpers' engines hold; member 0's is the caller's.
+// MemBytes is what the helpers' engines hold beyond member 0's, which
+// is the caller's: all but the probe.
 func (pl *Pool) MemBytes() int64 {
 	var b int64
 	for _, e := range pl.engs[1:] {
-		b += e.MemBytes()
+		b += e.MemBytes() - int64(len(e.Probe().Data))*16
 	}
 	return b
 }
