@@ -198,8 +198,8 @@ func (w *worker) close() { w.pool.Close() }
 
 // memBytes is what the rank's buffers hold: slices, AccBuf, the
 // measurements it owns and its workspace — the engine and, in faithful
-// mode, one window of gradient scratch — plus, with IntraWorkers, one
-// engine per further goroutine.
+// mode, one window of gradient scratch — plus, with IntraWorkers, the
+// engine of each further goroutine but its shared probe.
 func (w *worker) memBytes() int64 {
 	return w.prob.MemBytes(w.owned, []*solver.Workspace{w.ws}, w.slices, w.acc) + w.pool.MemBytes()
 }

@@ -177,12 +177,10 @@ func (st *Stepper) Batch() float64 {
 // sequential runs one iteration of per-location updates in acquisition
 // order and returns its cost.
 func (st *Stepper) sequential() float64 {
-	eng := st.ws.Eng
 	var cost float64
-	for i, l := range st.prob.Pattern.Locations {
+	for i := range st.prob.Meas {
 		st.ws.ZeroGrads()
-		cost += eng.Evaluate(st.slices, l.Window(st.prob.WindowN), st.prob.Meas[i])
-		eng.Accumulate(st.ws.Grads(), st.probeGrad)
+		cost = st.pool.Sweep(i, i+1, cost)
 		st.descend()
 	}
 	return cost
