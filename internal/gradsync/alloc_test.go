@@ -3,6 +3,7 @@ package gradsync
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"ptychopath/internal/phantom"
 	"ptychopath/internal/simmpi"
@@ -78,7 +79,12 @@ func TestIntraPoolPersistsAcrossChunks(t *testing.T) {
 			t.Errorf("after the iterations the rank runs %d goroutines beyond its own, want 1", got-before)
 		}
 		w.close()
-		if got := runtime.NumGoroutine(); got != before {
+		// An exiting goroutine is counted until it has returned.
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(3 * time.Second); got > before && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if got > before {
 			t.Errorf("a closed rank leaves %d goroutines running", got-before)
 		}
 		return nil

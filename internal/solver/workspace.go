@@ -18,8 +18,8 @@ import (
 // one Workspace per worker and reuse it for the whole run, which is what
 // makes their steady-state gradient kernels allocation-free.
 //
-// A Workspace is NOT safe for concurrent use; concurrent workers (for
-// example the IntraWorkers goroutine pool in gradsync) each own one.
+// A Workspace is NOT safe for concurrent use; the further goroutines of
+// a worker's Pool each own an engine instead.
 type Workspace struct {
 	// Eng is the wavefield engine; shared scratch for forward model and
 	// adjoint.
